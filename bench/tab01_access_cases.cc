@@ -15,7 +15,6 @@
 #include "core/memory_system.hh"
 #include "dram/dram_params.hh"
 #include "dramcache/tagless_cache.hh"
-#include "sim/event_queue.hh"
 #include "vm/page_table.hh"
 #include "vm/phys_mem.hh"
 
@@ -30,20 +29,18 @@ main(int argc, char **argv)
            "Hit/Hit zero penalty; Miss/Hit walk only; Miss/Miss pays "
            "fill + GIPT");
 
-    EventQueue eq;
     ClockDomain clk(3'000'000'000ULL);
-    DramDevice in_pkg("in_pkg", eq, inPackageTiming(), inPackageEnergy());
-    DramDevice off_pkg("off_pkg", eq, offPackageTiming(),
-                       offPackageEnergy());
-    PhysMem phys("phys", eq, (8ULL << 30) / pageBytes);
-    PageTable pt("pt", eq, 0, phys);
+    DramDevice in_pkg("in_pkg", inPackageTiming(), inPackageEnergy());
+    DramDevice off_pkg("off_pkg", offPackageTiming(), offPackageEnergy());
+    PhysMem phys("phys", (8ULL << 30) / pageBytes);
+    PageTable pt("pt", 0, phys);
 
     TaglessCacheParams params;
-    TaglessCache cache("ctlb", eq, in_pkg, off_pkg, phys, clk, params);
+    TaglessCache cache("ctlb", in_pkg, off_pkg, phys, clk, params);
     cache.setPageInvalidator([](Addr) { return 0u; });
 
     CoreParams cp;
-    MemorySystem ms("mem", eq, 0, cp, clk, pt, cache);
+    MemorySystem ms("mem", 0, cp, clk, pt, cache);
     cache.setPageInvalidator(
         [&ms](Addr a) { return ms.invalidatePage(a); });
     cache.setShootdownFn([&ms](AsidVpn k) { ms.shootdown(k); });

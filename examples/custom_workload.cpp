@@ -17,7 +17,6 @@
 #include "core/ooo_core.hh"
 #include "dram/dram_params.hh"
 #include "dramcache/tagless_cache.hh"
-#include "sim/event_queue.hh"
 #include "trace/synthetic.hh"
 #include "vm/page_table.hh"
 #include "vm/phys_mem.hh"
@@ -28,23 +27,20 @@ int
 main()
 {
     // --- machine -------------------------------------------------
-    EventQueue eq;
     ClockDomain cpu_clk(3'000'000'000ULL);
-    DramDevice in_pkg("in_pkg", eq, inPackageTiming(256ULL << 20),
+    DramDevice in_pkg("in_pkg", inPackageTiming(256ULL << 20),
                       inPackageEnergy());
-    DramDevice off_pkg("off_pkg", eq, offPackageTiming(),
-                       offPackageEnergy());
-    PhysMem phys("phys", eq, (8ULL << 30) / pageBytes);
-    PageTable pt("proc0", eq, 0, phys);
+    DramDevice off_pkg("off_pkg", offPackageTiming(), offPackageEnergy());
+    PhysMem phys("phys", (8ULL << 30) / pageBytes);
+    PageTable pt("proc0", 0, phys);
 
     TaglessCacheParams l3_params;
     l3_params.cacheBytes = 256ULL << 20; // a 256MB in-package cache
     l3_params.alphaFreeBlocks = 4;       // deeper free-block reserve
-    TaglessCache l3("l3", eq, in_pkg, off_pkg, phys, cpu_clk,
-                    l3_params);
+    TaglessCache l3("l3", in_pkg, off_pkg, phys, cpu_clk, l3_params);
 
     CoreParams core_params;
-    MemorySystem mem("core0.mem", eq, 0, core_params, cpu_clk, pt, l3);
+    MemorySystem mem("core0.mem", 0, core_params, cpu_clk, pt, l3);
     l3.setPageInvalidator(
         [&mem](Addr page) { return mem.invalidatePage(page); });
     l3.setShootdownFn([&mem](AsidVpn key) { mem.shootdown(key); });
@@ -62,7 +58,7 @@ main()
     wp.seed = 2026;
     SyntheticTraceGen trace(wp);
 
-    OooCore core("core0", eq, 0, core_params, cpu_clk, trace, mem);
+    OooCore core("core0", 0, core_params, cpu_clk, trace, mem);
 
     // --- run and inspect -------------------------------------------
     const std::uint64_t insts = 6'000'000;

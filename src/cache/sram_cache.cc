@@ -7,10 +7,8 @@
 
 namespace tdc {
 
-SramCache::SramCache(std::string name, EventQueue &eq,
-                     const SramCacheParams &params)
-    : SimObject(std::move(name), eq), params_(params),
-      rng_(0x5eedcafeULL)
+SramCache::SramCache(std::string name, const SramCacheParams &params)
+    : SimObject(std::move(name)), params_(params), rng_(0x5eedcafeULL)
 {
     tdc_assert(isPowerOf2(params_.lineBytes), "line size must be 2^n");
     tdc_assert(params_.associativity > 0, "zero associativity");

@@ -49,8 +49,7 @@ struct SramCacheParams
 class SramCache : public SimObject, public ckpt::Checkpointable
 {
   public:
-    SramCache(std::string name, EventQueue &eq,
-              const SramCacheParams &params);
+    SramCache(std::string name, const SramCacheParams &params);
 
     /**
      * Looks up addr; on a miss the line is filled (write-allocate) and

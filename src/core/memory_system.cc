@@ -6,20 +6,19 @@
 
 namespace tdc {
 
-MemorySystem::MemorySystem(std::string name, EventQueue &eq, CoreId core,
-                           const CoreParams &params,
-                           const ClockDomain &clk, PageTable &pt,
-                           DramCacheOrg &org)
-    : SimObject(std::move(name), eq), core_(core), params_(params),
-      clk_(clk), pt_(pt), org_(org)
+MemorySystem::MemorySystem(std::string name, CoreId core,
+                           const CoreParams &params, const ClockDomain &clk,
+                           PageTable &pt, DramCacheOrg &org)
+    : SimObject(std::move(name)), core_(core), params_(params), clk_(clk),
+      pt_(pt), org_(org)
 {
     const std::string &n = this->name();
-    itlb_ = std::make_unique<Tlb>(n + ".itlb", eq, params.l1ItlbEntries);
-    dtlb_ = std::make_unique<Tlb>(n + ".dtlb", eq, params.l1DtlbEntries);
-    l2tlb_ = std::make_unique<Tlb>(n + ".l2tlb", eq, params.l2TlbEntries);
-    l1i_ = std::make_unique<SramCache>(n + ".l1i", eq, params.l1i);
-    l1d_ = std::make_unique<SramCache>(n + ".l1d", eq, params.l1d);
-    l2_ = std::make_unique<SramCache>(n + ".l2", eq, params.l2);
+    itlb_ = std::make_unique<Tlb>(n + ".itlb", params.l1ItlbEntries);
+    dtlb_ = std::make_unique<Tlb>(n + ".dtlb", params.l1DtlbEntries);
+    l2tlb_ = std::make_unique<Tlb>(n + ".l2tlb", params.l2TlbEntries);
+    l1i_ = std::make_unique<SramCache>(n + ".l1i", params.l1i);
+    l1d_ = std::make_unique<SramCache>(n + ".l1d", params.l1d);
+    l2_ = std::make_unique<SramCache>(n + ".l2", params.l2);
 
     // Residence listeners keep the GIPT's TLB bit vector exact; the
     // direct listener avoids a std::function hop per insert/evict.

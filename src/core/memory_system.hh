@@ -38,16 +38,17 @@ struct MemAccessResult
     Tick completionTick = 0;
     bool l1Hit = false;
     bool l2Hit = false;
-    bool tlbMiss = false;     //!< missed both TLB levels
+    /** Translation took longer than an L1 TLB hit: an L2 TLB hit or a
+     *  full miss. Only full misses walk (MemorySystem::tlbFullMisses). */
+    bool tlbMiss = false;
     bool reachedL3 = false;
 };
 
 class MemorySystem : public SimObject, public ckpt::Checkpointable
 {
   public:
-    MemorySystem(std::string name, EventQueue &eq, CoreId core,
-                 const CoreParams &params, const ClockDomain &clk,
-                 PageTable &pt, DramCacheOrg &org);
+    MemorySystem(std::string name, CoreId core, const CoreParams &params,
+                 const ClockDomain &clk, PageTable &pt, DramCacheOrg &org);
 
     /** Performs one timed memory reference. */
     MemAccessResult access(Addr vaddr, AccessType type, Tick when);

@@ -6,11 +6,10 @@
 
 namespace tdc {
 
-OooCore::OooCore(std::string name, EventQueue &eq, CoreId core,
-                 const CoreParams &params, const ClockDomain &clk,
-                 TraceSource &trace, MemorySystem &mem)
-    : SimObject(std::move(name), eq), core_(core), params_(params),
-      clk_(clk), trace_(trace), mem_(mem)
+OooCore::OooCore(std::string name, CoreId core, const CoreParams &params,
+                 const ClockDomain &clk, TraceSource &trace, MemorySystem &mem)
+    : SimObject(std::move(name)), core_(core), params_(params), clk_(clk),
+      trace_(trace), mem_(mem)
 {
     outstanding_.init(params_.maxOutstanding);
 

@@ -37,9 +37,8 @@ namespace tdc {
 class OooCore : public SimObject, public ckpt::Checkpointable
 {
   public:
-    OooCore(std::string name, EventQueue &eq, CoreId core,
-            const CoreParams &params, const ClockDomain &clk,
-            TraceSource &trace, MemorySystem &mem);
+    OooCore(std::string name, CoreId core, const CoreParams &params,
+            const ClockDomain &clk, TraceSource &trace, MemorySystem &mem);
 
     /**
      * Advances the core until its local time reaches `horizon` or its

@@ -4,14 +4,12 @@
 
 #include "ckpt/stats_io.hh"
 #include "common/bitops.hh"
-#include "sim/event_queue.hh"
 
 namespace tdc {
 
-DramDevice::DramDevice(std::string name, EventQueue &eq,
-                       const DramTimingParams &timing,
+DramDevice::DramDevice(std::string name, const DramTimingParams &timing,
                        const DramEnergyParams &energy)
-    : SimObject(std::move(name), eq), timing_(timing), energyParams_(energy)
+    : SimObject(std::move(name)), timing_(timing), energyParams_(energy)
 {
     tdc_assert(isPowerOf2(timing_.rowBytes), "row size must be 2^n");
     tdc_assert(isPowerOf2(timing_.channels), "channels must be 2^n");

@@ -29,8 +29,6 @@
 
 namespace tdc {
 
-class EventQueue;
-
 /** Outcome of a DRAM access. */
 struct DramAccessResult
 {
@@ -43,8 +41,7 @@ struct DramAccessResult
 class DramDevice : public SimObject, public ckpt::Checkpointable
 {
   public:
-    DramDevice(std::string name, EventQueue &eq,
-               const DramTimingParams &timing,
+    DramDevice(std::string name, const DramTimingParams &timing,
                const DramEnergyParams &energy);
 
     /**

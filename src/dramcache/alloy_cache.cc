@@ -4,11 +4,11 @@
 
 namespace tdc {
 
-AlloyCache::AlloyCache(std::string name, EventQueue &eq,
-                       DramDevice &in_pkg, DramDevice &off_pkg,
-                       PhysMem &phys, const ClockDomain &cpu_clk,
+AlloyCache::AlloyCache(std::string name, DramDevice &in_pkg,
+                       DramDevice &off_pkg, PhysMem &phys,
+                       const ClockDomain &cpu_clk,
                        const AlloyCacheParams &params)
-    : DramCacheOrg(std::move(name), eq, in_pkg, off_pkg, phys, cpu_clk),
+    : DramCacheOrg(std::move(name), in_pkg, off_pkg, phys, cpu_clk),
       params_(params)
 {
     numSlots_ = params_.cacheBytes / params_.tadBytes;

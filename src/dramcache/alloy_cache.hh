@@ -32,9 +32,8 @@ struct AlloyCacheParams
 class AlloyCache final : public DramCacheOrg
 {
   public:
-    AlloyCache(std::string name, EventQueue &eq, DramDevice &in_pkg,
-               DramDevice &off_pkg, PhysMem &phys,
-               const ClockDomain &cpu_clk,
+    AlloyCache(std::string name, DramDevice &in_pkg, DramDevice &off_pkg,
+               PhysMem &phys, const ClockDomain &cpu_clk,
                const AlloyCacheParams &params);
 
     L3Result access(Addr addr, AccessType type, CoreId core,

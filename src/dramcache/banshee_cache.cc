@@ -6,11 +6,11 @@
 
 namespace tdc {
 
-BansheeCache::BansheeCache(std::string name, EventQueue &eq,
-                           DramDevice &in_pkg, DramDevice &off_pkg,
-                           PhysMem &phys, const ClockDomain &cpu_clk,
+BansheeCache::BansheeCache(std::string name, DramDevice &in_pkg,
+                           DramDevice &off_pkg, PhysMem &phys,
+                           const ClockDomain &cpu_clk,
                            const BansheeCacheParams &params)
-    : DramCacheOrg(std::move(name), eq, in_pkg, off_pkg, phys, cpu_clk),
+    : DramCacheOrg(std::move(name), in_pkg, off_pkg, phys, cpu_clk),
       params_(params)
 {
     const std::uint64_t frames = params_.cacheBytes / pageBytes;

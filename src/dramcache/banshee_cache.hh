@@ -43,9 +43,8 @@ struct BansheeCacheParams
 class BansheeCache final : public DramCacheOrg
 {
   public:
-    BansheeCache(std::string name, EventQueue &eq, DramDevice &in_pkg,
-                 DramDevice &off_pkg, PhysMem &phys,
-                 const ClockDomain &cpu_clk,
+    BansheeCache(std::string name, DramDevice &in_pkg, DramDevice &off_pkg,
+                 PhysMem &phys, const ClockDomain &cpu_clk,
                  const BansheeCacheParams &params);
 
     L3Result access(Addr addr, AccessType type, CoreId core,

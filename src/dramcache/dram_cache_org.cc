@@ -4,10 +4,10 @@
 
 namespace tdc {
 
-DramCacheOrg::DramCacheOrg(std::string name, EventQueue &eq,
-                           DramDevice &in_pkg, DramDevice &off_pkg,
-                           PhysMem &phys, const ClockDomain &cpu_clk)
-    : SimObject(std::move(name), eq), inPkg_(in_pkg), offPkg_(off_pkg),
+DramCacheOrg::DramCacheOrg(std::string name, DramDevice &in_pkg,
+                           DramDevice &off_pkg, PhysMem &phys,
+                           const ClockDomain &cpu_clk)
+    : SimObject(std::move(name)), inPkg_(in_pkg), offPkg_(off_pkg),
       phys_(phys), cpuClk_(cpu_clk)
 {
     auto &sg = statGroup();

@@ -75,9 +75,8 @@ class DramCacheOrg : public SimObject,
     using PteResolver =
         std::function<Pte *(ProcId proc, PageType type, PageNum vpn)>;
 
-    DramCacheOrg(std::string name, EventQueue &eq, DramDevice &in_pkg,
-                 DramDevice &off_pkg, PhysMem &phys,
-                 const ClockDomain &cpu_clk);
+    DramCacheOrg(std::string name, DramDevice &in_pkg, DramDevice &off_pkg,
+                 PhysMem &phys, const ClockDomain &cpu_clk);
 
     /**
      * Handles a TLB miss on (pt.proc, vpn): performs the page walk

@@ -84,8 +84,8 @@ allOrgKinds()
 }
 
 std::unique_ptr<DramCacheOrg>
-makeDramCacheOrg(OrgKind kind, const Config &cfg, EventQueue &eq,
-                 DramDevice &in_pkg, DramDevice &off_pkg, PhysMem &phys,
+makeDramCacheOrg(OrgKind kind, const Config &cfg, DramDevice &in_pkg,
+                 DramDevice &off_pkg, PhysMem &phys,
                  const ClockDomain &cpu_clk)
 {
     const std::uint64_t size = cfg.getU64("l3.size_bytes", GiB);
@@ -96,11 +96,11 @@ makeDramCacheOrg(OrgKind kind, const Config &cfg, EventQueue &eq,
     auto org = [&]() -> std::unique_ptr<DramCacheOrg> {
     switch (kind) {
       case OrgKind::NoL3:
-        return std::make_unique<NoL3>("l3_nol3", eq, in_pkg, off_pkg,
-                                      phys, cpu_clk);
+        return std::make_unique<NoL3>("l3_nol3", in_pkg, off_pkg, phys,
+                                      cpu_clk);
       case OrgKind::BankInterleave:
         return std::make_unique<BankInterleave>(
-            "l3_bi", eq, in_pkg, off_pkg, phys, cpu_clk);
+            "l3_bi", in_pkg, off_pkg, phys, cpu_clk);
       case OrgKind::SramTag: {
         SramTagCacheParams p;
         p.cacheBytes = size;
@@ -108,7 +108,7 @@ makeDramCacheOrg(OrgKind kind, const Config &cfg, EventQueue &eq,
         p.tagLatency = cfg.getU64("l3.tag_latency",
                                   sramTagLatencyForSize(size));
         return std::make_unique<SramTagCache>(
-            "l3_sram", eq, in_pkg, off_pkg, phys, cpu_clk, p);
+            "l3_sram", in_pkg, off_pkg, phys, cpu_clk, p);
       }
       case OrgKind::Tagless: {
         TaglessCacheParams p;
@@ -122,16 +122,16 @@ makeDramCacheOrg(OrgKind kind, const Config &cfg, EventQueue &eq,
         p.filterThreshold = static_cast<unsigned>(
             cfg.getU64("l3.filter_threshold", 2));
         return std::make_unique<TaglessCache>(
-            "l3_ctlb", eq, in_pkg, off_pkg, phys, cpu_clk, p);
+            "l3_ctlb", in_pkg, off_pkg, phys, cpu_clk, p);
       }
       case OrgKind::Ideal:
         return std::make_unique<IdealCache>(
-            "l3_ideal", eq, in_pkg, off_pkg, phys, cpu_clk);
+            "l3_ideal", in_pkg, off_pkg, phys, cpu_clk);
       case OrgKind::Alloy: {
         AlloyCacheParams p;
         p.cacheBytes = size;
         return std::make_unique<AlloyCache>(
-            "l3_alloy", eq, in_pkg, off_pkg, phys, cpu_clk, p);
+            "l3_alloy", in_pkg, off_pkg, phys, cpu_clk, p);
       }
       case OrgKind::Banshee: {
         BansheeCacheParams p;
@@ -143,7 +143,7 @@ makeDramCacheOrg(OrgKind kind, const Config &cfg, EventQueue &eq,
         p.tagBufferEntries = static_cast<unsigned>(
             cfg.getU64("l3.banshee.tag_buffer_entries", 1024));
         return std::make_unique<BansheeCache>(
-            "l3_banshee", eq, in_pkg, off_pkg, phys, cpu_clk, p);
+            "l3_banshee", in_pkg, off_pkg, phys, cpu_clk, p);
       }
       case OrgKind::Unison: {
         UnisonCacheParams p;
@@ -151,7 +151,7 @@ makeDramCacheOrg(OrgKind kind, const Config &cfg, EventQueue &eq,
         p.predictorEntries = static_cast<unsigned>(
             cfg.getU64("l3.unison.predictor_entries", 4096));
         return std::make_unique<UnisonCache>(
-            "l3_unison", eq, in_pkg, off_pkg, phys, cpu_clk, p);
+            "l3_unison", in_pkg, off_pkg, phys, cpu_clk, p);
       }
     }
     tdc_panic("unreachable");

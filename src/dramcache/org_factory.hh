@@ -61,8 +61,8 @@ const std::vector<OrgKind> &allOrgKinds();
  *   l3.unison.predictor_entries   footprint predictor size (unison)
  */
 std::unique_ptr<DramCacheOrg>
-makeDramCacheOrg(OrgKind kind, const Config &cfg, EventQueue &eq,
-                 DramDevice &in_pkg, DramDevice &off_pkg, PhysMem &phys,
+makeDramCacheOrg(OrgKind kind, const Config &cfg, DramDevice &in_pkg,
+                 DramDevice &off_pkg, PhysMem &phys,
                  const ClockDomain &cpu_clk);
 
 } // namespace tdc

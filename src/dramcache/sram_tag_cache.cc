@@ -27,11 +27,11 @@ sramTagBytesForSize(std::uint64_t cache_bytes)
     return cache_bytes / 256;
 }
 
-SramTagCache::SramTagCache(std::string name, EventQueue &eq,
-                           DramDevice &in_pkg, DramDevice &off_pkg,
-                           PhysMem &phys, const ClockDomain &cpu_clk,
+SramTagCache::SramTagCache(std::string name, DramDevice &in_pkg,
+                           DramDevice &off_pkg, PhysMem &phys,
+                           const ClockDomain &cpu_clk,
                            const SramTagCacheParams &params)
-    : DramCacheOrg(std::move(name), eq, in_pkg, off_pkg, phys, cpu_clk),
+    : DramCacheOrg(std::move(name), in_pkg, off_pkg, phys, cpu_clk),
       params_(params)
 {
     const std::uint64_t frames = params_.cacheBytes / pageBytes;

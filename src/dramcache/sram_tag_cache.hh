@@ -46,9 +46,8 @@ std::uint64_t sramTagBytesForSize(std::uint64_t cache_bytes);
 class SramTagCache final : public DramCacheOrg
 {
   public:
-    SramTagCache(std::string name, EventQueue &eq, DramDevice &in_pkg,
-                 DramDevice &off_pkg, PhysMem &phys,
-                 const ClockDomain &cpu_clk,
+    SramTagCache(std::string name, DramDevice &in_pkg, DramDevice &off_pkg,
+                 PhysMem &phys, const ClockDomain &cpu_clk,
                  const SramTagCacheParams &params);
 
     L3Result access(Addr addr, AccessType type, CoreId core,

@@ -8,11 +8,11 @@
 
 namespace tdc {
 
-TaglessCache::TaglessCache(std::string name, EventQueue &eq,
-                           DramDevice &in_pkg, DramDevice &off_pkg,
-                           PhysMem &phys, const ClockDomain &cpu_clk,
+TaglessCache::TaglessCache(std::string name, DramDevice &in_pkg,
+                           DramDevice &off_pkg, PhysMem &phys,
+                           const ClockDomain &cpu_clk,
                            const TaglessCacheParams &params)
-    : DramCacheOrg(std::move(name), eq, in_pkg, off_pkg, phys, cpu_clk),
+    : DramCacheOrg(std::move(name), in_pkg, off_pkg, phys, cpu_clk),
       params_(params), gipt_(params.cacheBytes / pageBytes),
       frames_(params.cacheBytes / pageBytes),
       frameIsFree_(params.cacheBytes / pageBytes, true)

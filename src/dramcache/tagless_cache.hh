@@ -70,9 +70,8 @@ struct TaglessCacheParams
 class TaglessCache final : public DramCacheOrg
 {
   public:
-    TaglessCache(std::string name, EventQueue &eq, DramDevice &in_pkg,
-                 DramDevice &off_pkg, PhysMem &phys,
-                 const ClockDomain &cpu_clk,
+    TaglessCache(std::string name, DramDevice &in_pkg, DramDevice &off_pkg,
+                 PhysMem &phys, const ClockDomain &cpu_clk,
                  const TaglessCacheParams &params);
 
     TlbMissResult handleTlbMiss(PageTable &pt, PageNum vpn, CoreId core,

@@ -7,11 +7,11 @@
 
 namespace tdc {
 
-UnisonCache::UnisonCache(std::string name, EventQueue &eq,
-                         DramDevice &in_pkg, DramDevice &off_pkg,
-                         PhysMem &phys, const ClockDomain &cpu_clk,
+UnisonCache::UnisonCache(std::string name, DramDevice &in_pkg,
+                         DramDevice &off_pkg, PhysMem &phys,
+                         const ClockDomain &cpu_clk,
                          const UnisonCacheParams &params)
-    : DramCacheOrg(std::move(name), eq, in_pkg, off_pkg, phys, cpu_clk),
+    : DramCacheOrg(std::move(name), in_pkg, off_pkg, phys, cpu_clk),
       params_(params)
 {
     const std::uint64_t frames = params_.cacheBytes / pageBytes;

@@ -44,9 +44,8 @@ struct UnisonCacheParams
 class UnisonCache final : public DramCacheOrg
 {
   public:
-    UnisonCache(std::string name, EventQueue &eq, DramDevice &in_pkg,
-                DramDevice &off_pkg, PhysMem &phys,
-                const ClockDomain &cpu_clk,
+    UnisonCache(std::string name, DramDevice &in_pkg, DramDevice &off_pkg,
+                PhysMem &phys, const ClockDomain &cpu_clk,
                 const UnisonCacheParams &params);
 
     L3Result access(Addr addr, AccessType type, CoreId core,

@@ -12,17 +12,16 @@
 
 namespace tdc {
 
-class EventQueue;
-
 /**
- * A named component with a stats group. Components receive the shared
- * event queue by reference; the System owns the queue and all components.
+ * A named component with a stats group. The System owns all
+ * components; each keeps its own notion of time (cores carry a local
+ * tick cursor, DRAM devices return completion ticks directly).
  */
 class SimObject
 {
   public:
-    SimObject(std::string name, EventQueue &eq)
-        : name_(std::move(name)), eventq_(eq), statGroup_(name_)
+    explicit SimObject(std::string name)
+        : name_(std::move(name)), statGroup_(name_)
     {}
 
     virtual ~SimObject() = default;
@@ -31,15 +30,12 @@ class SimObject
     SimObject &operator=(const SimObject &) = delete;
 
     const std::string &name() const { return name_; }
-    EventQueue &eventq() { return eventq_; }
-    const EventQueue &eventq() const { return eventq_; }
 
     stats::StatGroup &statGroup() { return statGroup_; }
     const stats::StatGroup &statGroup() const { return statGroup_; }
 
   private:
     std::string name_;
-    EventQueue &eventq_;
     stats::StatGroup statGroup_;
 };
 

@@ -62,23 +62,21 @@ System::System(const SystemConfig &cfg) : cfg_(cfg)
     cpuClk_ = std::make_unique<ClockDomain>(cfg_.coreParams.freqHz);
 
     inPkg_ = std::make_unique<DramDevice>(
-        "in_pkg", eq_, inPackageTiming(cfg_.l3SizeBytes),
-        inPackageEnergy());
+        "in_pkg", inPackageTiming(cfg_.l3SizeBytes), inPackageEnergy());
     offPkg_ = std::make_unique<DramDevice>(
-        "off_pkg", eq_, offPackageTiming(cfg_.offPkgBytes),
-        offPackageEnergy());
+        "off_pkg", offPackageTiming(cfg_.offPkgBytes), offPackageEnergy());
 
     const std::uint64_t off_pages = cfg_.offPkgBytes / pageBytes;
     const std::uint64_t in_pages =
         cfg_.org == OrgKind::BankInterleave ? cfg_.l3SizeBytes / pageBytes
                                             : 0;
-    phys_ = std::make_unique<PhysMem>("phys", eq_, off_pages, in_pages);
+    phys_ = std::make_unique<PhysMem>("phys", off_pages, in_pages);
 
     Config raw = cfg_.raw;
     if (!raw.has("l3.size_bytes"))
         raw.set("l3.size_bytes", cfg_.l3SizeBytes);
-    org_ = makeDramCacheOrg(cfg_.org, raw, eq_, *inPkg_, *offPkg_,
-                            *phys_, *cpuClk_);
+    org_ = makeDramCacheOrg(cfg_.org, raw, *inPkg_, *offPkg_, *phys_,
+                            *cpuClk_);
 
     energyModel_ = std::make_unique<EnergyModel>(cfg_.energyParams);
 
@@ -238,7 +236,7 @@ System::buildWorkloads()
             pt = pageTables_[0].get();
         } else {
             pageTables_.push_back(std::make_unique<PageTable>(
-                format("proc{}", t), eq_, shared_pt ? 0 : t, *phys_));
+                format("proc{}", t), shared_pt ? 0 : t, *phys_));
             pt = pageTables_.back().get();
         }
 
@@ -254,10 +252,10 @@ System::buildWorkloads()
                 std::move(src), *recorder_, t);
         traces_.push_back(std::move(src));
         memSystems_.push_back(std::make_unique<MemorySystem>(
-            format("core{}.mem", t), eq_, t, cfg_.coreParams, *cpuClk_,
-            *pt, *org_));
+            format("core{}.mem", t), t, cfg_.coreParams, *cpuClk_, *pt,
+            *org_));
         cores_.push_back(std::make_unique<OooCore>(
-            format("core{}", t), eq_, t, cfg_.coreParams, *cpuClk_,
+            format("core{}", t), t, cfg_.coreParams, *cpuClk_,
             *traces_.back(), *memSystems_.back()));
     }
 }

@@ -28,7 +28,6 @@
 #include "dramcache/org_factory.hh"
 #include "energy/energy_model.hh"
 #include "obs/observability.hh"
-#include "sim/event_queue.hh"
 #include "trace/workloads.hh"
 #include "vm/page_table.hh"
 #include "vm/phys_mem.hh"
@@ -222,7 +221,6 @@ class System
     Snapshot capture() const;
 
     SystemConfig cfg_;
-    EventQueue eq_;
     std::unique_ptr<ClockDomain> cpuClk_;
     std::unique_ptr<DramDevice> inPkg_;
     std::unique_ptr<DramDevice> offPkg_;

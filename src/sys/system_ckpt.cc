@@ -75,10 +75,6 @@ warmFingerprint(const SystemConfig &cfg)
 ckpt::Checkpoint
 System::makeCheckpoint() const
 {
-    tdc_assert(eq_.empty(),
-               "checkpointing requires a quiescent event queue ({} "
-               "events pending)", eq_.size());
-
     ckpt::Checkpoint ck;
     ck.setFingerprint(warmFingerprint(cfg_));
 
@@ -96,17 +92,9 @@ System::makeCheckpoint() const
         for (const auto &c : cores_)
             insts.push(c->instsRetired());
         meta.set("core_insts", std::move(insts));
-        meta.set("tick", eq_.now());
         ckpt::Serializer s;
         s.putString(meta.dump());
         ck.addSection("meta", std::move(s));
-    }
-    {
-        ckpt::Serializer s;
-        s.putU64(eq_.now());
-        s.putU64(eq_.scheduleSeq());
-        s.putU64(eq_.executedEvents());
-        ck.addSection("event_queue", std::move(s));
     }
     {
         ckpt::Serializer s;
@@ -170,8 +158,11 @@ System::restoreCheckpoint(const ckpt::Checkpoint &ck)
               "warmup budget, core parameters or l3.* overrides)",
               ck.fingerprint(), want);
     }
-    tdc_assert(eq_.empty(),
-               "restoring into a system that already ran");
+    for (const auto &c : cores_)
+        tdc_assert(c->instsRetired() == 0,
+                   "restoring into a system that already ran ({} has "
+                   "retired {} instructions)", c->name(),
+                   c->instsRetired());
 
     // The tagless cache's GIPT stores live Pte pointers; its section
     // encodes them as (proc, type, vpn) identities that are resolved
@@ -196,12 +187,6 @@ System::restoreCheckpoint(const ckpt::Checkpoint &ck)
                    name, d.remaining());
     };
 
-    load("event_queue", [&](ckpt::Deserializer &d) {
-        const Tick now = d.getU64();
-        const std::uint64_t seq = d.getU64();
-        const std::uint64_t executed = d.getU64();
-        eq_.restoreClock(now, seq, executed);
-    });
     load("phys", [&](ckpt::Deserializer &d) { phys_->loadState(d); });
     load("page_tables", [&](ckpt::Deserializer &d) {
         const std::uint64_t n = d.getU64();

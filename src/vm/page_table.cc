@@ -65,9 +65,8 @@ getPteMap(ckpt::Deserializer &in, std::unordered_map<PageNum, Pte> &m)
 
 } // namespace
 
-PageTable::PageTable(std::string name, EventQueue &eq, ProcId proc,
-                     PhysMem &phys)
-    : SimObject(std::move(name), eq), proc_(proc), phys_(phys)
+PageTable::PageTable(std::string name, ProcId proc, PhysMem &phys)
+    : SimObject(std::move(name)), proc_(proc), phys_(phys)
 {
     statGroup().addScalar("demand_allocs", &demandAllocs_,
                           "pages allocated on first touch");

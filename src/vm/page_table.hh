@@ -37,8 +37,7 @@ class PageTable : public SimObject, public ckpt::Checkpointable
     /** Called when a page is touched for the first time (demand zero). */
     using FirstTouchHook = std::function<void(Pte &)>;
 
-    PageTable(std::string name, EventQueue &eq, ProcId proc,
-              PhysMem &phys);
+    PageTable(std::string name, ProcId proc, PhysMem &phys);
 
     ProcId proc() const { return proc_; }
 

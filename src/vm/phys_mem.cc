@@ -7,9 +7,9 @@
 
 namespace tdc {
 
-PhysMem::PhysMem(std::string name, EventQueue &eq,
-                 std::uint64_t off_pkg_pages, std::uint64_t in_pkg_pages)
-    : SimObject(std::move(name), eq), offPkgPages_(off_pkg_pages),
+PhysMem::PhysMem(std::string name, std::uint64_t off_pkg_pages,
+                 std::uint64_t in_pkg_pages)
+    : SimObject(std::move(name)), offPkgPages_(off_pkg_pages),
       inPkgPages_(in_pkg_pages)
 {
     tdc_assert(off_pkg_pages > 0, "no off-package memory");

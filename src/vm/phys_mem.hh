@@ -36,7 +36,7 @@ class PhysMem : public SimObject, public ckpt::Checkpointable
      * @param in_pkg_pages  pages of in-package DRAM mapped into the
      *                      physical space (0 unless bank-interleaving)
      */
-    PhysMem(std::string name, EventQueue &eq, std::uint64_t off_pkg_pages,
+    PhysMem(std::string name, std::uint64_t off_pkg_pages,
             std::uint64_t in_pkg_pages = 0);
 
     /** Allocates one page, interleaving across regions when enabled. */

@@ -7,8 +7,8 @@
 
 namespace tdc {
 
-Tlb::Tlb(std::string name, EventQueue &eq, unsigned entries)
-    : SimObject(std::move(name), eq), capacity_(entries)
+Tlb::Tlb(std::string name, unsigned entries)
+    : SimObject(std::move(name)), capacity_(entries)
 {
     tdc_assert(entries > 0, "zero-entry TLB");
     slots_.resize(capacity_);

@@ -69,7 +69,7 @@ class Tlb : public SimObject, public ckpt::Checkpointable
     using ResidenceHook =
         std::function<void(const TlbEntry &entry, bool resident)>;
 
-    Tlb(std::string name, EventQueue &eq, unsigned entries);
+    Tlb(std::string name, unsigned entries);
 
     /** Looks up a translation, updating recency on a hit. */
     std::optional<TlbEntry>

@@ -38,7 +38,7 @@ struct BansheeTest : public ::testing::Test
         params.threshold = threshold;
         params.tagBufferEntries = tag_buffer;
         cache = std::make_unique<BansheeCache>(
-            "banshee", m.eq, m.inPkg, m.offPkg, m.phys, m.cpuClk, params);
+            "banshee", m.inPkg, m.offPkg, m.phys, m.cpuClk, params);
     }
 
     Addr
@@ -62,7 +62,7 @@ struct UnisonTest : public ::testing::Test
         params.associativity = assoc;
         params.predictorEntries = predictor_entries;
         cache = std::make_unique<UnisonCache>(
-            "unison", m.eq, m.inPkg, m.offPkg, m.phys, m.cpuClk, params);
+            "unison", m.inPkg, m.offPkg, m.phys, m.cpuClk, params);
     }
 
     Addr
@@ -193,8 +193,8 @@ TEST_F(BansheeTest, CheckpointRoundTrip)
     cache->saveState(s);
 
     Machine m2;
-    BansheeCache other("banshee2", m2.eq, m2.inPkg, m2.offPkg, m2.phys,
-                       m2.cpuClk, params);
+    BansheeCache other("banshee2", m2.inPkg, m2.offPkg, m2.phys, m2.cpuClk,
+                       params);
     ckpt::Deserializer d(s.bytes());
     other.loadState(d);
     EXPECT_TRUE(d.done());
@@ -411,8 +411,8 @@ TEST_F(UnisonTest, CheckpointRoundTrip)
     cache->saveState(s);
 
     Machine m2;
-    UnisonCache other("unison2", m2.eq, m2.inPkg, m2.offPkg, m2.phys,
-                      m2.cpuClk, params);
+    UnisonCache other("unison2", m2.inPkg, m2.offPkg, m2.phys, m2.cpuClk,
+                      params);
     ckpt::Deserializer d(s.bytes());
     other.loadState(d);
     EXPECT_TRUE(d.done());

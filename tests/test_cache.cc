@@ -4,7 +4,6 @@
 
 #include "cache/mshr.hh"
 #include "cache/sram_cache.hh"
-#include "sim/event_queue.hh"
 
 using namespace tdc;
 
@@ -29,8 +28,7 @@ constexpr Addr setStride = 1024 / 2; // 8 sets * 64 B
 
 TEST(SramCache, MissThenHit)
 {
-    EventQueue eq;
-    SramCache c("c", eq, smallParams());
+    SramCache c("c", smallParams());
     EXPECT_FALSE(c.access(0x1000, false).hit);
     EXPECT_TRUE(c.access(0x1000, false).hit);
     EXPECT_TRUE(c.access(0x103f, false).hit); // same line
@@ -41,8 +39,7 @@ TEST(SramCache, MissThenHit)
 
 TEST(SramCache, LruEvictsLeastRecentlyUsed)
 {
-    EventQueue eq;
-    SramCache c("c", eq, smallParams());
+    SramCache c("c", smallParams());
     const Addr a = 0, b = a + setStride, x = a + 2 * setStride;
     c.access(a, false);
     c.access(b, false);
@@ -55,8 +52,7 @@ TEST(SramCache, LruEvictsLeastRecentlyUsed)
 
 TEST(SramCache, FifoEvictsOldestFill)
 {
-    EventQueue eq;
-    SramCache c("c", eq, smallParams(ReplPolicy::FIFO));
+    SramCache c("c", smallParams(ReplPolicy::FIFO));
     const Addr a = 0, b = a + setStride, x = a + 2 * setStride;
     c.access(a, false);
     c.access(b, false);
@@ -69,8 +65,7 @@ TEST(SramCache, FifoEvictsOldestFill)
 
 TEST(SramCache, DirtyEvictionReportsWriteback)
 {
-    EventQueue eq;
-    SramCache c("c", eq, smallParams());
+    SramCache c("c", smallParams());
     const Addr a = 0, b = a + setStride, x = a + 2 * setStride;
     c.access(a, true); // dirty
     c.access(b, false);
@@ -82,8 +77,7 @@ TEST(SramCache, DirtyEvictionReportsWriteback)
 
 TEST(SramCache, CleanEvictionNoWriteback)
 {
-    EventQueue eq;
-    SramCache c("c", eq, smallParams());
+    SramCache c("c", smallParams());
     const Addr a = 0, b = a + setStride, x = a + 2 * setStride;
     c.access(a, false);
     c.access(b, false);
@@ -93,8 +87,7 @@ TEST(SramCache, CleanEvictionNoWriteback)
 
 TEST(SramCache, WriteMarksDirtyOnHit)
 {
-    EventQueue eq;
-    SramCache c("c", eq, smallParams());
+    SramCache c("c", smallParams());
     const Addr a = 0, b = a + setStride, x = a + 2 * setStride;
     c.access(a, false); // clean fill
     c.access(a, true);  // dirtied by a later store
@@ -105,11 +98,10 @@ TEST(SramCache, WriteMarksDirtyOnHit)
 
 TEST(SramCache, InvalidatePageFlushesAllLines)
 {
-    EventQueue eq;
     SramCacheParams p;
     p.sizeBytes = 64 * 1024;
     p.associativity = 4;
-    SramCache c("c", eq, p);
+    SramCache c("c", p);
     for (Addr a = 0x4000; a < 0x5000; a += 64)
         c.access(a, (a & 64) != 0); // alternate dirty lines
     const auto dirty = c.invalidatePage(0x4321);
@@ -120,11 +112,10 @@ TEST(SramCache, InvalidatePageFlushesAllLines)
 
 TEST(SramCache, InvalidatePageLeavesOtherPages)
 {
-    EventQueue eq;
     SramCacheParams p;
     p.sizeBytes = 64 * 1024;
     p.associativity = 4;
-    SramCache c("c", eq, p);
+    SramCache c("c", p);
     c.access(0x4000, false);
     c.access(0x8000, false);
     c.invalidatePage(0x4000);
@@ -134,8 +125,7 @@ TEST(SramCache, InvalidatePageLeavesOtherPages)
 
 TEST(SramCache, FlushAll)
 {
-    EventQueue eq;
-    SramCache c("c", eq, smallParams());
+    SramCache c("c", smallParams());
     c.access(0x0, true);
     c.access(0x40, false);
     c.flushAll();
@@ -145,8 +135,7 @@ TEST(SramCache, FlushAll)
 
 TEST(SramCache, HighAddressBitsDistinguishTags)
 {
-    EventQueue eq;
-    SramCache c("c", eq, smallParams());
+    SramCache c("c", smallParams());
     const Addr ca_space = 1ULL << 46;
     c.access(0x1000, false);
     EXPECT_FALSE(c.access(ca_space | 0x1000, false).hit);
@@ -156,8 +145,7 @@ TEST(SramCache, HighAddressBitsDistinguishTags)
 
 TEST(SramCache, MissRate)
 {
-    EventQueue eq;
-    SramCache c("c", eq, smallParams());
+    SramCache c("c", smallParams());
     c.access(0, false);
     c.access(0, false);
     c.access(0, false);
@@ -172,8 +160,7 @@ class SramCacheAssoc : public ::testing::TestWithParam<unsigned>
 TEST_P(SramCacheAssoc, SetCapacityRespected)
 {
     const unsigned assoc = GetParam();
-    EventQueue eq;
-    SramCache c("c", eq, smallParams(ReplPolicy::LRU, assoc));
+    SramCache c("c", smallParams(ReplPolicy::LRU, assoc));
     const unsigned sets = 16 / assoc;
     const Addr stride = Addr{sets} * 64;
     // Fill the set with exactly `assoc` lines: all must be resident.
@@ -198,8 +185,7 @@ class SramCachePolicy : public ::testing::TestWithParam<ReplPolicy>
 
 TEST_P(SramCachePolicy, HitsAfterFill)
 {
-    EventQueue eq;
-    SramCache c("c", eq, smallParams(GetParam(), 4));
+    SramCache c("c", smallParams(GetParam(), 4));
     for (Addr a = 0; a < 1024; a += 64)
         c.access(a, false);
     // Cache is exactly full: everything must still be resident.

@@ -54,8 +54,8 @@ struct CheckTest : public ::testing::Test
         TaglessCacheParams p;
         p.cacheBytes = frames * pageBytes;
         cache = std::make_unique<TaglessCache>(
-            "ctlb", m.eq, m.inPkg, m.offPkg, m.phys, m.cpuClk, p);
-        tlb = std::make_unique<Tlb>("tlb", m.eq, 32);
+            "ctlb", m.inPkg, m.offPkg, m.phys, m.cpuClk, p);
+        tlb = std::make_unique<Tlb>("tlb", 32);
         tlb->setResidenceHook([this](const TlbEntry &e, bool resident) {
             cache->onTlbResidence(e, 0, resident);
         });

@@ -337,6 +337,39 @@ TEST(CkptRoundTrip, SaveAfterRestoreIsByteIdentical)
     System sys(cfg);
     sys.restoreCheckpoint(ck);
     EXPECT_EQ(sys.makeCheckpoint().encode(), ck.encode());
+
+    // The section layout is part of the format: changing it means
+    // bumping checkpointFormatVersion.
+    std::string names;
+    for (const ckpt::Section &sec : ck.sections())
+        names += sec.name + " ";
+    EXPECT_EQ(names, "meta phys page_tables org dram_in_pkg dram_off_pkg "
+                     "mem_systems cores traces ");
+    const json::Value info = ckpt::infoJson(ck, "");
+    const json::Value *meta = info.find("meta");
+    ASSERT_NE(meta, nullptr);
+    EXPECT_NE(meta->find("core_insts"), nullptr);
+    EXPECT_EQ(meta->find("tick"), nullptr);
+}
+
+TEST(CkptRoundTripDeath, RestoreAfterWarmupAborts)
+{
+    // Restoring over warm state the system built itself would mix two
+    // histories; only a freshly built System may be restored into.
+    const auto cfg = quickConfig(OrgKind::Tagless, {"mcf"});
+    ckpt::Checkpoint ck;
+    {
+        System warm(cfg);
+        warm.warmup();
+        ck = warm.makeCheckpoint();
+    }
+    EXPECT_DEATH(
+        {
+            System sys(cfg);
+            sys.warmup();
+            sys.restoreCheckpoint(ck);
+        },
+        "restoring into a system that already ran");
 }
 
 TEST(CkptRoundTrip, FingerprintMismatchIsFatal)

@@ -5,7 +5,6 @@
 #include "common/bitops.hh"
 #include "dram/dram_device.hh"
 #include "dram/dram_params.hh"
-#include "sim/event_queue.hh"
 
 using namespace tdc;
 
@@ -43,8 +42,7 @@ tinyEnergy()
 
 struct DramTest : public ::testing::Test
 {
-    EventQueue eq;
-    DramDevice dev{"tiny", eq, tinyTiming(), tinyEnergy()};
+    DramDevice dev{"tiny", tinyTiming(), tinyEnergy()};
 
     // With 2 banks and 4 KiB rows, addresses 0 and 4096 are in banks 0
     // and 1; addresses 0 and 16384 share bank 0 with different rows.
@@ -180,8 +178,7 @@ TEST_F(DramTest, RequestBeforeBankReadyQueues)
 
 TEST(DramDeathTest, AccessSpanningRows)
 {
-    EventQueue eq;
-    DramDevice dev("tiny", eq, tinyTiming(), tinyEnergy());
+    DramDevice dev("tiny", tinyTiming(), tinyEnergy());
     EXPECT_DEATH(dev.access(4000, 256, false, 0), "spans rows");
 }
 
@@ -233,8 +230,7 @@ TEST(DramParams, PeakBandwidth)
 
 TEST(DramDevice, LatencyHelpers)
 {
-    EventQueue eq;
-    DramDevice dev("d", eq, inPackageTiming(), inPackageEnergy());
+    DramDevice dev("d", inPackageTiming(), inPackageEnergy());
     EXPECT_EQ(dev.rowHitLatency(), 10'000u);
     EXPECT_EQ(dev.rowClosedLatency(), 18'000u);
 }
@@ -249,8 +245,7 @@ class DramPropertyTest : public ::testing::TestWithParam<std::uint64_t>
 
 TEST_P(DramPropertyTest, TimingInvariantsUnderRandomTraffic)
 {
-    EventQueue eq;
-    DramDevice dev("d", eq, inPackageTiming(), inPackageEnergy());
+    DramDevice dev("d", inPackageTiming(), inPackageEnergy());
     Pcg32 rng(GetParam());
     Tick t = 0;
     std::uint64_t row_events = 0;

@@ -29,23 +29,23 @@ struct MemSysTest : public ::testing::Test
         TaglessCacheParams p;
         p.cacheBytes = frames * pageBytes;
         org = std::make_unique<TaglessCache>(
-            "ctlb", m.eq, m.inPkg, m.offPkg, m.phys, m.cpuClk, p);
+            "ctlb", m.inPkg, m.offPkg, m.phys, m.cpuClk, p);
         finish();
     }
 
     void
     buildNoL3()
     {
-        org = std::make_unique<NoL3>("nol3", m.eq, m.inPkg, m.offPkg,
-                                     m.phys, m.cpuClk);
+        org = std::make_unique<NoL3>("nol3", m.inPkg, m.offPkg, m.phys,
+                                     m.cpuClk);
         finish();
     }
 
     void
     finish()
     {
-        ms = std::make_unique<MemorySystem>("mem", m.eq, 0, params,
-                                            m.cpuClk, m.pt, *org);
+        ms = std::make_unique<MemorySystem>("mem", 0, params, m.cpuClk, m.pt,
+                                            *org);
         org->setPageInvalidator(
             [this](Addr a) { return ms->invalidatePage(a); });
         org->setShootdownFn([this](AsidVpn k) { ms->shootdown(k); });
@@ -109,6 +109,21 @@ TEST_F(MemSysTest, L2TlbCatchesL1TlbEvictions)
         t = ms->access(pageBase(v), AccessType::Load, t).completionTick;
     EXPECT_EQ(ms->tlbFullMisses(), walks_before)
         << "revisits within L2 TLB reach must not walk";
+}
+
+TEST_F(MemSysTest, L2TlbHitSetsTlbMissWithoutWalk)
+{
+    // tlbMiss flags any translation past the L1 TLB; only a full miss
+    // walks. Overflow the 32-entry L1 DTLB, then revisit a page the
+    // 512-entry L2 TLB still holds.
+    buildTagless();
+    Tick t = 0;
+    for (PageNum v = 0; v < 64; ++v)
+        t = ms->access(pageBase(v), AccessType::Load, t).completionTick;
+    const auto walks_before = ms->tlbFullMisses();
+    const auto res = ms->access(pageBase(0), AccessType::Load, t);
+    EXPECT_TRUE(res.tlbMiss);
+    EXPECT_EQ(ms->tlbFullMisses(), walks_before);
 }
 
 TEST_F(MemSysTest, VictimHitAfterTlbEviction)
@@ -205,8 +220,8 @@ TEST_F(MemSysTest, InvalidatePageDedupesSharedDirtyLinesAcrossCores)
     // line in their private L1Ds; the page flush still streams that
     // line to the frame once.
     buildTagless();
-    auto ms2 = std::make_unique<MemorySystem>("mem1", m.eq, 1, params,
-                                              m.cpuClk, m.pt, *org);
+    auto ms2 = std::make_unique<MemorySystem>("mem1", 1, params, m.cpuClk,
+                                              m.pt, *org);
     const Tick t = ms->access(0x10000, AccessType::Store, 0)
                        .completionTick;
     ms2->access(0x10000, AccessType::Store, t);

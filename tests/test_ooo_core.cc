@@ -52,13 +52,13 @@ struct CoreHarness
         TaglessCacheParams p;
         p.cacheBytes = 1ULL << 30;
         org = std::make_unique<TaglessCache>(
-            "ctlb", m.eq, m.inPkg, m.offPkg, m.phys, m.cpuClk, p);
+            "ctlb", m.inPkg, m.offPkg, m.phys, m.cpuClk, p);
         org->setPageInvalidator([](Addr) { return 0u; });
-        ms = std::make_unique<MemorySystem>("mem", m.eq, 0, params,
-                                            m.cpuClk, m.pt, *org);
+        ms = std::make_unique<MemorySystem>("mem", 0, params, m.cpuClk, m.pt,
+                                            *org);
         trace = std::make_unique<FixedTrace>(std::move(recs));
-        core = std::make_unique<OooCore>("core", m.eq, 0, params,
-                                         m.cpuClk, *trace, *ms);
+        core = std::make_unique<OooCore>("core", 0, params, m.cpuClk, *trace,
+                                         *ms);
     }
 
     TraceRecord

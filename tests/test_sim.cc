@@ -1,178 +1,10 @@
-/** @file Tests for the event queue and clock domains. */
+/** @file Tests for clock domains. */
 
 #include <gtest/gtest.h>
 
-#include <vector>
-
 #include "sim/clock.hh"
-#include "sim/event_queue.hh"
 
 using namespace tdc;
-
-TEST(EventQueue, RunsInTimeOrder)
-{
-    EventQueue eq;
-    std::vector<int> order;
-    eq.schedule(30, [&] { order.push_back(3); });
-    eq.schedule(10, [&] { order.push_back(1); });
-    eq.schedule(20, [&] { order.push_back(2); });
-    eq.run();
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-    EXPECT_EQ(eq.now(), 30u);
-}
-
-TEST(EventQueue, FifoAmongEqualTicks)
-{
-    EventQueue eq;
-    std::vector<int> order;
-    for (int i = 0; i < 5; ++i)
-        eq.schedule(100, [&order, i] { order.push_back(i); });
-    eq.run();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(EventQueue, ScheduleFromCallback)
-{
-    EventQueue eq;
-    int fired = 0;
-    eq.schedule(5, [&] {
-        ++fired;
-        eq.scheduleIn(5, [&] { ++fired; });
-    });
-    eq.run();
-    EXPECT_EQ(fired, 2);
-    EXPECT_EQ(eq.now(), 10u);
-}
-
-TEST(EventQueue, StepOneAtATime)
-{
-    EventQueue eq;
-    int n = 0;
-    eq.schedule(1, [&] { ++n; });
-    eq.schedule(2, [&] { ++n; });
-    EXPECT_TRUE(eq.step());
-    EXPECT_EQ(n, 1);
-    EXPECT_EQ(eq.now(), 1u);
-    EXPECT_TRUE(eq.step());
-    EXPECT_FALSE(eq.step());
-}
-
-TEST(EventQueue, RunWithLimitStopsEarly)
-{
-    EventQueue eq;
-    int n = 0;
-    eq.schedule(10, [&] { ++n; });
-    eq.schedule(100, [&] { ++n; });
-    eq.run(50);
-    EXPECT_EQ(n, 1);
-    EXPECT_EQ(eq.now(), 50u);
-    eq.run();
-    EXPECT_EQ(n, 2);
-}
-
-TEST(EventQueue, NextEventTick)
-{
-    EventQueue eq;
-    EXPECT_EQ(eq.nextEventTick(), maxTick);
-    eq.schedule(42, [] {});
-    EXPECT_EQ(eq.nextEventTick(), 42u);
-}
-
-TEST(EventQueue, AdvanceTo)
-{
-    EventQueue eq;
-    eq.advanceTo(1000);
-    EXPECT_EQ(eq.now(), 1000u);
-}
-
-TEST(EventQueueDeath, SchedulingIntoPast)
-{
-    EventQueue eq;
-    eq.advanceTo(100);
-    EXPECT_DEATH(eq.schedule(50, [] {}), "past");
-}
-
-TEST(EventQueue, ExecutedCounter)
-{
-    EventQueue eq;
-    for (int i = 0; i < 7; ++i)
-        eq.schedule(i, [] {});
-    eq.run();
-    EXPECT_EQ(eq.executedEvents(), 7u);
-}
-
-TEST(EventQueue, FifoTieBreakSurvivesInterleavedScheduling)
-{
-    // Equal-tick events must fire in schedule order even when their
-    // insertions are interleaved with events at other ticks, so the
-    // order rests on the (when, seq) comparator and not on any
-    // accidental container layout.
-    EventQueue eq;
-    std::vector<int> order;
-    for (int i = 0; i < 8; ++i) {
-        eq.schedule(100, [&order, i] { order.push_back(i); });
-        eq.schedule(10 + Tick(i), [&order] { order.push_back(-1); });
-    }
-    eq.run();
-    ASSERT_EQ(order.size(), 16u);
-    const std::vector<int> tail(order.begin() + 8, order.end());
-    EXPECT_EQ(tail, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
-}
-
-TEST(EventQueue, ScheduleAtCurrentTickFromCallback)
-{
-    // The running entry has been moved out of the heap before its
-    // callback fires, so scheduling more work at the *same* tick from
-    // inside it must neither invalidate the running closure nor lose
-    // the new event.
-    EventQueue eq;
-    std::vector<int> order;
-    eq.schedule(10, [&] {
-        order.push_back(0);
-        eq.schedule(10, [&] { order.push_back(2); });
-        order.push_back(1);
-    });
-    eq.run();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
-    EXPECT_EQ(eq.now(), 10u);
-}
-
-TEST(EventQueue, HeapGrowthDuringCallbackIsSafe)
-{
-    // A single callback scheduling many events forces the underlying
-    // storage to reallocate while that callback is mid-flight.
-    EventQueue eq;
-    int fired = 0;
-    eq.schedule(1, [&] {
-        for (Tick i = 0; i < 1000; ++i)
-            eq.scheduleIn(1 + i, [&] { ++fired; });
-    });
-    eq.run();
-    EXPECT_EQ(fired, 1000);
-    EXPECT_EQ(eq.executedEvents(), 1001u);
-}
-
-TEST(EventQueue, LargeCapturesRunAndPreserveFifoOrder)
-{
-    // Closures bigger than the inline small-buffer take the heap
-    // path; mixing them with small ones at one tick must still obey
-    // FIFO and deliver every captured byte intact.
-    EventQueue eq;
-    std::vector<std::uint64_t> order;
-    std::array<std::uint64_t, 16> big{}; // 128B, past any inline buffer
-    for (std::size_t i = 0; i < big.size(); ++i)
-        big[i] = i * 3 + 1;
-    eq.schedule(5, [&order] { order.push_back(0); });
-    eq.schedule(5, [&order, big] {
-        std::uint64_t sum = 0;
-        for (const auto v : big)
-            sum += v;
-        order.push_back(sum); // sum of 3i+1 for i in [0,16) = 376
-    });
-    eq.schedule(5, [&order] { order.push_back(1); });
-    eq.run();
-    EXPECT_EQ(order, (std::vector<std::uint64_t>{0, 376, 1}));
-}
 
 TEST(Clock, Conversions)
 {

@@ -17,7 +17,7 @@ using tdc::test::Machine;
 TEST(NoL3, AlwaysOffPackage)
 {
     Machine m;
-    NoL3 org("nol3", m.eq, m.inPkg, m.offPkg, m.phys, m.cpuClk);
+    NoL3 org("nol3", m.inPkg, m.offPkg, m.phys, m.cpuClk);
     const auto res = org.access(paAddr(5, 0), AccessType::Load, 0, 0);
     EXPECT_FALSE(res.servicedInPackage);
     EXPECT_EQ(m.offPkg.reads(), 1u);
@@ -28,7 +28,7 @@ TEST(NoL3, AlwaysOffPackage)
 TEST(NoL3, TlbMissIsConventional)
 {
     Machine m;
-    NoL3 org("nol3", m.eq, m.inPkg, m.offPkg, m.phys, m.cpuClk);
+    NoL3 org("nol3", m.inPkg, m.offPkg, m.phys, m.cpuClk);
     const auto res = org.handleTlbMiss(m.pt, 7, 0, 1234);
     EXPECT_TRUE(res.entry.nc) << "conventional orgs keep PA mappings";
     EXPECT_EQ(res.readyTick, 1234u) << "no cache management cost";
@@ -39,7 +39,7 @@ TEST(BankInterleave, RoutesByRegion)
 {
     // 7 off-package pages to 1 in-package page.
     Machine m(64ULL << 20, 700, 100);
-    BankInterleave org("bi", m.eq, m.inPkg, m.offPkg, m.phys, m.cpuClk);
+    BankInterleave org("bi", m.inPkg, m.offPkg, m.phys, m.cpuClk);
     unsigned in_pkg_hits = 0;
     Tick t = 0;
     for (PageNum v = 0; v < 80; ++v) {
@@ -57,7 +57,7 @@ TEST(BankInterleave, RoutesByRegion)
 TEST(Ideal, AlwaysInPackage)
 {
     Machine m;
-    IdealCache org("ideal", m.eq, m.inPkg, m.offPkg, m.phys, m.cpuClk);
+    IdealCache org("ideal", m.inPkg, m.offPkg, m.phys, m.cpuClk);
     Tick t = 0;
     for (PageNum p = 0; p < 100; ++p) {
         const auto res =
@@ -74,7 +74,7 @@ TEST(Alloy, DirectMappedHitAndMiss)
     Machine m;
     AlloyCacheParams p;
     p.cacheBytes = 1ULL << 20;
-    AlloyCache org("alloy", m.eq, m.inPkg, m.offPkg, m.phys, m.cpuClk, p);
+    AlloyCache org("alloy", m.inPkg, m.offPkg, m.phys, m.cpuClk, p);
 
     const Addr a = paAddr(3, 64);
     const auto miss = org.access(a, AccessType::Load, 0, 0);
@@ -90,7 +90,7 @@ TEST(Alloy, ConflictEvicts)
     Machine m;
     AlloyCacheParams p;
     p.cacheBytes = 1ULL << 20; // 14563 TAD slots
-    AlloyCache org("alloy", m.eq, m.inPkg, m.offPkg, m.phys, m.cpuClk, p);
+    AlloyCache org("alloy", m.inPkg, m.offPkg, m.phys, m.cpuClk, p);
     const std::uint64_t slots = org.dataBlocks();
 
     const Addr a = 0;
@@ -106,7 +106,7 @@ TEST(Alloy, DirtyEvictionWritesBack)
     Machine m;
     AlloyCacheParams p;
     p.cacheBytes = 1ULL << 20;
-    AlloyCache org("alloy", m.eq, m.inPkg, m.offPkg, m.phys, m.cpuClk, p);
+    AlloyCache org("alloy", m.inPkg, m.offPkg, m.phys, m.cpuClk, p);
     const std::uint64_t slots = org.dataBlocks();
     const auto writes_before = m.offPkg.writes();
     Tick t = org.access(0, AccessType::Store, 0, 0).completionTick;
@@ -119,7 +119,7 @@ TEST(Alloy, CapacityLostToTags)
     Machine m;
     AlloyCacheParams p;
     p.cacheBytes = 1ULL << 30;
-    AlloyCache org("alloy", m.eq, m.inPkg, m.offPkg, m.phys, m.cpuClk, p);
+    AlloyCache org("alloy", m.inPkg, m.offPkg, m.phys, m.cpuClk, p);
     // 72B TAD per 64B of data: ~11% of capacity goes to tags.
     EXPECT_LT(org.dataBlocks(), (1ULL << 30) / 64);
     EXPECT_EQ(org.dataBlocks(), (1ULL << 30) / 72);
@@ -170,8 +170,8 @@ TEST(OrgFactory, BuildsEveryOrg)
     Config cfg;
     cfg.set("l3.size_bytes", std::uint64_t{64} << 20);
     for (OrgKind k : allOrgKinds()) {
-        auto org = makeDramCacheOrg(k, cfg, m.eq, m.inPkg, m.offPkg,
-                                    m.phys, m.cpuClk);
+        auto org = makeDramCacheOrg(k, cfg, m.inPkg, m.offPkg, m.phys,
+                                    m.cpuClk);
         ASSERT_NE(org, nullptr);
         EXPECT_EQ(toString(k), org->kind());
     }
@@ -183,8 +183,8 @@ TEST(OrgFactory, HonorsPolicyOverride)
     Config cfg;
     cfg.set("l3.size_bytes", std::uint64_t{64} << 20);
     cfg.set("l3.policy", std::string("lru"));
-    auto org = makeDramCacheOrg(OrgKind::Tagless, cfg, m.eq, m.inPkg,
-                                m.offPkg, m.phys, m.cpuClk);
+    auto org = makeDramCacheOrg(OrgKind::Tagless, cfg, m.inPkg, m.offPkg,
+                                m.phys, m.cpuClk);
     auto *tagless = dynamic_cast<TaglessCache *>(org.get());
     ASSERT_NE(tagless, nullptr);
     EXPECT_EQ(tagless->params().policy, ReplPolicy::LRU);

@@ -24,7 +24,7 @@ struct SramTagTest : public ::testing::Test
         params.associativity = assoc;
         params.tagLatency = 11;
         cache = std::make_unique<SramTagCache>(
-            "sram", m.eq, m.inPkg, m.offPkg, m.phys, m.cpuClk, params);
+            "sram", m.inPkg, m.offPkg, m.phys, m.cpuClk, params);
     }
 
     Addr

@@ -31,9 +31,9 @@ struct SuperpageTest : public ::testing::Test
     {
         params.cacheBytes = frames * pageBytes;
         cache = std::make_unique<TaglessCache>(
-            "ctlb", m.eq, m.inPkg, m.offPkg, m.phys, m.cpuClk, params);
-        ms = std::make_unique<MemorySystem>("mem", m.eq, 0, coreParams,
-                                            m.cpuClk, m.pt, *cache);
+            "ctlb", m.inPkg, m.offPkg, m.phys, m.cpuClk, params);
+        ms = std::make_unique<MemorySystem>("mem", 0, coreParams, m.cpuClk,
+                                            m.pt, *cache);
         cache->setPageInvalidator(
             [this](Addr a) { return ms->invalidatePage(a); });
         cache->setShootdownFn([this](AsidVpn k) { ms->shootdown(k); });

@@ -210,9 +210,22 @@ TEST(SystemIntegration, NonCacheableHintsBypassTheCache)
     EXPECT_LT(r.l3HitRate, 1.0) << "NC accesses count as off-package";
 }
 
+namespace tdc {
+
+// ctest names carry the printed parameters. Without this gtest prints
+// an OrgKind as raw bytes; a const char * workload would print as its
+// address, which ASLR changes on every test discovery.
+void
+PrintTo(OrgKind k, std::ostream *os)
+{
+    *os << toString(k);
+}
+
+} // namespace tdc
+
 /** Every organization must complete every workload class. */
 class SystemMatrix
-    : public ::testing::TestWithParam<std::tuple<OrgKind, const char *>>
+    : public ::testing::TestWithParam<std::tuple<OrgKind, std::string>>
 {};
 
 TEST_P(SystemMatrix, RunsToCompletion)

@@ -42,7 +42,7 @@ struct TaglessTest : public ::testing::Test
         params.policy = policy;
         params.alphaFreeBlocks = alpha;
         cache = std::make_unique<TaglessCache>(
-            "ctlb", m.eq, m.inPkg, m.offPkg, m.phys, m.cpuClk, params);
+            "ctlb", m.inPkg, m.offPkg, m.phys, m.cpuClk, params);
         cache->setPageInvalidator([this](Addr a) {
             invalidated.push_back(a);
             return dirtyLinesToReport;
@@ -379,8 +379,8 @@ TEST_F(TaglessTest, FreeStallSurvivesCheckpointRestore)
     ckpt::Deserializer dd(ds.bytes());
     m2.inPkg.loadState(dd);
     m2.offPkg.loadState(dd);
-    TaglessCache other("ctlb2", m2.eq, m2.inPkg, m2.offPkg, m2.phys,
-                       m2.cpuClk, params);
+    TaglessCache other("ctlb2", m2.inPkg, m2.offPkg, m2.phys, m2.cpuClk,
+                       params);
     other.setPteResolver(
         [&m2 = m2](ProcId proc, PageType type, PageNum vpn) -> Pte * {
             if (proc != 0)
@@ -445,8 +445,7 @@ TEST_P(TaglessInvariants, HoldAfterRandomWorkload)
     TaglessCacheParams params;
     params.cacheBytes = frames * pageBytes;
     params.policy = policy;
-    TaglessCache cache("ctlb", m.eq, m.inPkg, m.offPkg, m.phys, m.cpuClk,
-                       params);
+    TaglessCache cache("ctlb", m.inPkg, m.offPkg, m.phys, m.cpuClk, params);
     cache.setPageInvalidator([](Addr) { return 0u; });
 
     Pcg32 rng(1234);

@@ -11,7 +11,6 @@
 #include "dram/dram_device.hh"
 #include "dram/dram_params.hh"
 #include "sim/clock.hh"
-#include "sim/event_queue.hh"
 #include "vm/page_table.hh"
 #include "vm/phys_mem.hh"
 
@@ -21,7 +20,6 @@ namespace test {
 /** A bare machine: clocks, DRAM devices, physical memory, one process. */
 struct Machine
 {
-    EventQueue eq;
     ClockDomain cpuClk{3'000'000'000ULL};
     DramDevice inPkg;
     DramDevice offPkg;
@@ -31,12 +29,11 @@ struct Machine
     explicit Machine(std::uint64_t l3_bytes = 64ULL << 20,
                      std::uint64_t off_pages = 1ULL << 20,
                      std::uint64_t in_pages = 0)
-        : inPkg("in_pkg", eq, inPackageTiming(l3_bytes),
-                inPackageEnergy()),
-          offPkg("off_pkg", eq, offPackageTiming(off_pages * pageBytes),
+        : inPkg("in_pkg", inPackageTiming(l3_bytes), inPackageEnergy()),
+          offPkg("off_pkg", offPackageTiming(off_pages * pageBytes),
                  offPackageEnergy()),
-          phys("phys", eq, off_pages, in_pages),
-          pt("pt0", eq, 0, phys)
+          phys("phys", off_pages, in_pages),
+          pt("pt0", 0, phys)
     {}
 };
 

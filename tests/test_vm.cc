@@ -4,7 +4,6 @@
 
 #include <set>
 
-#include "sim/event_queue.hh"
 #include "vm/page_table.hh"
 #include "vm/phys_mem.hh"
 #include "vm/pte.hh"
@@ -31,8 +30,7 @@ TEST(AsidVpn, ProcessesDoNotAlias)
 
 TEST(PhysMem, BumpAllocation)
 {
-    EventQueue eq;
-    PhysMem pm("pm", eq, 100);
+    PhysMem pm("pm", 100);
     EXPECT_EQ(pm.allocPage(), 0u);
     EXPECT_EQ(pm.allocPage(), 1u);
     EXPECT_EQ(pm.allocatedPages(), 2u);
@@ -40,17 +38,15 @@ TEST(PhysMem, BumpAllocation)
 
 TEST(PhysMem, AllOffPackageWithoutInterleave)
 {
-    EventQueue eq;
-    PhysMem pm("pm", eq, 100);
+    PhysMem pm("pm", 100);
     for (int i = 0; i < 50; ++i)
         EXPECT_EQ(pm.regionOf(pm.allocPage()), MemRegion::OffPackage);
 }
 
 TEST(PhysMem, CapacityProportionalInterleave)
 {
-    EventQueue eq;
     // 1:8 in:off ratio, like 1GB in-package / 8GB off-package.
-    PhysMem pm("pm", eq, 800, 100);
+    PhysMem pm("pm", 800, 100);
     unsigned in_pkg = 0;
     for (int i = 0; i < 450; ++i)
         in_pkg += pm.regionOf(pm.allocPage()) == MemRegion::InPackage;
@@ -60,8 +56,7 @@ TEST(PhysMem, CapacityProportionalInterleave)
 
 TEST(PhysMem, DeviceAddrPerRegion)
 {
-    EventQueue eq;
-    PhysMem pm("pm", eq, 100, 10);
+    PhysMem pm("pm", 100, 10);
     // Off-package pages use their own page number; in-package pages are
     // rebased to the in-package device.
     EXPECT_EQ(pm.deviceAddr(5), pageBase(5));
@@ -72,8 +67,7 @@ TEST(PhysMem, DeviceAddrPerRegion)
 
 TEST(PhysMemDeath, OutOfMemory)
 {
-    EventQueue eq;
-    PhysMem pm("pm", eq, 3);
+    PhysMem pm("pm", 3);
     pm.allocPage();
     pm.allocPage();
     pm.allocPage();
@@ -85,9 +79,8 @@ TEST(PhysMemDeath, OutOfMemory)
 
 TEST(PageTable, DemandAllocation)
 {
-    EventQueue eq;
-    PhysMem pm("pm", eq, 100);
-    PageTable pt("pt", eq, 0, pm);
+    PhysMem pm("pm", 100);
+    PageTable pt("pt", 0, pm);
     EXPECT_EQ(pt.find(10), nullptr);
     Pte &pte = pt.walk(10);
     EXPECT_TRUE(pte.valid);
@@ -101,9 +94,8 @@ TEST(PageTable, DemandAllocation)
 
 TEST(PageTable, WalkIsIdempotent)
 {
-    EventQueue eq;
-    PhysMem pm("pm", eq, 100);
-    PageTable pt("pt", eq, 0, pm);
+    PhysMem pm("pm", 100);
+    PageTable pt("pt", 0, pm);
     Pte &a = pt.walk(5);
     Pte &b = pt.walk(5);
     EXPECT_EQ(&a, &b);
@@ -112,9 +104,8 @@ TEST(PageTable, WalkIsIdempotent)
 
 TEST(PageTable, PointerStability)
 {
-    EventQueue eq;
-    PhysMem pm("pm", eq, 100'000);
-    PageTable pt("pt", eq, 0, pm);
+    PhysMem pm("pm", 100'000);
+    PageTable pt("pt", 0, pm);
     Pte *first = &pt.walk(0);
     for (PageNum v = 1; v < 10'000; ++v)
         pt.walk(v);
@@ -124,9 +115,8 @@ TEST(PageTable, PointerStability)
 
 TEST(PageTable, DistinctFrames)
 {
-    EventQueue eq;
-    PhysMem pm("pm", eq, 1000);
-    PageTable pt("pt", eq, 0, pm);
+    PhysMem pm("pm", 1000);
+    PageTable pt("pt", 0, pm);
     std::set<Addr> frames;
     for (PageNum v = 0; v < 100; ++v)
         frames.insert(pt.walk(v).frame);
@@ -135,9 +125,8 @@ TEST(PageTable, DistinctFrames)
 
 TEST(PageTable, NonCacheableHintBeforeTouch)
 {
-    EventQueue eq;
-    PhysMem pm("pm", eq, 100);
-    PageTable pt("pt", eq, 0, pm);
+    PhysMem pm("pm", 100);
+    PageTable pt("pt", 0, pm);
     pt.setNonCacheableHint(42);
     EXPECT_TRUE(pt.walk(42).nc);
     EXPECT_FALSE(pt.walk(43).nc);
@@ -145,9 +134,8 @@ TEST(PageTable, NonCacheableHintBeforeTouch)
 
 TEST(PageTable, NonCacheableHintAfterTouch)
 {
-    EventQueue eq;
-    PhysMem pm("pm", eq, 100);
-    PageTable pt("pt", eq, 0, pm);
+    PhysMem pm("pm", 100);
+    PageTable pt("pt", 0, pm);
     pt.walk(42);
     pt.setNonCacheableHint(42);
     EXPECT_TRUE(pt.walk(42).nc);
@@ -155,9 +143,8 @@ TEST(PageTable, NonCacheableHintAfterTouch)
 
 TEST(PageTable, FirstTouchHook)
 {
-    EventQueue eq;
-    PhysMem pm("pm", eq, 100);
-    PageTable pt("pt", eq, 0, pm);
+    PhysMem pm("pm", 100);
+    PageTable pt("pt", 0, pm);
     int calls = 0;
     pt.setFirstTouchHook([&](Pte &pte) {
         ++calls;
@@ -183,8 +170,7 @@ entry(PageNum vpn, Addr frame, bool nc = false)
 
 TEST(Tlb, MissThenHit)
 {
-    EventQueue eq;
-    Tlb tlb("tlb", eq, 4);
+    Tlb tlb("tlb", 4);
     EXPECT_FALSE(tlb.lookup(makeAsidVpn(0, 1)).has_value());
     tlb.insert(entry(1, 100));
     const auto hit = tlb.lookup(makeAsidVpn(0, 1));
@@ -196,8 +182,7 @@ TEST(Tlb, MissThenHit)
 
 TEST(Tlb, LruEviction)
 {
-    EventQueue eq;
-    Tlb tlb("tlb", eq, 2);
+    Tlb tlb("tlb", 2);
     tlb.insert(entry(1, 1));
     tlb.insert(entry(2, 2));
     tlb.lookup(makeAsidVpn(0, 1)); // 1 becomes MRU
@@ -210,8 +195,7 @@ TEST(Tlb, LruEviction)
 
 TEST(Tlb, RefreshUpdatesInPlace)
 {
-    EventQueue eq;
-    Tlb tlb("tlb", eq, 2);
+    Tlb tlb("tlb", 2);
     tlb.insert(entry(1, 100));
     const auto victim = tlb.insert(entry(1, 100));
     EXPECT_FALSE(victim.has_value());
@@ -220,8 +204,7 @@ TEST(Tlb, RefreshUpdatesInPlace)
 
 TEST(Tlb, Invalidate)
 {
-    EventQueue eq;
-    Tlb tlb("tlb", eq, 4);
+    Tlb tlb("tlb", 4);
     tlb.insert(entry(1, 1));
     EXPECT_TRUE(tlb.invalidate(makeAsidVpn(0, 1)));
     EXPECT_FALSE(tlb.contains(makeAsidVpn(0, 1)));
@@ -230,8 +213,7 @@ TEST(Tlb, Invalidate)
 
 TEST(Tlb, ResidenceHookTracksInsertAndEvict)
 {
-    EventQueue eq;
-    Tlb tlb("tlb", eq, 2);
+    Tlb tlb("tlb", 2);
     int resident = 0;
     tlb.setResidenceHook([&](const TlbEntry &, bool r) {
         resident += r ? 1 : -1;
@@ -249,8 +231,7 @@ TEST(Tlb, ResidenceHookTracksInsertAndEvict)
 
 TEST(Tlb, HookReceivesEvictedEntry)
 {
-    EventQueue eq;
-    Tlb tlb("tlb", eq, 1);
+    Tlb tlb("tlb", 1);
     std::vector<Addr> evicted;
     tlb.setResidenceHook([&](const TlbEntry &e, bool r) {
         if (!r)
@@ -264,8 +245,7 @@ TEST(Tlb, HookReceivesEvictedEntry)
 
 TEST(Tlb, DistinguishesProcesses)
 {
-    EventQueue eq;
-    Tlb tlb("tlb", eq, 4);
+    Tlb tlb("tlb", 4);
     tlb.insert(TlbEntry{makeAsidVpn(0, 9), 100, false});
     EXPECT_FALSE(tlb.lookup(makeAsidVpn(1, 9)).has_value());
     EXPECT_TRUE(tlb.lookup(makeAsidVpn(0, 9)).has_value());
@@ -273,8 +253,7 @@ TEST(Tlb, DistinguishesProcesses)
 
 TEST(Tlb, CapacityHonored)
 {
-    EventQueue eq;
-    Tlb tlb("tlb", eq, 32);
+    Tlb tlb("tlb", 32);
     for (PageNum v = 0; v < 100; ++v)
         tlb.insert(entry(v, v));
     EXPECT_EQ(tlb.size(), 32u);
@@ -285,8 +264,7 @@ TEST(Tlb, CapacityHonored)
 
 TEST(Tlb, NcEntryPreserved)
 {
-    EventQueue eq;
-    Tlb tlb("tlb", eq, 4);
+    Tlb tlb("tlb", 4);
     tlb.insert(entry(1, 100, true));
     const auto hit = tlb.lookup(makeAsidVpn(0, 1));
     ASSERT_TRUE(hit.has_value());
