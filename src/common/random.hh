@@ -73,8 +73,10 @@ class Pcg32
         tdc_assert(bound != 0, "below64(0)");
         if (bound <= UINT32_MAX)
             return below(static_cast<std::uint32_t>(bound));
-        // Rejection sampling over the smallest covering power of two.
-        const std::uint64_t cover = std::bit_ceil(bound) - 1;
+        // Rejection sampling over the smallest all-ones mask covering
+        // bound - 1 (std::bit_ceil(bound) overflows past 2^63).
+        const std::uint64_t cover =
+            ~std::uint64_t{0} >> std::countl_zero(bound - 1);
         std::uint64_t raw;
         do {
             raw = ((std::uint64_t{next()} << 32) | next()) & cover;

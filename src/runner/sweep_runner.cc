@@ -5,11 +5,8 @@
 #include <chrono>
 #include <cstdlib>
 #include <exception>
-#include <future>
-#include <iostream>
 #include <map>
 #include <memory>
-#include <mutex>
 
 #include "common/event_log.hh"
 #include "common/format.hh"
@@ -31,37 +28,6 @@ secondsSince(Clock::time_point t0)
     return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-/** Direct-runner metrics (DESIGN.md 11 catalog). */
-struct RunnerMetrics
-{
-    metrics::Counter &jobs;
-    metrics::Counter &failures;
-    metrics::Counter &timeouts;
-    metrics::Counter &retries;
-    metrics::Histogram &jobWall;
-};
-
-RunnerMetrics &
-runnerMetrics()
-{
-    auto &r = metrics::registry();
-    static RunnerMetrics m{
-        r.counter("tdc_runner_jobs_total",
-                  "Design points completed by the direct runner"),
-        r.counter("tdc_runner_jobs_failed_total",
-                  "Direct-runner jobs that failed"),
-        r.counter("tdc_runner_jobs_timeout_total",
-                  "Direct-runner jobs that exceeded their budget"),
-        r.counter("tdc_runner_job_retries_total",
-                  "Extra attempts beyond each job's first"),
-        r.histogram("tdc_runner_job_wall_seconds",
-                    "Per-job wall time in the direct runner",
-                    {0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0,
-                     10.0, 30.0, 60.0, 120.0, 300.0}),
-    };
-    return m;
-}
-
 /** Per-completion progress, via the timestamped leveled sink (and
  *  the JSONL mirror when a sink is attached). */
 void
@@ -79,13 +45,6 @@ progressLine(const JobResult &r, unsigned done, unsigned total)
     inform("{}", line);
 }
 
-/**
- * One design point, including the retry loop. When `warm` is non-null
- * the first attempt restores the shared warm checkpoint and only runs
- * the measurement leg; the retry attempt (and the null-warm path) runs
- * warmup + measure in full, so a corrupt shared state can never fail a
- * job permanently.
- */
 /** Median of a non-empty sample set (midpoint average for even n). */
 double
 medianOf(std::vector<double> xs)
@@ -95,77 +54,53 @@ medianOf(std::vector<double> xs)
     return n % 2 ? xs[n / 2] : (xs[n / 2 - 1] + xs[n / 2]) / 2.0;
 }
 
-JobResult
-runOne(const JobSpec &job, double timeout_s, bool retry,
-       unsigned repeat, const ckpt::Checkpoint *warm = nullptr)
+/**
+ * One simulation of cfg: the measurement leg from `warm` when given,
+ * else warmup + measure in full. Sets `warmed` to the warmup
+ * instructions it simulated.
+ */
+RunResult
+simulate(const SystemConfig &cfg, const ckpt::Checkpoint *warm,
+         std::uint64_t &warmed)
 {
-    JobResult r;
-    r.label = job.label;
-
-    ScopedLogLabel log_label(job.label);
-    const unsigned max_attempts = retry ? 2 : 1;
-    for (unsigned attempt = 1; attempt <= max_attempts; ++attempt) {
-        r.attempts = attempt;
-        const auto t0 = Clock::now();
-        try {
-            // fatal() inside System construction or the run (bad
-            // workload, bad override) throws FatalError here instead
-            // of exiting the process.
-            ScopedFatalCapture capture;
-            const SystemConfig cfg = job.toSystemConfig();
-            System sys(cfg);
-            RunResult rr;
-            if (warm != nullptr && attempt == 1) {
-                sys.restoreCheckpoint(*warm);
-                rr = sys.measure();
-            } else {
-                rr = sys.run();
-            }
-            r.wallSeconds = secondsSince(t0);
-            if (timeout_s > 0.0 && r.wallSeconds > timeout_s) {
-                r.status = JobResult::Status::TimedOut;
-                r.error = format(
-                    "wall time {:.2f}s exceeded timeout {:.2f}s",
-                    r.wallSeconds, timeout_s);
-                return r; // retrying would blow the budget again
-            }
-            r.result = std::move(rr);
-            if (repeat > 1) {
-                // Median-of-N timing: the simulation is deterministic,
-                // so extra repetitions only firm up the host timing.
-                std::vector<double> walls{r.wallSeconds};
-                for (unsigned rep = 1; rep < repeat; ++rep) {
-                    const auto rt0 = Clock::now();
-                    System rsys(cfg);
-                    if (warm != nullptr && attempt == 1) {
-                        rsys.restoreCheckpoint(*warm);
-                        rsys.measure();
-                    } else {
-                        rsys.run();
-                    }
-                    walls.push_back(secondsSince(rt0));
-                }
-                r.wallSeconds = medianOf(std::move(walls));
-            }
-            r.kips = r.wallSeconds > 0.0
-                         ? static_cast<double>(r.result.totalInsts)
-                               / r.wallSeconds / 1000.0
-                         : 0.0;
-            r.report = makeRunReport(cfg, r.result);
-            r.status = JobResult::Status::Ok;
-            r.error.clear();
-            return r;
-        } catch (const std::exception &e) {
-            r.wallSeconds = secondsSince(t0);
-            r.status = JobResult::Status::Failed;
-            r.error = e.what();
-        } catch (...) {
-            r.wallSeconds = secondsSince(t0);
-            r.status = JobResult::Status::Failed;
-            r.error = "unknown exception";
-        }
+    System sys(cfg);
+    if (warm != nullptr) {
+        warmed = 0;
+        sys.restoreCheckpoint(*warm);
+        return sys.measure();
     }
-    return r;
+    warmed = std::uint64_t{sys.activeCores()} * cfg.warmupInsts;
+    return sys.run();
+}
+
+/** Counts a finished job into jobMetrics() and logs `job_done`. */
+void
+recordJob(const JobResult &r)
+{
+    JobMetrics &m = jobMetrics();
+    if (r.ok()) {
+        m.ok.inc();
+        m.kips.observe(r.kips);
+    } else if (r.status == JobResult::Status::TimedOut) {
+        m.timeout.inc();
+    } else {
+        m.failed.inc();
+    }
+    if (r.attempts > 1)
+        m.retries.inc(r.attempts - 1);
+    m.wall.observe(r.wallSeconds);
+
+    auto fields = json::Value::object();
+    fields.set("label", r.label);
+    fields.set("status", std::string(statusName(r.status)));
+    fields.set("attempts", std::uint64_t{r.attempts});
+    fields.set("wall_seconds", r.wallSeconds);
+    if (r.ok())
+        fields.set("kips", r.kips);
+    else
+        fields.set("error", r.error);
+    logEvent(r.ok() ? LogLevel::Info : LogLevel::Warn, "job_done",
+             std::move(fields));
 }
 
 } // namespace
@@ -179,6 +114,157 @@ statusName(JobResult::Status s)
       case JobResult::Status::TimedOut: return "timeout";
     }
     return "?";
+}
+
+JobMetrics &
+jobMetrics()
+{
+    auto &r = metrics::registry();
+    static JobMetrics m{
+        r.counter("tdc_jobs_ok_total",
+                  "Jobs completed ok (replayed or simulated)"),
+        r.counter("tdc_jobs_failed_total", "Jobs that failed"),
+        r.counter("tdc_jobs_timeout_total",
+                  "Jobs that exceeded their wall-time budget"),
+        r.counter("tdc_job_retries_total",
+                  "Extra attempts beyond each job's first"),
+        r.histogram("tdc_job_wall_seconds",
+                    "Per-job wall time of simulated (non-replayed) "
+                    "jobs",
+                    {0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0,
+                     10.0, 30.0, 60.0, 120.0, 300.0}),
+        r.histogram("tdc_job_kips",
+                    "Per-job simulation throughput (kilo-insts/s)",
+                    {50.0, 100.0, 200.0, 400.0, 800.0, 1600.0, 3200.0,
+                     6400.0, 12800.0, 25600.0}),
+    };
+    return m;
+}
+
+JobResult
+runJob(const JobSpec &job, double timeout_s,
+       const ckpt::Checkpoint *warm, unsigned repeat)
+{
+    ScopedLogLabel log_label(job.label);
+    JobResult r;
+    r.label = job.label;
+    for (unsigned attempt = 1; attempt <= 2; ++attempt) {
+        r.attempts = attempt;
+        // The retry runs warmup + measure in full, so a corrupt shared
+        // warm state can never fail a job permanently.
+        const ckpt::Checkpoint *restore = attempt == 1 ? warm : nullptr;
+        const auto t0 = Clock::now();
+        try {
+            // fatal() inside System construction or the run (bad
+            // workload, bad override) throws FatalError here instead
+            // of exiting the process.
+            ScopedFatalCapture capture;
+            const SystemConfig cfg = job.toSystemConfig();
+            std::uint64_t warmed = 0;
+            RunResult rr = simulate(cfg, restore, warmed);
+            r.wallSeconds = secondsSince(t0);
+            if (timeout_s > 0.0 && r.wallSeconds > timeout_s) {
+                r.status = JobResult::Status::TimedOut;
+                r.error = format(
+                    "wall time {:.2f}s exceeded timeout {:.2f}s",
+                    r.wallSeconds, timeout_s);
+                r.warmupInsts = warmed;
+                r.measureInsts = rr.totalInsts;
+                break; // retrying would blow the budget again
+            }
+            if (repeat > 1) {
+                // Median-of-N timing: the simulation is deterministic,
+                // so extra repetitions only firm up the host timing.
+                std::vector<double> walls{r.wallSeconds};
+                for (unsigned rep = 1; rep < repeat; ++rep) {
+                    const auto rt0 = Clock::now();
+                    std::uint64_t ignored = 0;
+                    simulate(cfg, restore, ignored);
+                    walls.push_back(secondsSince(rt0));
+                }
+                r.wallSeconds = medianOf(std::move(walls));
+            }
+            r.kips = r.wallSeconds > 0.0
+                         ? static_cast<double>(rr.totalInsts)
+                               / r.wallSeconds / 1000.0
+                         : 0.0;
+            r.report = makeRunReport(cfg, rr);
+            r.result = std::move(rr);
+            r.status = JobResult::Status::Ok;
+            r.error.clear();
+            r.warmupInsts = warmed;
+            r.measureInsts = r.result.totalInsts;
+            break;
+        } catch (const std::exception &e) {
+            r.wallSeconds = secondsSince(t0);
+            r.status = JobResult::Status::Failed;
+            r.error = e.what();
+        } catch (...) {
+            r.wallSeconds = secondsSince(t0);
+            r.status = JobResult::Status::Failed;
+            r.error = "unknown exception";
+        }
+    }
+    recordJob(r);
+    return r;
+}
+
+std::vector<std::shared_ptr<const ckpt::Checkpoint>>
+shareWarmups(const std::vector<JobSpec> &jobs, unsigned requested,
+             const WarmFn &warm)
+{
+    // Groups in order of first appearance, so group i's first member
+    // is always the earliest job of its fingerprint.
+    std::vector<std::uint64_t> fingerprints;
+    std::vector<std::vector<std::size_t>> members;
+    std::map<std::uint64_t, std::size_t> index;
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        const std::uint64_t fp =
+            warmFingerprint(jobs[i].toSystemConfig());
+        auto [it, fresh] = index.emplace(fp, members.size());
+        if (fresh) {
+            fingerprints.push_back(fp);
+            members.emplace_back();
+        }
+        members[it->second].push_back(i);
+    }
+
+    std::vector<std::shared_ptr<const ckpt::Checkpoint>> ckpts(
+        jobs.size());
+    parallelFor(members.size(), requested, [&](std::size_t g) {
+        const JobSpec &first = jobs[members[g].front()];
+        ScopedLogLabel log_label("warm " + first.label);
+        const auto ck =
+            warm(WarmGroup{first, fingerprints[g], members[g].size()});
+        for (std::size_t i : members[g])
+            ckpts[i] = ck;
+    });
+    return ckpts;
+}
+
+WarmState
+warmCheckpoint(const WarmGroup &g, std::string_view tag, bool progress)
+{
+    const auto t0 = Clock::now();
+    try {
+        ScopedFatalCapture capture;
+        System sys(warmSystemConfig(g.first));
+        sys.warmup();
+        WarmState ws;
+        ws.insts =
+            std::uint64_t{sys.activeCores()} * sys.config().warmupInsts;
+        ws.ckpt = std::make_shared<const ckpt::Checkpoint>(
+            sys.makeCheckpoint());
+        if (progress) {
+            inform("{} warm    {:<28} {:.2f}s  shared by {} job(s)", tag,
+                   g.first.label, secondsSince(t0), g.size);
+        }
+        return ws;
+    } catch (const std::exception &e) {
+        warn("warm run for '{}' failed ({}); its {} job(s) run unshared",
+             g.first.label, e.what(), g.size);
+        return {};
+    }
 }
 
 unsigned
@@ -199,130 +285,35 @@ SweepRunner::envJobs(unsigned def)
 unsigned
 SweepRunner::effectiveWorkers(std::size_t n) const
 {
-    unsigned workers =
-        opt_.jobs != 0 ? opt_.jobs : ThreadPool::defaultConcurrency();
-    if (n > 0 && workers > n)
-        workers = static_cast<unsigned>(n);
-    return std::max(workers, 1u);
+    return workerCount(opt_.jobs, n);
 }
 
 std::vector<JobResult>
 SweepRunner::run(const SweepManifest &manifest) const
 {
     manifest.validate();
-    const auto n = static_cast<unsigned>(manifest.jobs.size());
-    std::vector<JobResult> results(n);
+    const std::size_t n = manifest.jobs.size();
 
-    std::atomic<unsigned> done{0};
-    const bool progress = opt_.progress;
-    const bool retry = opt_.retryOnFailure;
-    const unsigned repeat = std::max(opt_.repeat, 1u);
-    const double timeout_s = manifest.timeoutSeconds;
-
-    // Phase 1 (shareWarmups): one warm System per distinct warm
-    // fingerprint, checkpointed in memory. Jobs that share a group
-    // differ only in measure-phase configuration, so the restored
-    // state is exactly what each job's own warmup would have produced.
-    struct WarmGroup
-    {
-        unsigned firstJob = 0;
-        std::vector<unsigned> jobs;
-        std::shared_ptr<const ckpt::Checkpoint> ckpt;
-    };
-    std::vector<WarmGroup> groups;
-    std::vector<const ckpt::Checkpoint *> warm(n, nullptr);
+    std::vector<std::shared_ptr<const ckpt::Checkpoint>> warm(n);
     if (opt_.shareWarmups) {
-        std::map<std::uint64_t, unsigned> index;
-        for (unsigned i = 0; i < n; ++i) {
-            const std::uint64_t fp =
-                warmFingerprint(manifest.jobs[i].toSystemConfig());
-            auto [it, fresh] = index.emplace(
-                fp, static_cast<unsigned>(groups.size()));
-            if (fresh)
-                groups.push_back(WarmGroup{i, {}, nullptr});
-            groups[it->second].jobs.push_back(i);
-        }
-
-        ThreadPool pool(
-            effectiveWorkers(static_cast<unsigned>(groups.size())));
-        std::vector<std::future<void>> pending;
-        pending.reserve(groups.size());
-        for (auto &g : groups) {
-            pending.push_back(pool.submit([&, progress] {
-                const JobSpec &job = manifest.jobs[g.firstJob];
-                ScopedLogLabel log_label("warm " + job.label);
-                const auto t0 = Clock::now();
-                try {
-                    ScopedFatalCapture capture;
-                    System sys(warmSystemConfig(job));
-                    sys.warmup();
-                    g.ckpt = std::make_shared<const ckpt::Checkpoint>(
-                        sys.makeCheckpoint());
-                    if (progress) {
-                        inform("[sweep] warm    {:<28} {:.2f}s  "
-                               "shared by {} job(s)",
-                               job.label, secondsSince(t0),
-                               g.jobs.size());
-                    }
-                } catch (const std::exception &e) {
-                    // Leave ckpt null: the group's jobs fall back to
-                    // full warmup+measure runs.
-                    warn("warm run for '{}' failed ({}); its {} job(s) "
-                         "run unshared",
-                         job.label, e.what(), g.jobs.size());
-                }
-            }));
-        }
-        for (auto &f : pending)
-            f.get();
-        for (const auto &g : groups) {
-            for (unsigned i : g.jobs)
-                warm[i] = g.ckpt.get();
-        }
+        warm = shareWarmups(
+            manifest.jobs, opt_.jobs, [this](const WarmGroup &g) {
+                return warmCheckpoint(g, "[sweep]", opt_.progress).ckpt;
+            });
     }
 
-    {
-        ThreadPool pool(effectiveWorkers(n));
-        std::vector<std::future<void>> pending;
-        pending.reserve(n);
-        for (unsigned i = 0; i < n; ++i) {
-            pending.push_back(pool.submit([&, i] {
-                results[i] = runOne(manifest.jobs[i], timeout_s, retry,
-                                    repeat, warm[i]);
-                const JobResult &r = results[i];
-                RunnerMetrics &rm = runnerMetrics();
-                rm.jobs.inc();
-                if (r.status == JobResult::Status::Failed)
-                    rm.failures.inc();
-                else if (r.status == JobResult::Status::TimedOut)
-                    rm.timeouts.inc();
-                if (r.attempts > 1)
-                    rm.retries.inc(r.attempts - 1);
-                rm.jobWall.observe(r.wallSeconds);
-                {
-                    auto fields = json::Value::object();
-                    fields.set("label", r.label);
-                    fields.set("status",
-                               std::string(statusName(r.status)));
-                    fields.set("attempts",
-                               std::uint64_t{r.attempts});
-                    fields.set("wall_seconds", r.wallSeconds);
-                    if (r.ok())
-                        fields.set("kips", r.kips);
-                    else
-                        fields.set("error", r.error);
-                    logEvent(r.ok() ? LogLevel::Info : LogLevel::Warn,
-                             "sweep_job_done", std::move(fields));
-                }
-                const unsigned d = ++done;
-                if (progress)
-                    progressLine(results[i], d, n);
-            }));
-        }
-        // get() rethrows runner bugs; job failures live in results.
-        for (auto &f : pending)
-            f.get();
-    }
+    std::vector<JobResult> results(n);
+    std::atomic<unsigned> done{0};
+    const unsigned repeat = std::max(opt_.repeat, 1u);
+    // A throw out of parallelFor is a runner bug; job failures live
+    // in results.
+    parallelFor(n, opt_.jobs, [&](std::size_t i) {
+        results[i] = runJob(manifest.jobs[i], manifest.timeoutSeconds,
+                            warm[i].get(), repeat);
+        const unsigned d = ++done;
+        if (opt_.progress)
+            progressLine(results[i], d, static_cast<unsigned>(n));
+    });
     return results;
 }
 

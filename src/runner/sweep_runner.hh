@@ -1,6 +1,8 @@
 /**
  * @file
- * Executes a SweepManifest's design points on a worker thread pool.
+ * Executes a SweepManifest's design points on a worker thread pool,
+ * and the per-job core (runJob, shareWarmups) that the sweep service
+ * runs its design points through as well.
  *
  * Each job builds, runs and tears down its own System, so jobs share
  * nothing but the logging sink (which is mutex-serialized and prefixes
@@ -9,10 +11,11 @@
  * contains no wall-clock data, so aggregated output is byte-identical
  * at any worker count.
  *
- * Failure handling per job:
+ * Failure handling per job (runJob):
  *  - an exception (including fatal(), which workers capture as
  *    FatalError) marks the job Failed and triggers one automatic
- *    retry; the second failure is reported with its message;
+ *    retry, which runs warmup + measure in full; the second failure
+ *    is reported with its message;
  *  - a job whose wall time exceeds the manifest's timeout_seconds is
  *    reported TimedOut (checked after the run completes -- a System
  *    cannot be interrupted mid-simulation) and is not retried;
@@ -23,11 +26,16 @@
 #ifndef TDC_RUNNER_SWEEP_RUNNER_HH
 #define TDC_RUNNER_SWEEP_RUNNER_HH
 
+#include <cstdint>
+#include <functional>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "ckpt/checkpoint.hh"
 #include "common/json.hh"
+#include "metrics/registry.hh"
 #include "runner/sweep.hh"
 #include "sys/system.hh"
 
@@ -45,6 +53,11 @@ struct JobResult
     double wallSeconds = 0.0; //!< last attempt's simulation wall time
     double kips = 0.0;        //!< host throughput: insts / wall / 1000
 
+    /** Instructions the final attempt simulated, by leg (Ok and
+     *  TimedOut only; a restored warm state simulates no warmup). */
+    std::uint64_t warmupInsts = 0;
+    std::uint64_t measureInsts = 0;
+
     RunResult result;       //!< valid when status == Ok
     json::Value report;     //!< tdc-run-report-v1 (meta + result)
 
@@ -61,9 +74,6 @@ struct SweepOptions
 
     /** Per-completion progress lines on stderr. */
     bool progress = true;
-
-    /** One automatic retry after a failed (not timed-out) attempt. */
-    bool retryOnFailure = true;
 
     /**
      * Timing repetitions per job (median-of-N wall clock / KIPS).
@@ -118,6 +128,70 @@ class SweepRunner
   private:
     SweepOptions opt_;
 };
+
+/**
+ * Runs one design point under the per-job contract above. Each
+ * attempt runs under ScopedFatalCapture; with `warm`, attempt 1
+ * restores it and runs only the measurement leg. `repeat` > 1 re-runs
+ * an ok job for a median-of-N wall time. Counts the job into
+ * jobMetrics() and logs one `job_done` event.
+ */
+JobResult runJob(const JobSpec &job, double timeout_s,
+                 const ckpt::Checkpoint *warm = nullptr,
+                 unsigned repeat = 1);
+
+/** The job-metric family (DESIGN.md 11) runJob() counts into; the
+ *  sweep service also counts result-cache replays into `ok`. */
+struct JobMetrics
+{
+    metrics::Counter &ok;
+    metrics::Counter &failed;
+    metrics::Counter &timeout;
+    metrics::Counter &retries;
+    metrics::Histogram &wall;
+    metrics::Histogram &kips;
+};
+
+JobMetrics &jobMetrics();
+
+/** One warm group, as shareWarmups() hands it to its callback. */
+struct WarmGroup
+{
+    const JobSpec &first;      //!< first member in job order
+    std::uint64_t fingerprint; //!< the members' warmFingerprint()
+    std::size_t size;          //!< member count
+};
+
+using WarmFn = std::function<std::shared_ptr<const ckpt::Checkpoint>(
+    const WarmGroup &)>;
+
+/**
+ * "Warm once, restore many": groups `jobs` by warmFingerprint() and
+ * calls warm() once per group, on workerCount(requested, #groups)
+ * threads under the log label "warm <first label>". Members differ
+ * only in measure-phase configuration, so the group's checkpoint is
+ * exactly the state each member's own warmup would produce. Returns
+ * each job's checkpoint in job order; null runs the job in full.
+ */
+std::vector<std::shared_ptr<const ckpt::Checkpoint>>
+shareWarmups(const std::vector<JobSpec> &jobs, unsigned requested,
+             const WarmFn &warm);
+
+/** A warm group's shared state: what warmCheckpoint() produced. */
+struct WarmState
+{
+    std::shared_ptr<const ckpt::Checkpoint> ckpt; //!< null on failure
+    std::uint64_t insts = 0; //!< warmup instructions simulated
+};
+
+/**
+ * Runs the warmup leg of g.first (warmSystemConfig) and checkpoints
+ * it in memory. A failed warm run warns and returns a null state; the
+ * group's jobs then run in full. With `progress`, logs one
+ * "<tag> warm" line.
+ */
+WarmState warmCheckpoint(const WarmGroup &g, std::string_view tag,
+                         bool progress);
 
 /** Schema tag of aggregated sweep reports. */
 inline constexpr const char *sweepReportSchema = "tdc-sweep-report-v1";

@@ -1,5 +1,7 @@
 #include "runner/thread_pool.hh"
 
+#include <algorithm>
+
 namespace tdc {
 namespace runner {
 
@@ -59,6 +61,33 @@ ThreadPool::workerLoop()
         // escaping here is a runner bug.
         task();
     }
+}
+
+unsigned
+workerCount(unsigned requested, std::size_t n)
+{
+    unsigned workers =
+        requested != 0 ? requested : ThreadPool::defaultConcurrency();
+    if (n > 0 && workers > n)
+        workers = static_cast<unsigned>(n);
+    return std::max(workers, 1u);
+}
+
+void
+parallelFor(std::size_t n, unsigned requested,
+            const std::function<void(std::size_t)> &fn)
+{
+    if (n == 0)
+        return;
+    ThreadPool pool(workerCount(requested, n));
+    std::vector<std::future<void>> pending;
+    pending.reserve(n);
+    for (std::size_t i = 0; i < n; ++i)
+        pending.push_back(pool.submit([&fn, i] { fn(i); }));
+    // On a throw, ~ThreadPool still drains the queued calls before
+    // the exception leaves this frame.
+    for (auto &f : pending)
+        f.get();
 }
 
 } // namespace runner

@@ -77,6 +77,21 @@ class ThreadPool
     bool stopping_ = false;
 };
 
+/**
+ * Worker threads for n tasks: `requested`, or defaultConcurrency()
+ * when it is 0, clamped to [1, n].
+ */
+unsigned workerCount(unsigned requested, std::size_t n);
+
+/**
+ * Calls fn(i) for every i in [0, n) on workerCount(requested, n)
+ * threads and returns once every call has finished. An exception
+ * escaping fn is rethrown here (the first, in index order) after
+ * the remaining calls have run.
+ */
+void parallelFor(std::size_t n, unsigned requested,
+                 const std::function<void(std::size_t)> &fn);
+
 } // namespace runner
 } // namespace tdc
 

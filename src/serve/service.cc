@@ -1,10 +1,8 @@
 #include "serve/service.hh"
 
-#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
-#include <future>
 #include <iostream>
 #include <map>
 #include <memory>
@@ -20,8 +18,6 @@
 #include "runner/sweep_runner.hh"
 #include "runner/thread_pool.hh"
 #include "serve/cache_key.hh"
-#include "sys/report.hh"
-#include "sys/system.hh"
 
 namespace fs = std::filesystem;
 
@@ -60,18 +56,13 @@ progressLine(const std::string &line, bool enabled)
     inform("{}", line);
 }
 
-/** Drain-loop metrics (DESIGN.md 11 catalog). */
+/** Drain-loop metrics (DESIGN.md 11 catalog); per-job counts live
+ *  in runner::jobMetrics(). */
 struct DrainMetrics
 {
     metrics::Counter &passes;
-    metrics::Counter &jobsOk;
-    metrics::Counter &jobsFailed;
-    metrics::Counter &jobsTimeout;
-    metrics::Counter &retries;
     metrics::Counter &warmupInsts;
     metrics::Counter &measureInsts;
-    metrics::Histogram &jobWall;
-    metrics::Histogram &jobKips;
 };
 
 DrainMetrics &
@@ -81,108 +72,12 @@ drainMetrics()
     static DrainMetrics m{
         r.counter("tdc_drain_passes_total",
                   "Drain passes over the job spool"),
-        r.counter("tdc_jobs_ok_total",
-                  "Jobs completed ok (replayed or simulated)"),
-        r.counter("tdc_jobs_failed_total", "Jobs that failed"),
-        r.counter("tdc_jobs_timeout_total",
-                  "Jobs that exceeded their wall-time budget"),
-        r.counter("tdc_job_retries_total",
-                  "Extra attempts beyond each job's first"),
         r.counter("tdc_warmup_insts_simulated_total",
                   "Warmup instructions actually simulated"),
         r.counter("tdc_measure_insts_simulated_total",
                   "Measurement instructions actually simulated"),
-        r.histogram("tdc_job_wall_seconds",
-                    "Per-job wall time of simulated (non-replayed) "
-                    "jobs",
-                    {0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0,
-                     10.0, 30.0, 60.0, 120.0, 300.0}),
-        r.histogram("tdc_job_kips",
-                    "Per-job simulation throughput (kilo-insts/s)",
-                    {50.0, 100.0, 200.0, 400.0, 800.0, 1600.0, 3200.0,
-                     6400.0, 12800.0, 25600.0}),
     };
     return m;
-}
-
-/**
- * One served design point. Mirrors SweepRunner's retry contract
- * exactly -- attempt 1 restores the warm checkpoint and runs only the
- * measurement leg, a failed attempt retries with a full warmup +
- * measure run, a timeout is post-hoc and never retried -- so the
- * resulting tdc-run-report-v1 is byte-identical to what a direct
- * tdc_sweep run of the same job produces. Additionally accounts the
- * instructions actually simulated into `warm_insts` / `meas_insts`.
- */
-runner::JobResult
-runServed(const runner::JobSpec &job, double timeout_s,
-          const ckpt::Checkpoint *warm, std::uint64_t &warm_insts,
-          std::uint64_t &meas_insts)
-{
-    runner::JobResult r;
-    r.label = job.label;
-
-    ScopedLogLabel log_label(job.label);
-    for (unsigned attempt = 1; attempt <= 2; ++attempt) {
-        r.attempts = attempt;
-        const auto t0 = Clock::now();
-        try {
-            ScopedFatalCapture capture;
-            const SystemConfig cfg = job.toSystemConfig();
-            System sys(cfg);
-            RunResult rr;
-            std::uint64_t warmed = 0;
-            if (warm != nullptr && attempt == 1) {
-                sys.restoreCheckpoint(*warm);
-                rr = sys.measure();
-            } else {
-                warmed = std::uint64_t{sys.activeCores()}
-                         * cfg.warmupInsts;
-                rr = sys.run();
-            }
-            r.wallSeconds = secondsSince(t0);
-            if (timeout_s > 0.0 && r.wallSeconds > timeout_s) {
-                r.status = runner::JobResult::Status::TimedOut;
-                r.error = format(
-                    "wall time {:.2f}s exceeded timeout {:.2f}s",
-                    r.wallSeconds, timeout_s);
-                warm_insts += warmed;
-                meas_insts += rr.totalInsts;
-                return r; // retrying would blow the budget again
-            }
-            r.result = std::move(rr);
-            r.kips = r.wallSeconds > 0.0
-                         ? static_cast<double>(r.result.totalInsts)
-                               / r.wallSeconds / 1000.0
-                         : 0.0;
-            r.report = makeRunReport(cfg, r.result);
-            r.status = runner::JobResult::Status::Ok;
-            r.error.clear();
-            warm_insts += warmed;
-            meas_insts += r.result.totalInsts;
-            return r;
-        } catch (const std::exception &e) {
-            r.wallSeconds = secondsSince(t0);
-            r.status = runner::JobResult::Status::Failed;
-            r.error = e.what();
-        } catch (...) {
-            r.wallSeconds = secondsSince(t0);
-            r.status = runner::JobResult::Status::Failed;
-            r.error = "unknown exception";
-        }
-    }
-    return r;
-}
-
-unsigned
-workerCount(unsigned requested, std::size_t n)
-{
-    unsigned workers = requested != 0
-                           ? requested
-                           : runner::ThreadPool::defaultConcurrency();
-    if (n > 0 && workers > n)
-        workers = static_cast<unsigned>(n);
-    return std::max(workers, 1u);
 }
 
 } // namespace
@@ -266,6 +161,9 @@ SweepService::drainOnce()
     st.jobs = claimed.size();
 
     drainMetrics().passes.inc();
+    // Registers the job family before the first snapshot, so scrapers
+    // see tdc_jobs_* from drain start on.
+    runner::JobMetrics &job_metrics = runner::jobMetrics();
     {
         auto fields = json::Value::object();
         fields.set("jobs", st.jobs);
@@ -288,7 +186,7 @@ SweepService::drainOnce()
                             std::uint64_t{hit->attempts});
                 outcome.set("cached", true);
                 queue_.complete(job, outcome);
-                drainMetrics().jobsOk.inc();
+                job_metrics.ok.inc();
                 auto fields = json::Value::object();
                 fields.set("id", job.id);
                 fields.set("label", job.spec.label);
@@ -307,187 +205,91 @@ SweepService::drainOnce()
     // restores its persisted checkpoint (zero warmup instructions) or
     // warms once, publishes the checkpoint to the cache and shares it
     // across the group, exactly like --warm-once within a pass.
-    struct WarmGroup
-    {
-        std::uint64_t fp = 0;
-        unsigned firstJob = 0;
-        std::vector<unsigned> jobs;
-        std::shared_ptr<const ckpt::Checkpoint> ckpt;
-    };
-    std::vector<WarmGroup> groups;
-    {
-        std::map<std::uint64_t, unsigned> index;
-        for (unsigned i = 0;
-             i < static_cast<unsigned>(toRun.size()); ++i) {
-            const std::uint64_t fp =
-                warmFingerprint(toRun[i].spec.toSystemConfig());
-            auto [it, fresh] = index.emplace(
-                fp, static_cast<unsigned>(groups.size()));
-            if (fresh)
-                groups.push_back(WarmGroup{fp, i, {}, nullptr});
-            groups[it->second].jobs.push_back(i);
-        }
-    }
-    if (!groups.empty()) {
-        runner::ThreadPool pool(
-            workerCount(cfg_.jobs, groups.size()));
-        std::vector<std::future<void>> pending;
-        pending.reserve(groups.size());
-        for (auto &g : groups) {
-            pending.push_back(pool.submit([&] {
-                const runner::JobSpec &job = toRun[g.firstJob].spec;
-                ScopedLogLabel log_label("warm " + job.label);
-                if (cfg_.useWarmCache) {
-                    if (auto hit = warm_.lookup(g.fp)) {
-                        g.ckpt = std::move(hit);
-                        {
-                            std::lock_guard<std::mutex> lock(
-                                stats_mutex);
-                            ++st.warmCacheHits;
-                        }
-                        progressLine(
-                            format("[served] warm hit {:<28} shared "
-                                   "by {} job(s)",
-                                   job.label, g.jobs.size()),
-                            cfg_.progress);
-                        return;
+    std::vector<runner::JobSpec> specs;
+    specs.reserve(toRun.size());
+    for (const QueueJob &job : toRun)
+        specs.push_back(job.spec);
+    const auto warm = runner::shareWarmups(
+        specs, cfg_.jobs, [&](const runner::WarmGroup &g) {
+            if (cfg_.useWarmCache) {
+                if (auto hit = warm_.lookup(g.fingerprint)) {
+                    {
+                        std::lock_guard<std::mutex> lock(stats_mutex);
+                        ++st.warmCacheHits;
                     }
+                    progressLine(format("[served] warm hit {:<28} "
+                                        "shared by {} job(s)",
+                                        g.first.label, g.size),
+                                 cfg_.progress);
+                    return hit;
                 }
-                const auto wt0 = Clock::now();
+            }
+            runner::WarmState ws =
+                runner::warmCheckpoint(g, "[served]", cfg_.progress);
+            if (ws.ckpt != nullptr && cfg_.useWarmCache) {
+                // A failed store costs a later pass a re-warm; this
+                // pass still shares the checkpoint in memory.
                 try {
                     ScopedFatalCapture capture;
-                    System sys(runner::warmSystemConfig(job));
-                    sys.warmup();
-                    const std::uint64_t warmed =
-                        std::uint64_t{sys.activeCores()}
-                        * sys.config().warmupInsts;
-                    auto ck =
-                        std::make_shared<const ckpt::Checkpoint>(
-                            sys.makeCheckpoint());
-                    if (cfg_.useWarmCache)
-                        warm_.store(*ck, g.fp);
-                    g.ckpt = std::move(ck);
-                    {
-                        std::lock_guard<std::mutex> lock(stats_mutex);
-                        ++st.warmCacheMisses;
-                        st.warmupInstsSimulated += warmed;
-                    }
-                    drainMetrics().warmupInsts.inc(warmed);
-                    progressLine(
-                        format("[served] warm     {:<28} {:.2f}s  "
-                               "shared by {} job(s)",
-                               job.label, secondsSince(wt0),
-                               g.jobs.size()),
-                        cfg_.progress);
+                    warm_.store(*ws.ckpt, g.fingerprint);
                 } catch (const std::exception &e) {
-                    // Leave ckpt null: the group's jobs fall back to
-                    // full warmup+measure runs.
-                    {
-                        std::lock_guard<std::mutex> lock(stats_mutex);
-                        ++st.warmCacheMisses;
-                    }
-                    warn("warm run for '{}' failed ({}); its {} "
-                         "job(s) run unshared",
-                         job.label, e.what(), g.jobs.size());
+                    warn("warm cache: cannot store '{}': {}",
+                         g.first.label, e.what());
                 }
-            }));
-        }
-        for (auto &f : pending)
-            f.get();
-    }
-    std::vector<const ckpt::Checkpoint *> warm(toRun.size(), nullptr);
-    for (const auto &g : groups) {
-        for (unsigned i : g.jobs)
-            warm[i] = g.ckpt.get();
-    }
+            }
+            {
+                std::lock_guard<std::mutex> lock(stats_mutex);
+                ++st.warmCacheMisses;
+                st.warmupInstsSimulated += ws.insts;
+            }
+            drainMetrics().warmupInsts.inc(ws.insts);
+            return std::move(ws.ckpt);
+        });
 
-    // Phase 3: measurement leg per job, retry/timeout contract
-    // identical to SweepRunner. Fresh results always go to the result
-    // cache (disabling the cache only disables replay, not capture).
-    if (!toRun.empty()) {
-        runner::ThreadPool pool(workerCount(cfg_.jobs, toRun.size()));
-        std::vector<std::future<void>> pending;
-        pending.reserve(toRun.size());
-        for (unsigned i = 0;
-             i < static_cast<unsigned>(toRun.size()); ++i) {
-            pending.push_back(pool.submit([&, i] {
-                const QueueJob &job = toRun[i];
-                std::uint64_t warm_insts = 0, meas_insts = 0;
-                runner::JobResult r =
-                    runServed(job.spec, job.timeoutSeconds, warm[i],
-                              warm_insts, meas_insts);
-                {
-                    std::lock_guard<std::mutex> lock(stats_mutex);
-                    st.warmupInstsSimulated += warm_insts;
-                    st.measureInstsSimulated += meas_insts;
-                    if (r.ok())
-                        ++st.ok;
-                    else if (r.status
-                             == runner::JobResult::Status::TimedOut)
-                        ++st.timedOut;
-                    else
-                        ++st.failed;
-                }
-                DrainMetrics &dm = drainMetrics();
-                dm.warmupInsts.inc(warm_insts);
-                dm.measureInsts.inc(meas_insts);
-                if (r.attempts > 1)
-                    dm.retries.inc(r.attempts - 1);
-                dm.jobWall.observe(r.wallSeconds);
-                if (r.ok()) {
-                    dm.jobsOk.inc();
-                    dm.jobKips.observe(r.kips);
-                } else if (r.status
-                           == runner::JobResult::Status::TimedOut) {
-                    dm.jobsTimeout.inc();
-                } else {
-                    dm.jobsFailed.inc();
-                }
-                {
-                    auto fields = json::Value::object();
-                    fields.set("id", job.id);
-                    fields.set("label", r.label);
-                    fields.set("status",
-                               std::string(statusName(r.status)));
-                    fields.set("attempts",
-                               std::uint64_t{r.attempts});
-                    fields.set("wall_seconds", r.wallSeconds);
-                    if (r.ok())
-                        fields.set("kips", r.kips);
-                    else
-                        fields.set("error", r.error);
-                    logEvent(r.ok() ? LogLevel::Info : LogLevel::Warn,
-                             "job_done", std::move(fields));
-                }
-                auto outcome = json::Value::object();
-                outcome.set("status",
-                            std::string(statusName(r.status)));
-                outcome.set("attempts", std::uint64_t{r.attempts});
-                if (r.ok()) {
-                    CachedResult entry;
-                    entry.label = r.label;
-                    entry.attempts = r.attempts;
-                    entry.report = r.report;
-                    results_.store(job.configHash, entry);
-                    outcome.set("cached", false);
-                    queue_.complete(job, outcome);
-                } else {
-                    outcome.set("error", r.error);
-                    queue_.fail(job, outcome);
-                }
-                std::string line =
-                    format("[served] {:<7} {:<28} {:.2f}s",
-                           statusName(r.status), r.label,
-                           r.wallSeconds);
-                if (!r.ok())
-                    line += format("  {}", r.error);
-                progressLine(line, cfg_.progress);
-            }));
+    // Phase 3: measurement leg per job through runner::runJob, the
+    // contract SweepRunner runs too. Fresh results always go to the
+    // result cache (disabling the cache only disables replay, not
+    // capture). A throw out of parallelFor is a service bug; job
+    // failures live in outcomes.
+    runner::parallelFor(toRun.size(), cfg_.jobs, [&](std::size_t i) {
+        const QueueJob &job = toRun[i];
+        const runner::JobResult r =
+            runner::runJob(job.spec, job.timeoutSeconds, warm[i].get());
+        {
+            std::lock_guard<std::mutex> lock(stats_mutex);
+            st.warmupInstsSimulated += r.warmupInsts;
+            st.measureInstsSimulated += r.measureInsts;
+            if (r.ok())
+                ++st.ok;
+            else if (r.status == runner::JobResult::Status::TimedOut)
+                ++st.timedOut;
+            else
+                ++st.failed;
         }
-        // get() rethrows service bugs; job failures live in outcomes.
-        for (auto &f : pending)
-            f.get();
-    }
+        drainMetrics().warmupInsts.inc(r.warmupInsts);
+        drainMetrics().measureInsts.inc(r.measureInsts);
+        auto outcome = json::Value::object();
+        outcome.set("status", std::string(statusName(r.status)));
+        outcome.set("attempts", std::uint64_t{r.attempts});
+        if (r.ok()) {
+            CachedResult entry;
+            entry.label = r.label;
+            entry.attempts = r.attempts;
+            entry.report = r.report;
+            results_.store(job.configHash, entry);
+            outcome.set("cached", false);
+            queue_.complete(job, outcome);
+        } else {
+            outcome.set("error", r.error);
+            queue_.fail(job, outcome);
+        }
+        std::string line = format("[served] {:<7} {:<28} {:.2f}s",
+                                  statusName(r.status), r.label,
+                                  r.wallSeconds);
+        if (!r.ok())
+            line += format("  {}", r.error);
+        progressLine(line, cfg_.progress);
+    });
 
     st.wallSeconds = secondsSince(t0);
     json::writeFile(st.toJson(),

@@ -14,10 +14,11 @@
  *     warm checkpoint from the cache (simulating zero warmup
  *     instructions) or runs one warmup, checkpoints it, and publishes
  *     the checkpoint for every later invocation;
- *  3. measure phase -- each job restores its group's checkpoint and
- *     runs the measurement leg, with the same retry/timeout contract
- *     as SweepRunner (restored measure() is byte-identical to a
- *     straight run, so reports match tdc_sweep exactly).
+ *  3. measure phase -- each job runs through runner::runJob(), the
+ *     job core SweepRunner uses: it restores its group's checkpoint
+ *     and runs the measurement leg (restored measure() is
+ *     byte-identical to a straight run, so reports match tdc_sweep
+ *     exactly).
  *
  * reportFor() reassembles a tdc-sweep-report-v1 document for a
  * manifest purely from stored state, and mergeShardReports()

@@ -2,9 +2,8 @@
  * @file
  * The versioned memory-trace container `tdc-mtrace-v1`.
  *
- * Replaces the flat legacy TDCTRACE format (trace/trace_file.hh) with a
- * sectioned, checksummed, seekable container that reuses the ckpt
- * Serializer discipline:
+ * The repository's one trace format: a sectioned, checksummed,
+ * seekable container that reuses the ckpt Serializer discipline:
  *
  *     offset 0  8 bytes   magic "TDCMTRC\0"
  *               u32       format version (mtraceFormatVersion)
@@ -240,7 +239,7 @@ class MtraceCursor
  */
 std::uint64_t traceContentHash(const std::string &path);
 
-/** Conversion tallies reported by the tdc_trace converters. */
+/** Conversion tallies reported by the tdc_trace converter. */
 struct ConvertStats
 {
     std::uint64_t instructions = 0; //!< input instructions consumed
@@ -261,11 +260,6 @@ struct ConvertStats
  * Instruction fetches are not modeled, matching the synthetic sources.
  */
 ConvertStats convertChampSim(
-    const std::string &in, const std::string &out,
-    std::uint64_t block_records = defaultBlockRecords);
-
-/** Converts a legacy TDCTRACE file (trace/trace_file.hh) in place. */
-ConvertStats convertLegacy(
     const std::string &in, const std::string &out,
     std::uint64_t block_records = defaultBlockRecords);
 

@@ -1,7 +1,7 @@
 /**
  * @file
- * Public-format converters into tdc-mtrace-v1: ChampSim instruction
- * traces and the legacy flat TDCTRACE format.
+ * Public-format converter into tdc-mtrace-v1: ChampSim instruction
+ * traces.
  */
 
 #include <cstring>
@@ -10,7 +10,6 @@
 #include "common/format.hh"
 #include "common/logging.hh"
 #include "trace/mtrace.hh"
-#include "trace/trace_file.hh"
 
 namespace tdc {
 namespace mtrace {
@@ -98,31 +97,6 @@ convertChampSim(const std::string &in, const std::string &out,
     }
     if (st.records == 0)
         fatal("ChampSim trace '{}' contains no memory references", in);
-    writer.close();
-    return st;
-}
-
-ConvertStats
-convertLegacy(const std::string &in, const std::string &out,
-              std::uint64_t block_records)
-{
-    // FileTraceSource validates the TDCTRACE header and record count;
-    // records() bounds the pull so the looping source is read exactly
-    // once.
-    FileTraceSource src(in);
-    MtraceWriter writer(out, /*cores=*/1, /*shared_page_table=*/false,
-                        format("legacy:{}", in), block_records);
-    ConvertStats st;
-    for (std::size_t i = 0; i < src.records(); ++i) {
-        const TraceRecord rec = src.next();
-        writer.append(0, rec);
-        ++st.records;
-        st.instructions += rec.nonMemInsts + 1;
-        if (rec.type == AccessType::Store)
-            ++st.stores;
-        else
-            ++st.loads;
-    }
     writer.close();
     return st;
 }

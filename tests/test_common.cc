@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -312,9 +313,18 @@ TEST(Random, BelowBounds)
 TEST(Random, Below64Bounds)
 {
     Pcg32 r(7);
-    const std::uint64_t bound = (1ULL << 40) + 12345;
-    for (int i = 0; i < 1000; ++i)
-        EXPECT_LT(r.below64(bound), bound);
+    // Bounds above 2^63 have no power-of-two cover in 64 bits; they
+    // must still draw across the whole range, not collapse to 0.
+    for (const std::uint64_t bound :
+         {(1ULL << 40) + 12345, (1ULL << 63) + 1, ~0ULL}) {
+        std::uint64_t largest = 0;
+        for (int i = 0; i < 1000; ++i) {
+            const std::uint64_t v = r.below64(bound);
+            EXPECT_LT(v, bound);
+            largest = std::max(largest, v);
+        }
+        EXPECT_GE(largest, bound / 2) << "bound " << bound;
+    }
 }
 
 TEST(Random, UniformRange)

@@ -6,7 +6,7 @@
  * boundaries, seek-vs-linear agreement, wrap), the adversarial decode
  * corpus (truncation, bad magic, checksum flips, reserved flag bits,
  * index corruption -- all must fail as catchable fatal()s, never UB),
- * both converters, the trace: workload registry, and the headline
+ * the ChampSim converter, the trace: workload registry, and the headline
  * determinism property: a recorded run replays to the identical
  * measured result for every L3 organization, survives a mid-replay
  * checkpoint save/restore, and sweeps over traces are byte-identical
@@ -31,7 +31,6 @@
 #include "trace/mtrace.hh"
 #include "trace/record.hh"
 #include "trace/replay.hh"
-#include "trace/trace_file.hh"
 #include "trace/workloads.hh"
 
 using namespace tdc;
@@ -464,28 +463,6 @@ TEST(MtraceConvert, ChampSimRejectsTornAndEmptyInput)
     EXPECT_THROW(mtrace::convertChampSim(in, out), FatalError);
     writeAll(in, {});
     EXPECT_THROW(mtrace::convertChampSim(in, out), FatalError);
-}
-
-TEST(MtraceConvert, LegacyTdctraceRoundTrips)
-{
-    const std::string in = tmpFile("legacy.trace");
-    const std::string out = tmpFile("legacy.mtrace");
-    const auto streams = hairyStreams();
-    {
-        TraceWriter w(in);
-        for (const TraceRecord &r : streams[1])
-            w.write(r);
-        w.close();
-    }
-    const mtrace::ConvertStats st = mtrace::convertLegacy(in, out);
-    EXPECT_EQ(st.records, streams[1].size());
-
-    mtrace::MtraceReader r(out);
-    r.verifyAll();
-    ASSERT_EQ(r.records(0), streams[1].size());
-    mtrace::MtraceCursor cur(r, 0);
-    for (const TraceRecord &want : streams[1])
-        EXPECT_TRUE(sameRecord(cur.next(), want));
 }
 
 // ---------------------------------------------------------------------

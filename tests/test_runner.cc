@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "common/logging.hh"
+#include "metrics/registry.hh"
 #include "runner/sweep.hh"
 #include "runner/sweep_runner.hh"
 #include "runner/thread_pool.hh"
@@ -368,6 +369,35 @@ TEST(SweepRunner, ReportsTimedOutJobs)
     EXPECT_EQ(results[0].status, JobResult::Status::TimedOut);
     EXPECT_EQ(results[0].attempts, 1u); // timeouts are not retried
     EXPECT_NE(results[0].error.find("timeout"), std::string::npos);
+}
+
+TEST(SweepRunner, CountsJobsIntoTheSharedJobMetrics)
+{
+    // Direct and served jobs share one metric family: runJob() counts
+    // every job it runs, whichever runner called it.
+    const auto m = tinyManifest();
+    const auto before = metrics::registry().toJson(0);
+    runTiny(2);
+    const auto after = metrics::registry().toJson(0);
+
+    // Lazily registered metrics are absent from the baseline: zero.
+    auto value = [](const json::Value &snap, const char *kind,
+                    const char *name, const char *field) {
+        const json::Value *v = snap.find(kind)->find(name);
+        if (v != nullptr && field != nullptr)
+            v = v->find(field);
+        return v != nullptr ? v->asUint() : 0;
+    };
+    auto delta = [&](const char *kind, const char *name,
+                     const char *field = nullptr) {
+        return value(after, kind, name, field)
+               - value(before, kind, name, field);
+    };
+    EXPECT_EQ(delta("counters", "tdc_jobs_ok_total"), m.jobs.size());
+    EXPECT_EQ(delta("histograms", "tdc_job_wall_seconds", "count"),
+              m.jobs.size());
+    EXPECT_EQ(after.find("counters")->find("tdc_runner_jobs_total"),
+              nullptr);
 }
 
 TEST(SweepRunner, EffectiveWorkersClampsToJobCount)

@@ -645,6 +645,45 @@ TEST(SweepService, FailedJobIsReportedInItsSlotAndNotCached)
     EXPECT_EQ(st2.failed, 1u);
 }
 
+TEST(SweepService, FailedJobReportMatchesTheDirectSweep)
+{
+    // Served and direct jobs run through the same runner::runJob(), so
+    // a failing cell reports the same status, attempts and error.
+    const auto root = freshRoot("svc_failure_direct");
+    auto m = warmPairManifest();
+    m.jobs[0].raw.set("l3.policy", "no-such-policy");
+    const auto direct = directReportDump(m, 2);
+
+    SweepService svc(quietConfig(root));
+    svc.enqueue(m);
+    EXPECT_EQ(svc.drainOnce().failed, 1u);
+    const auto report = svc.reportFor(m);
+    EXPECT_EQ(report.dump(), direct);
+    EXPECT_EQ(report.find("jobs")->at(0).find("attempts")->asUint(), 2u);
+}
+
+TEST(SweepService, TimedOutJobIsFinalAndCountsItsInstructions)
+{
+    const auto root = freshRoot("svc_timeout");
+    auto m = tinyManifest();
+    m.timeoutSeconds = 1e-9; // any real simulation exceeds this
+
+    SweepService svc(quietConfig(root));
+    svc.enqueue(m);
+    const auto st = svc.drainOnce();
+    EXPECT_EQ(st.timedOut, m.jobs.size());
+    EXPECT_EQ(st.ok + st.failed, 0u);
+    // The timeout is judged after the run, so the run's instructions
+    // were simulated and are accounted.
+    EXPECT_GT(st.measureInstsSimulated, 0u);
+
+    const auto report = svc.reportFor(m);
+    for (const auto &job : report.find("jobs")->items()) {
+        EXPECT_EQ(job.find("status")->asString(), "timeout");
+        EXPECT_EQ(job.find("attempts")->asUint(), 1u); // never retried
+    }
+}
+
 TEST(SweepService, PublishedSnapshotMatchesTheReplaySimulateSplit)
 {
     const auto root = freshRoot("svc_metrics");

@@ -1,18 +1,13 @@
 /**
  * @file
  * Additional end-to-end checks: the online filter and superpages
- * through the full System, trace-file-driven runs, and cross-config
- * conservation properties.
+ * through the full System, and cross-config conservation properties.
  */
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
-#include <unistd.h>
-
 #include "dramcache/tagless_cache.hh"
 #include "sys/system.hh"
-#include "trace/trace_file.hh"
 #include "trace/workloads.hh"
 
 using namespace tdc;
@@ -110,25 +105,6 @@ TEST(SystemExtras, EnergyScalesWithRuntime)
     // so allow a generous band around the 2x ideal.
     EXPECT_GT(eb / ea, 1.4);
     EXPECT_LT(eb / ea, 2.6);
-}
-
-TEST(SystemExtras, FileTraceDrivesACore)
-{
-    // Capture a synthetic stream, then verify a FileTraceSource feeds
-    // the same access sequence into a full memory system.
-    const std::string path =
-        std::filesystem::temp_directory_path()
-        / ("tdc_sys_trace_" + std::to_string(::getpid()) + ".trc");
-    auto gen = makeGenerator(getWorkload("sphinx3"), 0);
-    captureTrace(*gen, path, 20'000);
-
-    FileTraceSource src(path);
-    EXPECT_EQ(src.records(), 20'000u);
-    // Spot-check a replayed run: same addresses as a fresh generator.
-    auto fresh = makeGenerator(getWorkload("sphinx3"), 0);
-    for (int i = 0; i < 20'000; ++i)
-        ASSERT_EQ(src.next().vaddr, fresh->next().vaddr);
-    std::remove(path.c_str());
 }
 
 TEST(SystemExtras, MixesAllocateDisjointPhysicalPages)

@@ -19,8 +19,6 @@
  * Conversion (writes a tdc-mtrace-v1 file to --out):
  *   tdc_trace --convert-champsim=<in> --out=<path>
  *             [--block-records=<N>] [--source=<provenance>]
- *   tdc_trace --convert-legacy=<in> --out=<path>
- *             (legacy flat TDCTRACE files, trace/trace_file.hh)
  *
  * Report comparison (replay determinism checks):
  *   tdc_trace --compare-runs=<a.json>,<b.json>
@@ -215,9 +213,8 @@ main(int argc, char **argv)
                   tok);
         }
     }
-    args.checkKnown({"trace", "dump", "core", "convert-champsim",
-                     "convert-legacy", "out", "source", "block-records",
-                     "compare-runs"},
+    args.checkKnown({"trace", "dump", "core", "convert-champsim", "out",
+                     "source", "block-records", "compare-runs"},
                     "tdc_trace");
 
     if (args.has("compare-runs"))
@@ -225,20 +222,12 @@ main(int argc, char **argv)
 
     const std::uint64_t block_records =
         args.getU64("block-records", mtrace::defaultBlockRecords);
-    if (args.has("convert-champsim") || args.has("convert-legacy")) {
+    if (args.has("convert-champsim")) {
         const std::string out = args.getString("out", "");
         if (out.empty())
             fatal("tdc_trace: conversion requires --out=<path>");
-        mtrace::ConvertStats st;
-        if (args.has("convert-champsim")) {
-            st = mtrace::convertChampSim(
-                args.getString("convert-champsim", ""), out,
-                block_records);
-        } else {
-            st = mtrace::convertLegacy(
-                args.getString("convert-legacy", ""), out,
-                block_records);
-        }
+        const mtrace::ConvertStats st = mtrace::convertChampSim(
+            args.getString("convert-champsim", ""), out, block_records);
         std::cout << format(
             "converted: {} instruction(s), {} record(s) ({} loads, {} "
             "stores) -> {}\n",
@@ -249,7 +238,7 @@ main(int argc, char **argv)
     const std::string path = args.getString("trace", "");
     if (path.empty())
         fatal("tdc_trace: --trace=<path> is required (or one of "
-              "--convert-champsim/--convert-legacy/--compare-runs)");
+              "--convert-champsim/--compare-runs)");
     if (!info && !verify && !json_out && !args.has("dump"))
         info = true;
 
