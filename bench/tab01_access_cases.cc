@@ -9,6 +9,7 @@
  *   Miss / Miss  cold fill: page copy + GIPT update on the miss path
  */
 
+#include <bit>
 #include <memory>
 
 #include "bench_util.hh"
@@ -37,12 +38,16 @@ main(int argc, char **argv)
 
     TaglessCacheParams params;
     TaglessCache cache("ctlb", in_pkg, off_pkg, phys, clk, params);
-    cache.setPageInvalidator([](Addr) { return 0u; });
+    cache.setPageInvalidator(
+        [](Addr, std::uint32_t, std::uint64_t) { return 0u; });
 
     CoreParams cp;
     MemorySystem ms("mem", 0, cp, clk, pt, cache);
     cache.setPageInvalidator(
-        [&ms](Addr a) { return ms.invalidatePage(a); });
+        [&ms](Addr a, std::uint32_t, std::uint64_t lines) {
+            return static_cast<unsigned>(
+                std::popcount(ms.invalidatePage(a, lines)));
+        });
     cache.setShootdownFn([&ms](AsidVpn k) { ms.shootdown(k); });
 
     auto cycles = [&](Tick d) {

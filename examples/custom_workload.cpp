@@ -10,6 +10,7 @@
  * TaglessCache, wire the hooks, and feed it accesses.
  */
 
+#include <bit>
 #include <iostream>
 
 #include "common/format.hh"
@@ -42,7 +43,10 @@ main()
     CoreParams core_params;
     MemorySystem mem("core0.mem", 0, core_params, cpu_clk, pt, l3);
     l3.setPageInvalidator(
-        [&mem](Addr page) { return mem.invalidatePage(page); });
+        [&mem](Addr page, std::uint32_t, std::uint64_t lines) {
+            return static_cast<unsigned>(
+                std::popcount(mem.invalidatePage(page, lines)));
+        });
     l3.setShootdownFn([&mem](AsidVpn key) { mem.shootdown(key); });
 
     // --- workload: a hand-tuned phase-change pattern ---------------

@@ -112,27 +112,24 @@ SramCache::contains(Addr addr) const
     return false;
 }
 
-std::vector<Addr>
-SramCache::invalidatePage(Addr base_addr)
+bool
+SramCache::invalidateLine(Addr addr)
 {
-    std::vector<Addr> dirty_lines;
-    const Addr page = alignDown(base_addr, pageBytes);
-    for (Addr a = page; a < page + pageBytes; a += params_.lineBytes) {
-        const std::uint64_t set = setIndex(a);
-        const Addr tag = tagOf(a);
-        const std::size_t base = set * params_.associativity;
-        for (unsigned w = 0; w < params_.associativity; ++w) {
-            const std::size_t i = base + w;
-            if (tags_[i] == tag && (state_[i] & stValid)) {
-                if (state_[i] & stDirty) {
-                    dirty_lines.push_back(a);
-                    ++writebacks_;
-                }
-                state_[i] = 0;
-            }
+    const std::uint64_t set = setIndex(addr);
+    const Addr tag = tagOf(addr);
+    const std::size_t base = set * params_.associativity;
+    for (unsigned w = 0; w < params_.associativity; ++w) {
+        const std::size_t i = base + w;
+        if (tags_[i] == tag && (state_[i] & stValid)) {
+            // A fill happens only on a miss, so no other way holds it.
+            const bool dirty = (state_[i] & stDirty) != 0;
+            if (dirty)
+                ++writebacks_;
+            state_[i] = 0;
+            return dirty;
         }
     }
-    return dirty_lines;
+    return false;
 }
 
 void

@@ -9,7 +9,7 @@
  * With the tagless DRAM cache, on-die caches are indexed and tagged by
  * *cache* addresses instead of physical addresses (Section 3.1); the
  * model is agnostic -- it caches whatever address space it is handed --
- * but provides invalidatePage() so a DRAM-cache eviction can flush the
+ * but provides invalidateLine() so a DRAM-cache eviction can flush the
  * stale CA-tagged lines of the departing page.
  */
 
@@ -17,7 +17,6 @@
 #define TDC_CACHE_SRAM_CACHE_HH
 
 #include <cstdint>
-#include <list>
 #include <vector>
 
 #include "cache/replacement.hh"
@@ -61,10 +60,10 @@ class SramCache : public SimObject, public ckpt::Checkpointable
     bool contains(Addr addr) const;
 
     /**
-     * Invalidates every line of the 4 KiB page holding base.
-     * @return addresses of dirty lines that must be written back.
+     * Invalidates the line holding addr, if present.
+     * @return true if it was dirty and must be written back.
      */
-    std::vector<Addr> invalidatePage(Addr base);
+    bool invalidateLine(Addr addr);
 
     /** Drops all contents (e.g. between benchmark phases). */
     void flushAll();

@@ -4,6 +4,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "cache/sram_cache.hh"
 #include "common/logging.hh"
 #include "dramcache/tagless_cache.hh"
 #include "vm/page_table.hh"
@@ -59,6 +60,13 @@ InvariantAuditor::addTlb(const Tlb *tlb, CoreId core,
     tdc_assert(tlb != nullptr && pt != nullptr, "null auditor target");
     tlbs_.push_back(TlbSite{tlb, core, pt});
     addPageTable(pt);
+}
+
+void
+InvariantAuditor::addCache(const SramCache *cache)
+{
+    tdc_assert(cache != nullptr, "null auditor target");
+    caches_.push_back(cache);
 }
 
 void
@@ -137,6 +145,16 @@ InvariantAuditor::observeEviction(obs::ProbePoint<obs::EvictionEvent> &p)
                 fatal("invariant violation [eviction state]: evicted "
                       "frame {} still GIPT-mapped or not free-flagged",
                       e.frame);
+        }
+        // The flush covers only the frame's access masks; any copy
+        // left behind would alias the frame's next page.
+        for (const SramCache *c : caches_) {
+            for (unsigned i = 0; i < linesPerPage; ++i) {
+                if (c->contains(caAddr(e.frame, i * cacheLineBytes)))
+                    fatal("invariant violation [flush completeness]: "
+                          "{} still holds line {} of evicted frame {}",
+                          c->name(), i, e.frame);
+            }
         }
         maybeSweep();
     });

@@ -22,6 +22,8 @@
  *   (d) Timing monotonicity: every probe payload's phase boundaries
  *       are ordered (TLB miss walk/handler, fill PTE-update/copy,
  *       eviction start/end, DRAM issue/completion).
+ *   (e) Flush completeness: after an eviction, no registered on-die
+ *       cache holds a valid line of the evicted frame.
  *
  * Cheap per-event checks run on every probe firing; the full
  * structural sweep (verifyAll) runs every `sweepInterval`-th
@@ -49,6 +51,7 @@
 namespace tdc {
 
 class PageTable;
+class SramCache;
 class TaglessCache;
 class Tlb;
 
@@ -96,6 +99,8 @@ class InvariantAuditor
     void setTagless(const TaglessCache *tc) { tagless_ = tc; }
     void addTlb(const Tlb *tlb, CoreId core, const PageTable *pt);
     void addPageTable(const PageTable *pt);
+    /** An on-die cache checked for flush completeness on eviction. */
+    void addCache(const SramCache *cache);
 
     /**
      * Runs the full structural sweep: GIPT/free-queue coherence, the
@@ -139,6 +144,7 @@ class InvariantAuditor
     const TaglessCache *tagless_ = nullptr;
     std::vector<TlbSite> tlbs_;
     std::vector<const PageTable *> pageTables_;
+    std::vector<const SramCache *> caches_;
     std::vector<std::unique_ptr<Attachment>> attachments_;
 
     std::uint64_t fires_ = 0;

@@ -1,5 +1,7 @@
 #include "core/memory_system.hh"
 
+#include <bit>
+
 #include "ckpt/stats_io.hh"
 #include "common/bitops.hh"
 #include "dramcache/org_dispatch.hh"
@@ -19,6 +21,10 @@ MemorySystem::MemorySystem(std::string name, CoreId core,
     l1i_ = std::make_unique<SramCache>(n + ".l1i", params.l1i);
     l1d_ = std::make_unique<SramCache>(n + ".l1d", params.l1d);
     l2_ = std::make_unique<SramCache>(n + ".l2", params.l2);
+    tdc_assert(params.l1i.lineBytes == cacheLineBytes
+                   && params.l1d.lineBytes == cacheLineBytes
+                   && params.l2.lineBytes == cacheLineBytes,
+               "page flushes address {}-byte lines", cacheLineBytes);
 
     // Residence listeners keep the GIPT's TLB bit vector exact; the
     // direct listener avoids a std::function hop per insert/evict.
@@ -157,24 +163,20 @@ MemorySystem::access(Addr vaddr, AccessType type, Tick when)
     return out;
 }
 
-unsigned
-MemorySystem::invalidatePage(Addr page_addr)
+std::uint64_t
+MemorySystem::invalidatePage(Addr page_addr, std::uint64_t lines)
 {
-    std::unordered_set<Addr> dirty;
-    invalidatePage(page_addr, dirty);
-    return static_cast<unsigned>(dirty.size());
-}
-
-void
-MemorySystem::invalidatePage(Addr page_addr,
-                             std::unordered_set<Addr> &dirty)
-{
-    for (Addr a : l1i_->invalidatePage(page_addr))
-        dirty.insert(a);
-    for (Addr a : l1d_->invalidatePage(page_addr))
-        dirty.insert(a);
-    for (Addr a : l2_->invalidatePage(page_addr))
-        dirty.insert(a);
+    const Addr page = alignDown(page_addr, pageBytes);
+    std::uint64_t dirty = 0;
+    for (; lines != 0; lines &= lines - 1) {
+        const unsigned i = static_cast<unsigned>(std::countr_zero(lines));
+        const Addr a = page + Addr{i} * cacheLineBytes;
+        // `|`, not `||`: every level must drop its copy.
+        const bool d = l1i_->invalidateLine(a) | l1d_->invalidateLine(a)
+                       | l2_->invalidateLine(a);
+        dirty |= std::uint64_t{d} << i;
+    }
+    return dirty;
 }
 
 void

@@ -17,8 +17,8 @@
 #ifndef TDC_CORE_MEMORY_SYSTEM_HH
 #define TDC_CORE_MEMORY_SYSTEM_HH
 
+#include <cstdint>
 #include <memory>
-#include <unordered_set>
 
 #include "cache/sram_cache.hh"
 #include "ckpt/checkpointable.hh"
@@ -54,22 +54,17 @@ class MemorySystem : public SimObject, public ckpt::Checkpointable
     MemAccessResult access(Addr vaddr, AccessType type, Tick when);
 
     /**
-     * Flushes one frame-space page from this core's L1/L2 caches.
-     * @return number of distinct dirty lines flushed.
+     * Flushes the lines of one frame-space page named by `lines` (bit
+     * i = the page's i-th 64-byte line) from this core's L1I, L1D and
+     * L2 caches.
+     * @return mask of the flushed lines that were dirty at any level.
+     * A line can be dirty at two levels at once (re-written in L1 over
+     * an older dirty write-back parked in L2) and, for thread-shared
+     * pages, in several cores' private caches; it still streams to the
+     * frame as one line, so callers that size flush traffic OR the
+     * masks across cores and count bits rather than summing counts.
      */
-    unsigned invalidatePage(Addr page_addr);
-
-    /**
-     * As above, but records each dirty line's address into `dirty`
-     * instead of counting. A line can be dirty at two levels at once
-     * (re-written in L1 over an older dirty write-back parked in L2)
-     * and, for thread-shared pages, in several cores' private caches;
-     * it still streams to the frame as one line, so callers that size
-     * flush traffic must collect one set across levels and cores
-     * rather than summing per-cache counts.
-     */
-    void invalidatePage(Addr page_addr,
-                        std::unordered_set<Addr> &dirty);
+    std::uint64_t invalidatePage(Addr page_addr, std::uint64_t lines);
 
     /** TLB shootdown of one translation on this core. */
     void shootdown(AsidVpn key);

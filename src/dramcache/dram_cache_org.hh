@@ -59,9 +59,14 @@ class DramCacheOrg : public SimObject,
   public:
     /**
      * Flushes the on-die cache lines of one (frame-space) page and
-     * returns how many dirty lines were written back in the process.
+     * returns how many distinct dirty lines were written back in the
+     * process. Only the cores set in `cores` (bit i = core i) and the
+     * lines set in `lines` (bit i = the page's i-th 64-byte line) can
+     * hold a copy; the caller guarantees that nothing outside the
+     * masks does.
      */
-    using PageInvalidator = std::function<unsigned(Addr page_addr)>;
+    using PageInvalidator = std::function<unsigned(
+        Addr page_addr, std::uint32_t cores, std::uint64_t lines)>;
 
     /** Invalidates one translation in every core's TLBs. */
     using ShootdownFn = std::function<void(AsidVpn key)>;

@@ -341,11 +341,7 @@ TaglessCache::releaseSuperpage(PageTable &pt, PageNum base_vpn,
     Tick bt = when;
     for (unsigned i = 0; i < pagesPerSuperpage; ++i) {
         const std::uint64_t f = base + i;
-        if (invalidator_) {
-            const unsigned dirty_lines = invalidator_(caAddr(f, 0));
-            if (dirty_lines > 0)
-                frames_[f].dirty = true;
-        }
+        bt = flushOnDie(f, bt);
         if (frames_[f].dirty) {
             const Tick rd = inPkgPageAccess(f, false, bt);
             bt = offPkgPageAccess(old_base_ppn + i, true, rd);
@@ -449,6 +445,25 @@ TaglessCache::forceShootdown(std::uint64_t frame)
                "frame still TLB-resident after shootdown");
 }
 
+Tick
+TaglessCache::flushOnDie(std::uint64_t frame, Tick when)
+{
+    // Flush CA-tagged lines of the departing page from the on-die
+    // caches; dirty ones must land in the frame before the copy-out.
+    if (!invalidator_)
+        return when;
+    FrameMeta &meta = frames_[frame];
+    const unsigned dirty_lines =
+        invalidator_(caAddr(frame, 0), meta.cores, meta.lines);
+    if (dirty_lines == 0)
+        return when;
+    meta.dirty = true;
+    return inPkg_
+        .access(pageBase(frame),
+                std::uint64_t{dirty_lines} * cacheLineBytes, true, when)
+        .completionTick;
+}
+
 void
 TaglessCache::evictOne(Tick when)
 {
@@ -470,19 +485,7 @@ TaglessCache::evictOne(Tick when)
              .completionTick;
     ++giptReads_;
 
-    // Flush CA-tagged lines of the departing page from the on-die
-    // caches; dirty ones must land in the frame before the copy-out.
-    if (invalidator_) {
-        const unsigned dirty_lines = invalidator_(caAddr(frame, 0));
-        if (dirty_lines > 0) {
-            bt = inPkg_
-                     .access(pageBase(frame),
-                             std::uint64_t{dirty_lines} * cacheLineBytes,
-                             true, bt)
-                     .completionTick;
-            frames_[frame].dirty = true;
-        }
-    }
+    bt = flushOnDie(frame, bt);
 
     // Dirty pages stream back to off-package DRAM.
     if (frames_[frame].dirty) {
@@ -533,7 +536,6 @@ TaglessCache::evictOne(Tick when)
 L3Result
 TaglessCache::access(Addr addr, AccessType type, CoreId core, Tick when)
 {
-    (void)core;
     const bool write = isWrite(type);
     L3Result res;
 
@@ -543,7 +545,12 @@ TaglessCache::access(Addr addr, AccessType type, CoreId core, Tick when)
         // occupied frame, so this access needs no membership check.
         tdc_assert(gipt_.at(frame).valid,
                    "CA access to unoccupied frame {}", frame);
-        frames_[frame].dirty |= write;
+        // Every on-die copy of a CA line enters through here (an L2
+        // miss), so the masks name every core and line to flush.
+        FrameMeta &meta = frames_[frame];
+        meta.dirty |= write;
+        meta.cores |= static_cast<std::uint8_t>(1u << core);
+        meta.lines |= std::uint64_t{1} << (pageOffset(addr) >> cacheLineBits);
         touch(frame);
         res.completionTick =
             inPkgBlockAccess(frame, pageOffset(addr), write, when);
@@ -702,6 +709,10 @@ TaglessCache::loadOrgState(ckpt::Deserializer &in)
         gipt_.invalidate(f);
         if (!in.getBool())
             continue;
+        // The access masks are not checkpointed: until the frame turns
+        // over, any core and any line may hold a copy.
+        frames_[f].cores = 0xff;
+        frames_[f].lines = ~std::uint64_t{0};
         Gipt::Entry &g = gipt_.at(f);
         g.valid = true;
         g.ppn = in.getU64();

@@ -157,14 +157,24 @@ class TaglessCache final : public DramCacheOrg
     void loadOrgState(ckpt::Deserializer &in) override;
 
   private:
+    /**
+     * Per-frame state. `cores` and `lines` record which cores and which
+     * of the page's 64 lines reached the frame through access() since
+     * its fill: only those can hold on-die copies, so an eviction
+     * flushes only those (DESIGN.md 5). Not checkpointed; a restore
+     * sets both to all-ones on every occupied frame.
+     */
     struct FrameMeta
     {
         bool dirty = false;
         /** Part of a cached superpage: excluded from victim selection
          *  (reclaimed only via releaseSuperpage). */
         bool pinned = false;
+        std::uint8_t cores = 0; //!< bit i: core i accessed the frame
         std::uint64_t lastTouch = 0;
+        std::uint64_t lines = 0; //!< bit i: line i was accessed
     };
+    static_assert(Gipt::maxCores <= 8, "FrameMeta::cores is 8 bits");
 
     /**
      * Finds a 512-aligned run of free frames and removes it from the
@@ -179,6 +189,14 @@ class TaglessCache final : public DramCacheOrg
     /** Picks and evicts one victim; free frame enqueued with its
      *  eviction-traffic completion tick. */
     void evictOne(Tick when);
+
+    /**
+     * Flushes the frame's on-die lines through the page invalidator,
+     * limited to the frame's core and line masks. Dirty lines land in
+     * the frame as one in-package write and mark it dirty.
+     * @return tick at which that write completes (`when` if none).
+     */
+    Tick flushOnDie(std::uint64_t frame, Tick when);
 
     /** FIFO victim: oldest fill that is not TLB-resident / mid-fill. */
     std::uint64_t pickVictimFifo();

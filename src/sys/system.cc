@@ -1,6 +1,7 @@
 #include "sys/system.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cstdlib>
 
 #include "common/units.hh"
@@ -82,19 +83,22 @@ System::System(const SystemConfig &cfg) : cfg_(cfg)
 
     buildWorkloads();
 
-    // Cross-component wiring: page invalidation flushes every core's
-    // on-die caches; shootdowns hit every core's TLBs.
-    org_->setPageInvalidator([this](Addr page_addr) {
-        // One set across levels and cores: the same line can be dirty
-        // in L1 over a parked L2 write-back, and thread-shared pages
-        // sit dirty in several cores' private caches. Each distinct
-        // line streams to the frame once, so the flush never exceeds
-        // the page (one DRAM row).
-        std::unordered_set<Addr> dirty;
-        for (auto &ms : memSystems_)
-            ms->invalidatePage(page_addr, dirty);
-        return static_cast<unsigned>(dirty.size());
-    });
+    // Cross-component wiring: page invalidation flushes the on-die
+    // caches of the cores the org names; shootdowns hit every core's
+    // TLBs.
+    org_->setPageInvalidator(
+        [this](Addr page_addr, std::uint32_t cores, std::uint64_t lines) {
+            // One mask across levels and cores: the same line can be
+            // dirty in L1 over a parked L2 write-back, and thread-shared
+            // pages sit dirty in several cores' private caches. Each
+            // distinct line streams to the frame once, so the flush
+            // never exceeds the page (one DRAM row).
+            std::uint64_t dirty = 0;
+            for (auto &ms : memSystems_)
+                if ((cores >> ms->coreId()) & 1)
+                    dirty |= ms->invalidatePage(page_addr, lines);
+            return static_cast<unsigned>(std::popcount(dirty));
+        });
     org_->setShootdownFn([this](AsidVpn key) {
         for (auto &ms : memSystems_)
             ms->shootdown(key);
@@ -183,6 +187,9 @@ System::buildAuditor()
             auditor_->addTlb(&ms->itlb(), ms->coreId(), pt);
             auditor_->addTlb(&ms->dtlb(), ms->coreId(), pt);
             auditor_->addTlb(&ms->l2tlb(), ms->coreId(), pt);
+            auditor_->addCache(&ms->l1i());
+            auditor_->addCache(&ms->l1d());
+            auditor_->addCache(&ms->l2());
         }
     }
 }

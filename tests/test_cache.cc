@@ -104,8 +104,10 @@ TEST(SramCache, InvalidatePageFlushesAllLines)
     SramCache c("c", p);
     for (Addr a = 0x4000; a < 0x5000; a += 64)
         c.access(a, (a & 64) != 0); // alternate dirty lines
-    const auto dirty = c.invalidatePage(0x4321);
-    EXPECT_EQ(dirty.size(), 32u);
+    unsigned dirty = 0;
+    for (Addr a = 0x4000; a < 0x5000; a += 64)
+        dirty += c.invalidateLine(a) ? 1 : 0;
+    EXPECT_EQ(dirty, 32u);
     for (Addr a = 0x4000; a < 0x5000; a += 64)
         EXPECT_FALSE(c.contains(a));
 }
@@ -118,7 +120,8 @@ TEST(SramCache, InvalidatePageLeavesOtherPages)
     SramCache c("c", p);
     c.access(0x4000, false);
     c.access(0x8000, false);
-    c.invalidatePage(0x4000);
+    for (Addr a = 0x4000; a < 0x5000; a += 64)
+        c.invalidateLine(a);
     EXPECT_FALSE(c.contains(0x4000));
     EXPECT_TRUE(c.contains(0x8000));
 }

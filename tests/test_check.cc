@@ -269,6 +269,31 @@ TEST(CheckSystemTest, ArmedRunMatchesDetachedRun)
     EXPECT_EQ(a.coreIpc, b.coreIpc);
 }
 
+TEST(CheckSystemTest, FlushThatLeavesACopyBehindIsReported)
+{
+    // Test the test: the same armed run passes with the System's own
+    // page invalidator, and fails once the hook flushes nothing.
+    SystemConfig cfg = makeSystemConfig(OrgKind::Tagless, {"mcf"},
+                                        /*l3_size=*/1ULL << 20);
+    cfg.instsPerCore = 30'000;
+    cfg.warmupInsts = 10'000;
+    cfg.raw.set("check.audit", true);
+
+    {
+        System sys(cfg);
+        EXPECT_EQ(captureViolation([&] { sys.run(); }), "");
+        EXPECT_GT(dynamic_cast<TaglessCache &>(sys.org()).evictions(),
+                  0u);
+    }
+
+    System sys(cfg);
+    sys.org().setPageInvalidator(
+        [](Addr, std::uint32_t, std::uint64_t) { return 0u; });
+    const std::string msg = captureViolation([&] { sys.run(); });
+    EXPECT_NE(msg.find("[flush completeness]"), std::string::npos)
+        << msg;
+}
+
 TEST(CheckSystemTest, ArmedRestoreRevalidatesAndMatchesStraightRun)
 {
     SystemConfig cfg = makeSystemConfig(

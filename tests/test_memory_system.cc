@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "core/memory_system.hh"
 #include "dramcache/no_l3.hh"
 #include "dramcache/tagless_cache.hh"
@@ -15,6 +17,8 @@ using namespace tdc;
 using tdc::test::Machine;
 
 namespace {
+
+constexpr std::uint64_t allLines = ~std::uint64_t{0};
 
 struct MemSysTest : public ::testing::Test
 {
@@ -47,7 +51,10 @@ struct MemSysTest : public ::testing::Test
         ms = std::make_unique<MemorySystem>("mem", 0, params, m.cpuClk, m.pt,
                                             *org);
         org->setPageInvalidator(
-            [this](Addr a) { return ms->invalidatePage(a); });
+            [this](Addr a, std::uint32_t, std::uint64_t lines) {
+                return static_cast<unsigned>(
+                    std::popcount(ms->invalidatePage(a, lines)));
+            });
         org->setShootdownFn([this](AsidVpn k) { ms->shootdown(k); });
     }
 };
@@ -168,8 +175,10 @@ TEST_F(MemSysTest, InvalidatePageReportsDirtyLines)
     const Pte *pte = m.pt.find(pageOf(0x10000));
     ASSERT_NE(pte, nullptr);
     ASSERT_TRUE(pte->vc);
-    const unsigned dirty = ms->invalidatePage(caAddr(pte->frame, 0));
-    EXPECT_EQ(dirty, 2u) << "stores dirty the L1 copies only";
+    const std::uint64_t dirty =
+        ms->invalidatePage(caAddr(pte->frame, 0), allLines);
+    EXPECT_EQ(std::popcount(dirty), 2) << "stores dirty the L1 copies only";
+    EXPECT_EQ(dirty, 0b11u);
     // The lines are gone from L1 now.
     EXPECT_FALSE(
         ms->access(0x10000, AccessType::Load, r1.completionTick).l1Hit);
@@ -209,9 +218,11 @@ TEST_F(MemSysTest, InvalidatePageCountsLineDirtyAtTwoLevelsOnce)
     t = ms->access(0x10000, AccessType::Store, t).completionTick;
     ASSERT_TRUE(ms->l1d().contains(caAddr(f, 0)));
 
-    const unsigned dirty = ms->invalidatePage(caAddr(f, 0));
-    EXPECT_EQ(dirty, 1u)
+    const std::uint64_t dirty = ms->invalidatePage(caAddr(f, 0), allLines);
+    EXPECT_EQ(std::popcount(dirty), 1)
         << "one distinct line, even though two levels held it dirty";
+    EXPECT_FALSE(ms->l2().contains(caAddr(f, 0)))
+        << "the L2 copy is dropped too, not only the L1 one";
 }
 
 TEST_F(MemSysTest, InvalidatePageDedupesSharedDirtyLinesAcrossCores)
@@ -229,11 +240,33 @@ TEST_F(MemSysTest, InvalidatePageDedupesSharedDirtyLinesAcrossCores)
     ASSERT_NE(pte, nullptr);
     ASSERT_TRUE(pte->vc);
 
-    std::unordered_set<Addr> dirty;
-    ms->invalidatePage(caAddr(pte->frame, 0), dirty);
-    ms2->invalidatePage(caAddr(pte->frame, 0), dirty);
-    EXPECT_EQ(dirty.size(), 1u)
+    const std::uint64_t dirty =
+        ms->invalidatePage(caAddr(pte->frame, 0), allLines)
+        | ms2->invalidatePage(caAddr(pte->frame, 0), allLines);
+    EXPECT_EQ(std::popcount(dirty), 1)
         << "the same line dirty in two cores' caches flushes once";
+}
+
+TEST_F(MemSysTest, InvalidatePageFlushesOnlyMaskedLines)
+{
+    // Dirty lines 0, 1 and 2 of one page; a mask naming lines 0 and 2
+    // drops and reports those two and leaves line 1 cached.
+    buildTagless();
+    Tick t = 0;
+    for (Addr off : {0, 64, 128})
+        t = ms->access(0x10000 + off, AccessType::Store, t)
+                .completionTick;
+    const Pte *pte = m.pt.find(pageOf(0x10000));
+    ASSERT_NE(pte, nullptr);
+    ASSERT_TRUE(pte->vc);
+    const Addr page = caAddr(pte->frame, 0);
+
+    EXPECT_EQ(ms->invalidatePage(page, 0b101), 0b101u);
+    EXPECT_FALSE(ms->l1d().contains(page));
+    EXPECT_TRUE(ms->l1d().contains(page + 64));
+    EXPECT_FALSE(ms->l1d().contains(page + 128));
+    EXPECT_EQ(ms->invalidatePage(page, 0), 0u);
+    EXPECT_TRUE(ms->l1d().contains(page + 64));
 }
 
 TEST_F(MemSysTest, ShootdownDropsTranslations)

@@ -53,7 +53,8 @@ struct CoreHarness
         p.cacheBytes = 1ULL << 30;
         org = std::make_unique<TaglessCache>(
             "ctlb", m.inPkg, m.offPkg, m.phys, m.cpuClk, p);
-        org->setPageInvalidator([](Addr) { return 0u; });
+        org->setPageInvalidator(
+            [](Addr, std::uint32_t, std::uint64_t) { return 0u; });
         ms = std::make_unique<MemorySystem>("mem", 0, params, m.cpuClk, m.pt,
                                             *org);
         trace = std::make_unique<FixedTrace>(std::move(recs));

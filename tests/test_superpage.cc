@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "core/memory_system.hh"
 #include "dramcache/tagless_cache.hh"
 #include "test_util.hh"
@@ -35,7 +37,10 @@ struct SuperpageTest : public ::testing::Test
         ms = std::make_unique<MemorySystem>("mem", 0, coreParams, m.cpuClk,
                                             m.pt, *cache);
         cache->setPageInvalidator(
-            [this](Addr a) { return ms->invalidatePage(a); });
+            [this](Addr a, std::uint32_t, std::uint64_t lines) {
+                return static_cast<unsigned>(
+                    std::popcount(ms->invalidatePage(a, lines)));
+            });
         cache->setShootdownFn([this](AsidVpn k) { ms->shootdown(k); });
     }
 };
@@ -225,6 +230,24 @@ TEST_F(SuperpageTest, ReleaseRestoresPhysicalMapping)
     // Frames are reusable again.
     m.pt.splitSuperpage(spBase);
     EXPECT_EQ(m.pt.walk(spBase + 3).frame, orig_ppn + 3);
+}
+
+TEST_F(SuperpageTest, ReleaseChargesOnDieDirtyLineFlush)
+{
+    // A store leaves one dirty line in the core's L1D. Releasing the
+    // superpage flushes it into its frame before the copy-out: one
+    // in-package write, as a 4 KiB eviction charges.
+    build();
+    const Pte &sp = m.pt.installSuperpage(spBase);
+    const Tick t = ms->access(pageBase(spBase + 7) + 128,
+                              AccessType::Store, 0)
+                       .completionTick;
+    const Addr line = caAddr(sp.frame + 7, 128);
+    ASSERT_TRUE(ms->l1d().contains(line));
+    const auto writes_before = m.inPkg.writes();
+    cache->releaseSuperpage(m.pt, spBase, t);
+    EXPECT_EQ(m.inPkg.writes() - writes_before, 1u);
+    EXPECT_FALSE(ms->l1d().contains(line));
 }
 
 TEST_F(SuperpageTest, ReleaseShootsDownTranslations)

@@ -1,12 +1,17 @@
 /**
  * @file
  * Additional end-to-end checks: the online filter and superpages
- * through the full System, and cross-config conservation properties.
+ * through the full System, cross-config conservation properties, and
+ * the tagless eviction flush's core/line filter against a full flush.
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
+#include "ckpt/checkpoint.hh"
 #include "dramcache/tagless_cache.hh"
+#include "sys/report.hh"
 #include "sys/system.hh"
 #include "trace/workloads.hh"
 
@@ -26,7 +31,82 @@ quick(OrgKind org, const std::vector<std::string> &w,
     return cfg;
 }
 
+/** Replaces the System's page invalidator with one that ignores the
+ *  frame's masks: every core, all 64 lines. */
+void
+installFullFlush(System &sys)
+{
+    sys.org().setPageInvalidator(
+        [&sys](Addr page, std::uint32_t, std::uint64_t) {
+            std::uint64_t dirty = 0;
+            for (unsigned i = 0; i < sys.activeCores(); ++i)
+                dirty |= sys.memSystem(i).invalidatePage(
+                    page, ~std::uint64_t{0});
+            return static_cast<unsigned>(std::popcount(dirty));
+        });
+}
+
+std::uint64_t
+evictions(System &sys)
+{
+    return dynamic_cast<TaglessCache &>(sys.org()).evictions();
+}
+
+/** One measure leg's RunResult and stats tree, as JSON text. */
+std::string
+measured(System &sys)
+{
+    const RunResult r = sys.measure();
+    return toJson(r).dump() + "\n" + sys.statsJson().dump();
+}
+
+/**
+ * The masked flush must be invisible: straight and restored-from-warm
+ * runs equal, byte for byte, the same runs with a full flush, and the
+ * warm checkpoints are identical. The 4 MiB L3 turns its 1024 frames
+ * over within each leg, so restored frames turn over too.
+ */
+void
+expectMaskedFlushMatchesFullFlush(const std::vector<std::string> &w)
+{
+    SystemConfig cfg = quick(OrgKind::Tagless, w, 100'000);
+    cfg.l3SizeBytes = 4ULL << 20;
+    const std::uint64_t frames = cfg.l3SizeBytes / pageBytes;
+
+    System masked(cfg);
+    System full(cfg);
+    installFullFlush(full);
+    masked.warmup();
+    full.warmup();
+    ASSERT_GT(evictions(masked), frames);
+    const ckpt::Checkpoint ck = masked.makeCheckpoint();
+    EXPECT_EQ(ck.encode(), full.makeCheckpoint().encode());
+    const std::uint64_t warm_evictions = evictions(masked);
+    EXPECT_EQ(measured(masked), measured(full));
+    EXPECT_GT(evictions(masked) - warm_evictions, frames);
+
+    System rmasked(cfg);
+    System rfull(cfg);
+    installFullFlush(rfull);
+    rmasked.restoreCheckpoint(ck);
+    rfull.restoreCheckpoint(ck);
+    EXPECT_EQ(measured(rmasked), measured(rfull));
+}
+
 } // namespace
+
+TEST(SystemExtras, MaskedFlushMatchesFullFlushOnMix5)
+{
+    expectMaskedFlushMatchesFullFlush(
+        {"mcf", "soplex", "GemsFDTD", "lbm"});
+}
+
+TEST(SystemExtras, MaskedFlushMatchesFullFlushOnSharedPageTable)
+{
+    // 4 threads on one page table: a frame's lines sit in several
+    // cores' caches at once.
+    expectMaskedFlushMatchesFullFlush({"streamcluster"});
+}
 
 TEST(SystemExtras, FilterReducesFillsOnSingletonHeavyWorkload)
 {

@@ -28,11 +28,78 @@ struct TaglessTest : public ::testing::Test
     TaglessCacheParams params;
     std::unique_ptr<TaglessCache> cache;
 
-    // Pages invalidated via the page-invalidator hook.
-    std::vector<Addr> invalidated;
+    // Page flushes requested via the page-invalidator hook.
+    struct Flush
+    {
+        Addr page;
+        std::uint32_t cores;
+        std::uint64_t lines;
+    };
+    std::vector<Flush> invalidated;
     // Keys shot down via the shootdown hook.
     std::vector<AsidVpn> shotDown;
     unsigned dirtyLinesToReport = 0;
+
+    void
+    recordFlushes(TaglessCache &c)
+    {
+        c.setPageInvalidator(
+            [this](Addr a, std::uint32_t cores, std::uint64_t lines) {
+                invalidated.push_back(Flush{a, cores, lines});
+                return dirtyLinesToReport;
+            });
+    }
+
+    /** The last flush of `frame`'s page; fails the test if none. */
+    Flush
+    lastFlushOf(std::uint64_t frame) const
+    {
+        for (auto it = invalidated.rbegin(); it != invalidated.rend();
+             ++it) {
+            if (it->page == caAddr(frame, 0))
+                return *it;
+        }
+        ADD_FAILURE() << "frame " << frame << " was never flushed";
+        return {};
+    }
+
+    /**
+     * Restores the cache's checkpoint into a fresh cache on `m2`, in
+     * the System's order: page table and DRAM-device timing state
+     * first (bank/row state shapes fill latencies), then the org.
+     */
+    std::unique_ptr<TaglessCache>
+    restoreInto(Machine &m2)
+    {
+        ckpt::Serializer pts;
+        m.phys.saveState(pts);
+        m.pt.saveState(pts);
+        ckpt::Serializer ds;
+        m.inPkg.saveState(ds);
+        m.offPkg.saveState(ds);
+        ckpt::Serializer cs;
+        cache->saveState(cs);
+
+        ckpt::Deserializer ptd(pts.bytes());
+        m2.phys.loadState(ptd);
+        m2.pt.loadState(ptd);
+        ckpt::Deserializer dd(ds.bytes());
+        m2.inPkg.loadState(dd);
+        m2.offPkg.loadState(dd);
+        auto other = std::make_unique<TaglessCache>(
+            "ctlb2", m2.inPkg, m2.offPkg, m2.phys, m2.cpuClk, params);
+        other->setPteResolver(
+            [&m2](ProcId proc, PageType type, PageNum vpn) -> Pte * {
+                if (proc != 0)
+                    return nullptr;
+                return type == PageType::Page2M
+                           ? m2.pt.findSuperpage(vpn)
+                           : m2.pt.find(vpn);
+            });
+        ckpt::Deserializer cd(cs.bytes());
+        other->loadState(cd);
+        return other;
+    }
 
     void
     build(std::uint64_t frames = 16, ReplPolicy policy = ReplPolicy::FIFO,
@@ -43,10 +110,7 @@ struct TaglessTest : public ::testing::Test
         params.alphaFreeBlocks = alpha;
         cache = std::make_unique<TaglessCache>(
             "ctlb", m.inPkg, m.offPkg, m.phys, m.cpuClk, params);
-        cache->setPageInvalidator([this](Addr a) {
-            invalidated.push_back(a);
-            return dirtyLinesToReport;
-        });
+        recordFlushes(*cache);
         cache->setShootdownFn([this](AsidVpn k) {
             shotDown.push_back(k);
             // Emulate every core's TLBs dropping the translation. Only
@@ -249,7 +313,59 @@ TEST_F(TaglessTest, EvictionFlushesOnDieCaches)
     miss(2);
     miss(3); // evicts frame of page 1
     ASSERT_FALSE(invalidated.empty());
-    EXPECT_EQ(invalidated.front(), caAddr(f1.entry.frame, 0));
+    EXPECT_EQ(invalidated.front().page, caAddr(f1.entry.frame, 0));
+}
+
+TEST_F(TaglessTest, FlushNamesExactlyTheCoresAndLinesAccessSaw)
+{
+    build(2);
+    const auto f1 = miss(1);
+    const std::uint64_t frame = f1.entry.frame;
+    cache->access(caAddr(frame, 0), AccessType::Load, 2, f1.readyTick);
+    cache->access(caAddr(frame, 5 * cacheLineBytes), AccessType::Store,
+                  2, f1.readyTick);
+    miss(2); // evicts page 1 (alpha = 1)
+    ASSERT_FALSE(m.pt.find(1)->vc);
+    const Flush fl = lastFlushOf(frame);
+    EXPECT_EQ(fl.cores, 1u << 2);
+    EXPECT_EQ(fl.lines, 0x21u);
+}
+
+TEST_F(TaglessTest, FrameMasksAreEmptyAgainAfterRefill)
+{
+    build(2);
+    const auto f1 = miss(1);
+    const std::uint64_t frame = f1.entry.frame;
+    cache->access(caAddr(frame, 3 * cacheLineBytes), AccessType::Load,
+                  1, f1.readyTick);
+    miss(2); // evicts page 1 from `frame`
+    ASSERT_EQ(lastFlushOf(frame).lines, 1u << 3);
+    // Page 3 refills the frame (and evicts page 2); page 4 evicts
+    // page 3, which nothing accessed since the refill.
+    ASSERT_EQ(miss(3).entry.frame, frame);
+    miss(4);
+    ASSERT_FALSE(m.pt.find(3)->vc);
+    const Flush fl = lastFlushOf(frame);
+    EXPECT_EQ(fl.cores, 0u);
+    EXPECT_EQ(fl.lines, 0u);
+}
+
+TEST_F(TaglessTest, RestoredFrameFlushesEveryCoreAndLine)
+{
+    // The masks are not checkpointed: a restored occupied frame must
+    // assume any core and line may hold a copy.
+    build(2);
+    const auto f1 = miss(1);
+    cache->access(caAddr(f1.entry.frame, 0), AccessType::Load, 0,
+                  f1.readyTick);
+    Machine m2;
+    auto other = restoreInto(m2);
+    recordFlushes(*other);
+    other->handleTlbMiss(m2.pt, 2, 0, f1.readyTick); // evicts page 1
+    ASSERT_FALSE(m2.pt.find(1)->vc);
+    const Flush fl = lastFlushOf(f1.entry.frame);
+    EXPECT_EQ(fl.cores, 0xffu);
+    EXPECT_EQ(fl.lines, ~std::uint64_t{0});
 }
 
 TEST_F(TaglessTest, DirtyOnDieLinesForceWriteback)
@@ -360,46 +476,18 @@ TEST_F(TaglessTest, FreeStallSurvivesCheckpointRestore)
     const Tick ready = cache->freeQueue().front().readyTick;
     ASSERT_GT(ready, 0u);
 
-    // Mirror the System's restore order: page table and DRAM-device
-    // timing state first (bank/row state shapes fill latencies), then
-    // the org itself.
-    ckpt::Serializer pts;
-    m.phys.saveState(pts);
-    m.pt.saveState(pts);
-    ckpt::Serializer ds;
-    m.inPkg.saveState(ds);
-    m.offPkg.saveState(ds);
-    ckpt::Serializer cs;
-    cache->saveState(cs);
-
     Machine m2;
-    ckpt::Deserializer ptd(pts.bytes());
-    m2.phys.loadState(ptd);
-    m2.pt.loadState(ptd);
-    ckpt::Deserializer dd(ds.bytes());
-    m2.inPkg.loadState(dd);
-    m2.offPkg.loadState(dd);
-    TaglessCache other("ctlb2", m2.inPkg, m2.offPkg, m2.phys, m2.cpuClk,
-                       params);
-    other.setPteResolver(
-        [&m2 = m2](ProcId proc, PageType type, PageNum vpn) -> Pte * {
-            if (proc != 0)
-                return nullptr;
-            return type == PageType::Page2M ? m2.pt.findSuperpage(vpn)
-                                            : m2.pt.find(vpn);
-        });
-    ckpt::Deserializer cd(cs.bytes());
-    other.loadState(cd);
+    auto other = restoreInto(m2);
 
-    ASSERT_FALSE(other.freeQueue().blocks().empty());
-    EXPECT_EQ(other.freeQueue().front().readyTick, ready)
+    ASSERT_FALSE(other->freeQueue().blocks().empty());
+    EXPECT_EQ(other->freeQueue().front().readyTick, ready)
         << "pending eviction traffic must survive restore";
 
     const auto a = miss(3, 0);
-    const auto b = other.handleTlbMiss(m2.pt, 3, 0, 0);
+    const auto b = other->handleTlbMiss(m2.pt, 3, 0, 0);
     EXPECT_EQ(b.readyTick, a.readyTick)
         << "restored fill must stall exactly like the straight one";
-    EXPECT_EQ(other.freeStalls(), cache->freeStalls());
+    EXPECT_EQ(other->freeStalls(), cache->freeStalls());
 }
 
 TEST_F(TaglessTest, StatsAndStorageAccounting)
@@ -446,7 +534,8 @@ TEST_P(TaglessInvariants, HoldAfterRandomWorkload)
     params.cacheBytes = frames * pageBytes;
     params.policy = policy;
     TaglessCache cache("ctlb", m.inPkg, m.offPkg, m.phys, m.cpuClk, params);
-    cache.setPageInvalidator([](Addr) { return 0u; });
+    cache.setPageInvalidator(
+        [](Addr, std::uint32_t, std::uint64_t) { return 0u; });
 
     Pcg32 rng(1234);
     Tick t = 0;
