@@ -9,6 +9,10 @@
  * stored as their IEEE-754 bit pattern; strings as a u64 length plus
  * raw bytes.
  *
+ * Supported hosts are little-endian, so the on-disk byte order is the
+ * host's: each fixed-width value moves with one memcpy, and each read
+ * makes one bounds check for the whole value.
+ *
  * The Deserializer is bounds-checked: reading past the end of a section
  * is a fatal() (catchable via ScopedFatalCapture), never undefined
  * behaviour, so truncated or corrupt checkpoints fail loudly.
@@ -17,6 +21,7 @@
 #ifndef TDC_CKPT_SERIALIZER_HH
 #define TDC_CKPT_SERIALIZER_HH
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -28,56 +33,53 @@
 namespace tdc {
 namespace ckpt {
 
+// A big-endian host would need a byte swap per value; no supported
+// host or CI target is big-endian.
+static_assert(std::endian::native == std::endian::little,
+              "the checkpoint codec stores values in host byte order");
+
 /** Appends fixed-width little-endian values to a growable buffer. */
 class Serializer
 {
   public:
     void putU8(std::uint8_t v) { buf_.push_back(v); }
-
-    void
-    putU16(std::uint16_t v)
-    {
-        putU8(static_cast<std::uint8_t>(v));
-        putU8(static_cast<std::uint8_t>(v >> 8));
-    }
-
-    void
-    putU32(std::uint32_t v)
-    {
-        for (int i = 0; i < 4; ++i)
-            putU8(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-
-    void
-    putU64(std::uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i)
-            putU8(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-
+    void putU16(std::uint16_t v) { put(v); }
+    void putU32(std::uint32_t v) { put(v); }
+    void putU64(std::uint64_t v) { put(v); }
     void putBool(bool v) { putU8(v ? 1 : 0); }
-
-    void
-    putDouble(double v)
-    {
-        std::uint64_t bits = 0;
-        static_assert(sizeof(bits) == sizeof(v));
-        std::memcpy(&bits, &v, sizeof(bits));
-        putU64(bits);
-    }
+    void putDouble(double v) { put(v); }
 
     void
     putString(std::string_view s)
     {
         putU64(s.size());
-        buf_.insert(buf_.end(), s.begin(), s.end());
+        putBytes(reinterpret_cast<const std::uint8_t *>(s.data()),
+                 s.size());
     }
+
+    /** Appends `n` raw bytes. */
+    void
+    putBytes(const std::uint8_t *data, std::size_t n)
+    {
+        buf_.insert(buf_.end(), data, data + n);
+    }
+
+    void reserve(std::size_t n) { buf_.reserve(n); }
 
     const std::vector<std::uint8_t> &bytes() const { return buf_; }
     std::vector<std::uint8_t> take() { return std::move(buf_); }
     std::size_t size() const { return buf_.size(); }
 
   private:
+    template <typename T>
+    void
+    put(T v)
+    {
+        std::uint8_t b[sizeof(T)];
+        std::memcpy(b, &v, sizeof(T));
+        buf_.insert(buf_.end(), b, b + sizeof(T));
+    }
+
     std::vector<std::uint8_t> buf_;
 };
 
@@ -93,65 +95,48 @@ class Deserializer
         : Deserializer(bytes.data(), bytes.size())
     {}
 
-    std::uint8_t
-    getU8()
-    {
-        need(1);
-        return data_[pos_++];
-    }
-
-    std::uint16_t
-    getU16()
-    {
-        std::uint16_t v = getU8();
-        v |= static_cast<std::uint16_t>(getU8()) << 8;
-        return v;
-    }
-
-    std::uint32_t
-    getU32()
-    {
-        std::uint32_t v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= static_cast<std::uint32_t>(getU8()) << (8 * i);
-        return v;
-    }
-
-    std::uint64_t
-    getU64()
-    {
-        std::uint64_t v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= static_cast<std::uint64_t>(getU8()) << (8 * i);
-        return v;
-    }
-
+    std::uint8_t getU8() { return get<std::uint8_t>(); }
+    std::uint16_t getU16() { return get<std::uint16_t>(); }
+    std::uint32_t getU32() { return get<std::uint32_t>(); }
+    std::uint64_t getU64() { return get<std::uint64_t>(); }
     bool getBool() { return getU8() != 0; }
-
-    double
-    getDouble()
-    {
-        const std::uint64_t bits = getU64();
-        double v = 0.0;
-        std::memcpy(&v, &bits, sizeof(v));
-        return v;
-    }
+    double getDouble() { return get<double>(); }
 
     std::string
     getString()
     {
         const std::uint64_t len = getU64();
-        need(len);
-        std::string s(reinterpret_cast<const char *>(data_ + pos_),
-                      static_cast<std::size_t>(len));
-        pos_ += static_cast<std::size_t>(len);
-        return s;
+        const auto *p = reinterpret_cast<const char *>(getBytes(len));
+        return std::string(p, static_cast<std::size_t>(len));
+    }
+
+    /**
+     * Returns a pointer to the next `n` bytes of the buffer being read
+     * and moves past them. The pointer stays valid as long as that
+     * buffer does.
+     */
+    const std::uint8_t *
+    getBytes(std::uint64_t n)
+    {
+        need(n);
+        const std::uint8_t *p = data_ + pos_;
+        pos_ += static_cast<std::size_t>(n);
+        return p;
     }
 
     std::size_t remaining() const { return size_ - pos_; }
     bool done() const { return pos_ == size_; }
 
   private:
+    template <typename T>
+    T
+    get()
+    {
+        T v;
+        std::memcpy(&v, getBytes(sizeof(T)), sizeof(T));
+        return v;
+    }
+
     void
     need(std::uint64_t n) const
     {
