@@ -3,16 +3,19 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdlib>
+#include <deque>
 #include <exception>
 #include <map>
 #include <memory>
+#include <mutex>
+#include <thread>
 
 #include "common/event_log.hh"
 #include "common/format.hh"
 #include "common/logging.hh"
 #include "metrics/registry.hh"
-#include "runner/thread_pool.hh"
 #include "sys/report.hh"
 
 namespace tdc {
@@ -52,6 +55,20 @@ medianOf(std::vector<double> xs)
     std::sort(xs.begin(), xs.end());
     const std::size_t n = xs.size();
     return n % 2 ? xs[n / 2] : (xs[n / 2 - 1] + xs[n / 2]) / 2.0;
+}
+
+/**
+ * Worker threads for n tasks: `requested`, or hardware_concurrency()
+ * when it is 0, clamped to [1, n].
+ */
+unsigned
+workerCount(unsigned requested, std::size_t n)
+{
+    unsigned workers =
+        requested != 0 ? requested : std::thread::hardware_concurrency();
+    if (n > 0 && workers > n)
+        workers = static_cast<unsigned>(n);
+    return std::max(workers, 1u);
 }
 
 /**
@@ -148,10 +165,12 @@ runJob(const JobSpec &job, double timeout_s,
     ScopedLogLabel log_label(job.label);
     JobResult r;
     r.label = job.label;
-    for (unsigned attempt = 1; attempt <= 2; ++attempt) {
+    // Only a restored attempt is retried, in full, so a corrupt shared
+    // warm state can never fail a job permanently. A full run is
+    // deterministic: its retry would repeat the failure.
+    const unsigned max_attempts = warm != nullptr ? 2 : 1;
+    for (unsigned attempt = 1; attempt <= max_attempts; ++attempt) {
         r.attempts = attempt;
-        // The retry runs warmup + measure in full, so a corrupt shared
-        // warm state can never fail a job permanently.
         const ckpt::Checkpoint *restore = attempt == 1 ? warm : nullptr;
         const auto t0 = Clock::now();
         try {
@@ -209,37 +228,105 @@ runJob(const JobSpec &job, double timeout_s,
     return r;
 }
 
-std::vector<std::shared_ptr<const ckpt::Checkpoint>>
-shareWarmups(const std::vector<JobSpec> &jobs, unsigned requested,
-             const WarmFn &warm)
+void
+runPipeline(const std::vector<JobSpec> &jobs, unsigned requested,
+            const WarmFn &warm, const JobFn &run)
 {
-    // Groups in order of first appearance, so group i's first member
+    if (jobs.empty())
+        return;
+    using CkptRef = std::shared_ptr<const ckpt::Checkpoint>;
+    struct Group
+    {
+        std::uint64_t fingerprint;
+        std::vector<std::size_t> members; //!< job order
+    };
+    struct ReadyJob
+    {
+        std::size_t job;
+        CkptRef ckpt;
+    };
+
+    // Groups in order of first appearance, so a group's first member
     // is always the earliest job of its fingerprint.
-    std::vector<std::uint64_t> fingerprints;
-    std::vector<std::vector<std::size_t>> members;
-    std::map<std::uint64_t, std::size_t> index;
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        const std::uint64_t fp =
-            warmFingerprint(jobs[i].toSystemConfig());
-        auto [it, fresh] = index.emplace(fp, members.size());
-        if (fresh) {
-            fingerprints.push_back(fp);
-            members.emplace_back();
+    std::vector<Group> groups;
+    std::deque<ReadyJob> ready;
+    if (warm) {
+        std::map<std::uint64_t, std::size_t> index;
+        for (std::size_t i = 0; i < jobs.size(); ++i) {
+            const std::uint64_t fp =
+                warmFingerprint(jobs[i].toSystemConfig());
+            auto [it, fresh] = index.emplace(fp, groups.size());
+            if (fresh)
+                groups.push_back({fp, {}});
+            groups[it->second].members.push_back(i);
         }
-        members[it->second].push_back(i);
+    } else {
+        for (std::size_t i = 0; i < jobs.size(); ++i)
+            ready.push_back({i, nullptr});
     }
 
-    std::vector<std::shared_ptr<const ckpt::Checkpoint>> ckpts(
-        jobs.size());
-    parallelFor(members.size(), requested, [&](std::size_t g) {
-        const JobSpec &first = jobs[members[g].front()];
-        ScopedLogLabel log_label("warm " + first.label);
-        const auto ck =
-            warm(WarmGroup{first, fingerprints[g], members[g].size()});
-        for (std::size_t i : members[g])
-            ckpts[i] = ck;
-    });
-    return ckpts;
+    std::mutex mutex; // guards ready, next_warm and warming
+    std::condition_variable cv;
+    std::size_t next_warm = 0;
+    unsigned warming = 0; // warms in flight
+    // One slot per job, each written by at most one worker.
+    std::vector<std::exception_ptr> errors(jobs.size());
+
+    auto worker = [&] {
+        std::unique_lock<std::mutex> lock(mutex);
+        for (;;) {
+            if (!ready.empty()) {
+                ReadyJob r = std::move(ready.front());
+                ready.pop_front();
+                lock.unlock();
+                try {
+                    run(r.job, r.ckpt.get());
+                } catch (...) {
+                    errors[r.job] = std::current_exception();
+                }
+                r.ckpt.reset(); // the job's hold ends with run()
+                lock.lock();
+            } else if (next_warm < groups.size()) {
+                // No job is waiting, so every live checkpoint but the
+                // one this warm makes has a job running elsewhere.
+                const Group &g = groups[next_warm++];
+                ++warming;
+                lock.unlock();
+                const JobSpec &first = jobs[g.members.front()];
+                const WarmGroup wg{first, g.fingerprint, g.members.size()};
+                CkptRef ck;
+                std::exception_ptr err;
+                try {
+                    ScopedLogLabel log_label("warm " + first.label);
+                    ck = warm(wg);
+                } catch (...) {
+                    err = std::current_exception();
+                }
+                lock.lock();
+                --warming;
+                if (err != nullptr)
+                    errors[g.members.front()] = err;
+                else
+                    for (std::size_t i : g.members)
+                        ready.push_back({i, ck});
+                cv.notify_all();
+            } else if (warming == 0) {
+                return;
+            } else {
+                cv.wait(lock, [&] { return !ready.empty() || warming == 0; });
+            }
+        }
+    };
+    {
+        // jthread joins on destruction, on the exception path too.
+        std::vector<std::jthread> workers;
+        const unsigned n = workerCount(requested, jobs.size());
+        for (unsigned t = 0; t < n; ++t)
+            workers.emplace_back(worker);
+    }
+    for (const auto &e : errors)
+        if (e != nullptr)
+            std::rethrow_exception(e);
 }
 
 WarmState
@@ -293,27 +380,26 @@ SweepRunner::run(const SweepManifest &manifest) const
 {
     manifest.validate();
     const std::size_t n = manifest.jobs.size();
-
-    std::vector<std::shared_ptr<const ckpt::Checkpoint>> warm(n);
+    WarmFn warm;
     if (opt_.shareWarmups) {
-        warm = shareWarmups(
-            manifest.jobs, opt_.jobs, [this](const WarmGroup &g) {
-                return warmCheckpoint(g, "[sweep]", opt_.progress).ckpt;
-            });
+        warm = [this](const WarmGroup &g) {
+            return warmCheckpoint(g, "[sweep]", opt_.progress).ckpt;
+        };
     }
 
     std::vector<JobResult> results(n);
     std::atomic<unsigned> done{0};
     const unsigned repeat = std::max(opt_.repeat, 1u);
-    // A throw out of parallelFor is a runner bug; job failures live
-    // in results.
-    parallelFor(n, opt_.jobs, [&](std::size_t i) {
-        results[i] = runJob(manifest.jobs[i], manifest.timeoutSeconds,
-                            warm[i].get(), repeat);
+    const auto measure = [&](std::size_t i, const ckpt::Checkpoint *ck) {
+        JobResult &r = results[i];
+        r = runJob(manifest.jobs[i], manifest.timeoutSeconds, ck, repeat);
         const unsigned d = ++done;
         if (opt_.progress)
-            progressLine(results[i], d, static_cast<unsigned>(n));
-    });
+            progressLine(r, d, static_cast<unsigned>(n));
+    };
+    // A throw out of runPipeline is a runner bug; job failures live
+    // in results.
+    runPipeline(manifest.jobs, opt_.jobs, warm, measure);
     return results;
 }
 

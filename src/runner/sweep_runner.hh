@@ -1,8 +1,8 @@
 /**
  * @file
- * Executes a SweepManifest's design points on a worker thread pool,
- * and the per-job core (runJob, shareWarmups) that the sweep service
- * runs its design points through as well.
+ * Executes a SweepManifest's design points on worker threads, and the
+ * per-job core (runJob, runPipeline) that the sweep service runs its
+ * design points through as well.
  *
  * Each job builds, runs and tears down its own System, so jobs share
  * nothing but the logging sink (which is mutex-serialized and prefixes
@@ -13,9 +13,11 @@
  *
  * Failure handling per job (runJob):
  *  - an exception (including fatal(), which workers capture as
- *    FatalError) marks the job Failed and triggers one automatic
- *    retry, which runs warmup + measure in full; the second failure
- *    is reported with its message;
+ *    FatalError) marks the job Failed. If that attempt restored a
+ *    warm checkpoint, one automatic retry runs warmup + measure in
+ *    full, so a corrupt shared state cannot fail a job permanently;
+ *    a failed full run is final, since a deterministic re-run would
+ *    fail the same way. The last failure is reported with its message;
  *  - a job whose wall time exceeds the manifest's timeout_seconds is
  *    reported TimedOut (checked after the run completes -- a System
  *    cannot be interrupted mid-simulation) and is not retried;
@@ -87,7 +89,8 @@ struct SweepOptions
      * "Warm once, restore many": jobs whose warm-relevant
      * configuration hashes (warmFingerprint) match are grouped; one
      * System per group runs the warmup and is checkpointed in memory,
-     * and every job in the group measures from the restored state.
+     * and every job in the group measures from the restored state
+     * (runPipeline).
      * Aggregated output is byte-identical to the non-shared path at
      * any worker count; a group whose warm run fails falls back to
      * full per-job runs.
@@ -132,7 +135,8 @@ class SweepRunner
 /**
  * Runs one design point under the per-job contract above. Each
  * attempt runs under ScopedFatalCapture; with `warm`, attempt 1
- * restores it and runs only the measurement leg. `repeat` > 1 re-runs
+ * restores it and runs only the measurement leg, and attempt 2 (only
+ * after a failed attempt 1) runs in full. `repeat` > 1 re-runs
  * an ok job for a median-of-N wall time. Counts the job into
  * jobMetrics() and logs one `job_done` event.
  */
@@ -154,7 +158,7 @@ struct JobMetrics
 
 JobMetrics &jobMetrics();
 
-/** One warm group, as shareWarmups() hands it to its callback. */
+/** One warm group, as runPipeline() hands it to its warm callback. */
 struct WarmGroup
 {
     const JobSpec &first;      //!< first member in job order
@@ -165,17 +169,41 @@ struct WarmGroup
 using WarmFn = std::function<std::shared_ptr<const ckpt::Checkpoint>(
     const WarmGroup &)>;
 
+/** Runs job i; `warm` is its group's checkpoint, or null. */
+using JobFn =
+    std::function<void(std::size_t i, const ckpt::Checkpoint *warm)>;
+
 /**
- * "Warm once, restore many": groups `jobs` by warmFingerprint() and
- * calls warm() once per group, on workerCount(requested, #groups)
- * threads under the log label "warm <first label>". Members differ
- * only in measure-phase configuration, so the group's checkpoint is
- * exactly the state each member's own warmup would produce. Returns
- * each job's checkpoint in job order; null runs the job in full.
+ * The warm->measure pipeline: calls run(i, ck) once for every job i
+ * on `requested` threads (0: one per hardware thread; never more
+ * than #jobs), and returns when every call has finished.
+ *
+ * With `warm` ("warm once, restore many"), jobs are grouped by
+ * warmFingerprint() and warm() runs once per group under the log
+ * label "warm <first label>"; the group's jobs then measure from the
+ * checkpoint it returned. Members differ only in measure-phase
+ * configuration, so that checkpoint is exactly the state each
+ * member's own warmup would produce. Without `warm`, every job is
+ * ready at once and runs with a null checkpoint.
+ *
+ * Scheduling: a free worker takes a ready job first (groups in the
+ * order their warm finished, job order within a group), else starts
+ * the next warm (groups ordered by first member). A job holds its
+ * group's checkpoint only until run() returns. Invariant: when a warm
+ * starts no job is waiting, so every other live checkpoint belongs to
+ * a job running on another worker; at most one checkpoint per worker
+ * is alive, whatever the number of groups. A worker with nothing to
+ * take waits while any warm is in flight, since that warm will queue
+ * jobs.
+ *
+ * Failures: a null checkpoint from warm() runs its group's jobs in
+ * full (run() gets null); a group whose warm() threw runs no jobs; an
+ * exception escaping run() or warm() is rethrown here after every
+ * other task has finished, the first by job index (a warm counts at
+ * its group's first member).
  */
-std::vector<std::shared_ptr<const ckpt::Checkpoint>>
-shareWarmups(const std::vector<JobSpec> &jobs, unsigned requested,
-             const WarmFn &warm);
+void runPipeline(const std::vector<JobSpec> &jobs, unsigned requested,
+                 const WarmFn &warm, const JobFn &run);
 
 /** A warm group's shared state: what warmCheckpoint() produced. */
 struct WarmState

@@ -16,7 +16,6 @@
 #include "common/logging.hh"
 #include "metrics/registry.hh"
 #include "runner/sweep_runner.hh"
-#include "runner/thread_pool.hh"
 #include "serve/cache_key.hh"
 
 namespace fs = std::filesystem;
@@ -201,60 +200,59 @@ SweepService::drainOnce()
         toRun.push_back(std::move(job));
     }
 
-    // Phase 2: warm phase, grouped by warm fingerprint. Each group
-    // restores its persisted checkpoint (zero warmup instructions) or
-    // warms once, publishes the checkpoint to the cache and shares it
-    // across the group, exactly like --warm-once within a pass.
+    // Phases 2 and 3: one warm->measure pipeline, grouped by warm
+    // fingerprint. Each group restores its persisted checkpoint (zero
+    // warmup instructions) or warms once, publishes the checkpoint to
+    // the cache and shares it across the group, exactly like
+    // --warm-once within a pass. As soon as a group is warm, its jobs
+    // run the measurement leg through runner::runJob, the contract
+    // SweepRunner runs too. Fresh results always go to the result
+    // cache (disabling the cache only disables replay, not capture).
+    // A throw out of runPipeline is a service bug; job failures live
+    // in outcomes.
     std::vector<runner::JobSpec> specs;
     specs.reserve(toRun.size());
     for (const QueueJob &job : toRun)
         specs.push_back(job.spec);
-    const auto warm = runner::shareWarmups(
-        specs, cfg_.jobs, [&](const runner::WarmGroup &g) {
-            if (cfg_.useWarmCache) {
-                if (auto hit = warm_.lookup(g.fingerprint)) {
-                    {
-                        std::lock_guard<std::mutex> lock(stats_mutex);
-                        ++st.warmCacheHits;
-                    }
-                    progressLine(format("[served] warm hit {:<28} "
-                                        "shared by {} job(s)",
-                                        g.first.label, g.size),
-                                 cfg_.progress);
-                    return hit;
+    const auto warm = [&](const runner::WarmGroup &g) {
+        if (cfg_.useWarmCache) {
+            if (auto hit = warm_.lookup(g.fingerprint)) {
+                {
+                    std::lock_guard<std::mutex> lock(stats_mutex);
+                    ++st.warmCacheHits;
                 }
+                progressLine(format("[served] warm hit {:<28} "
+                                    "shared by {} job(s)",
+                                    g.first.label, g.size),
+                             cfg_.progress);
+                return hit;
             }
-            runner::WarmState ws =
-                runner::warmCheckpoint(g, "[served]", cfg_.progress);
-            if (ws.ckpt != nullptr && cfg_.useWarmCache) {
-                // A failed store costs a later pass a re-warm; this
-                // pass still shares the checkpoint in memory.
-                try {
-                    ScopedFatalCapture capture;
-                    warm_.store(*ws.ckpt, g.fingerprint);
-                } catch (const std::exception &e) {
-                    warn("warm cache: cannot store '{}': {}",
-                         g.first.label, e.what());
-                }
+        }
+        runner::WarmState ws =
+            runner::warmCheckpoint(g, "[served]", cfg_.progress);
+        if (ws.ckpt != nullptr && cfg_.useWarmCache) {
+            // A failed store costs a later pass a re-warm; this pass
+            // still shares the checkpoint in memory.
+            try {
+                ScopedFatalCapture capture;
+                warm_.store(*ws.ckpt, g.fingerprint);
+            } catch (const std::exception &e) {
+                warn("warm cache: cannot store '{}': {}", g.first.label,
+                     e.what());
             }
-            {
-                std::lock_guard<std::mutex> lock(stats_mutex);
-                ++st.warmCacheMisses;
-                st.warmupInstsSimulated += ws.insts;
-            }
-            drainMetrics().warmupInsts.inc(ws.insts);
-            return std::move(ws.ckpt);
-        });
-
-    // Phase 3: measurement leg per job through runner::runJob, the
-    // contract SweepRunner runs too. Fresh results always go to the
-    // result cache (disabling the cache only disables replay, not
-    // capture). A throw out of parallelFor is a service bug; job
-    // failures live in outcomes.
-    runner::parallelFor(toRun.size(), cfg_.jobs, [&](std::size_t i) {
+        }
+        {
+            std::lock_guard<std::mutex> lock(stats_mutex);
+            ++st.warmCacheMisses;
+            st.warmupInstsSimulated += ws.insts;
+        }
+        drainMetrics().warmupInsts.inc(ws.insts);
+        return std::move(ws.ckpt);
+    };
+    const auto measure = [&](std::size_t i, const ckpt::Checkpoint *ck) {
         const QueueJob &job = toRun[i];
         const runner::JobResult r =
-            runner::runJob(job.spec, job.timeoutSeconds, warm[i].get());
+            runner::runJob(job.spec, job.timeoutSeconds, ck);
         {
             std::lock_guard<std::mutex> lock(stats_mutex);
             st.warmupInstsSimulated += r.warmupInsts;
@@ -289,7 +287,8 @@ SweepService::drainOnce()
         if (!r.ok())
             line += format("  {}", r.error);
         progressLine(line, cfg_.progress);
-    });
+    };
+    runner::runPipeline(specs, cfg_.jobs, warm, measure);
 
     st.wallSeconds = secondsSince(t0);
     json::writeFile(st.toJson(),

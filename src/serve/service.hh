@@ -4,21 +4,21 @@
  * cross-invocation warm-checkpoint cache and the incremental result
  * cache together into a drainable daemon (DESIGN.md 10).
  *
- * A drain pass is three phases:
+ * A drain pass is two phases:
  *
  *  1. result-cache replay -- any claimed job whose (config hash,
  *     binary hash) already has a stored run report completes
  *     immediately, simulating nothing;
- *  2. warm phase -- the remaining jobs are grouped by
- *     warmFingerprint(); each group either restores its persisted
- *     warm checkpoint from the cache (simulating zero warmup
- *     instructions) or runs one warmup, checkpoints it, and publishes
- *     the checkpoint for every later invocation;
- *  3. measure phase -- each job runs through runner::runJob(), the
- *     job core SweepRunner uses: it restores its group's checkpoint
- *     and runs the measurement leg (restored measure() is
- *     byte-identical to a straight run, so reports match tdc_sweep
- *     exactly).
+ *  2. warm->measure pipeline (runner::runPipeline) -- the remaining
+ *     jobs are grouped by warmFingerprint(); each group either
+ *     restores its persisted warm checkpoint from the cache
+ *     (simulating zero warmup instructions) or runs one warmup,
+ *     checkpoints it, and publishes the checkpoint for every later
+ *     invocation. Once its group is warm, each job runs through
+ *     runner::runJob(), the job core SweepRunner uses: it restores
+ *     the group's checkpoint and runs the measurement leg (restored
+ *     measure() is byte-identical to a straight run, so reports match
+ *     tdc_sweep exactly). At most one checkpoint per worker is alive.
  *
  * reportFor() reassembles a tdc-sweep-report-v1 document for a
  * manifest purely from stored state, and mergeShardReports()
@@ -109,8 +109,8 @@ class SweepService
 
     /**
      * Recovers orphaned claims, then drains the queue to empty:
-     * result-cache replay, then warm phase, then measure phase, all
-     * on a worker pool. Writes <root>/last-drain.json and returns the
+     * result-cache replay, then the warm->measure pipeline on worker
+     * threads. Writes <root>/last-drain.json and returns the
      * pass's statistics. Safe to call with an empty queue.
      */
     DrainStats drainOnce();

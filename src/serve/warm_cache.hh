@@ -87,8 +87,8 @@ class WarmCache
     std::string dir_;
     std::uint64_t capacityBytes_;
 
-    /** Guards stats_ and eviction scans; the warm phase calls
-     *  lookup()/store() from multiple pool workers. */
+    /** Guards stats_ and eviction scans; a drain's warms call
+     *  lookup()/store() from several worker threads. */
     mutable std::mutex mutex_;
     Stats stats_;
 };

@@ -1,97 +1,35 @@
 /**
  * @file
- * Tests for the parallel sweep-runner subsystem: the ThreadPool
- * (completion, return values, exception capture, wait_for timeouts),
- * the thread-safe logging additions (per-thread labels, fatal()
- * capture), manifest parsing / expansion / round-trip, and the
- * SweepRunner contract the golden gate depends on -- results in
- * manifest order with aggregated JSON byte-identical at -j1 and -j8.
+ * Tests for the parallel sweep-runner subsystem: the thread-safe
+ * logging additions (per-thread labels, fatal() capture), manifest
+ * parsing / expansion / round-trip, the warm->measure scheduler
+ * (runPipeline), the per-job retry rule, and the SweepRunner contract
+ * the golden gate depends on -- results in manifest order with
+ * aggregated JSON byte-identical at -j1 and -j8.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <future>
+#include <condition_variable>
+#include <memory>
+#include <mutex>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "ckpt/checkpoint.hh"
+#include "common/format.hh"
 #include "common/logging.hh"
 #include "metrics/registry.hh"
 #include "runner/sweep.hh"
 #include "runner/sweep_runner.hh"
-#include "runner/thread_pool.hh"
 
 using namespace tdc;
 using namespace tdc::runner;
-
-// ---------------------------------------------------------------------
-// ThreadPool
-// ---------------------------------------------------------------------
-
-TEST(ThreadPool, RunsEveryTask)
-{
-    std::atomic<int> count{0};
-    {
-        ThreadPool pool(4);
-        std::vector<std::future<void>> futs;
-        for (int i = 0; i < 100; ++i)
-            futs.push_back(pool.submit([&count] { ++count; }));
-        for (auto &f : futs)
-            f.get();
-        EXPECT_EQ(count.load(), 100);
-        EXPECT_EQ(pool.threadCount(), 4u);
-    }
-}
-
-TEST(ThreadPool, DestructorDrainsQueue)
-{
-    // More tasks than workers: the destructor must finish them all.
-    std::atomic<int> count{0};
-    {
-        ThreadPool pool(2);
-        for (int i = 0; i < 50; ++i)
-            pool.submit([&count] { ++count; });
-    }
-    EXPECT_EQ(count.load(), 50);
-}
-
-TEST(ThreadPool, ReturnsValues)
-{
-    ThreadPool pool(2);
-    auto f = pool.submit([] { return 6 * 7; });
-    EXPECT_EQ(f.get(), 42);
-}
-
-TEST(ThreadPool, CapturesExceptions)
-{
-    ThreadPool pool(2);
-    auto f = pool.submit(
-        []() -> int { throw std::runtime_error("boom"); });
-    EXPECT_THROW(f.get(), std::runtime_error);
-
-    // The worker that ran the throwing task must still be alive.
-    auto g = pool.submit([] { return 1; });
-    EXPECT_EQ(g.get(), 1);
-}
-
-TEST(ThreadPool, WaitForTimesOutOnSlowTask)
-{
-    ThreadPool pool(1);
-    auto slow = pool.submit([] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(100));
-        return 7;
-    });
-    EXPECT_EQ(slow.wait_for(std::chrono::milliseconds(1)),
-              std::future_status::timeout);
-    EXPECT_EQ(slow.get(), 7); // still completes after the timeout
-}
-
-TEST(ThreadPool, DefaultConcurrencyIsPositive)
-{
-    EXPECT_GE(ThreadPool::defaultConcurrency(), 1u);
-}
 
 // ---------------------------------------------------------------------
 // Logging: fatal() capture and labels on worker threads
@@ -110,20 +48,20 @@ TEST(Logging, ScopedFatalCaptureThrows)
 
 TEST(Logging, FatalCaptureIsPerThread)
 {
-    // Capture installed on a pool worker must not leak to the main
+    // Capture installed on a worker thread must not leak to the main
     // thread or to other tasks after the scope ends.
-    ThreadPool pool(1);
-    auto f = pool.submit([]() -> std::string {
+    std::string what = "not thrown";
+    std::thread worker([&what] {
         ScopedFatalCapture capture;
         ScopedLogLabel label("job-a");
         try {
             fatal("bad workload");
         } catch (const FatalError &e) {
-            return e.what();
+            what = e.what();
         }
-        return "not thrown";
     });
-    EXPECT_EQ(f.get(), "bad workload");
+    worker.join();
+    EXPECT_EQ(what, "bad workload");
 }
 
 // ---------------------------------------------------------------------
@@ -327,8 +265,8 @@ TEST(SweepRunner, TimedSweepStaysByteIdenticalAcrossWorkerCounts)
 TEST(SweepRunner, CapturesPerJobFailureWithoutKillingTheSweep)
 {
     // Bypass manifest validation to force a runtime fatal() inside a
-    // worker: the job must fail in its slot, with one retry, while
-    // the healthy job still completes.
+    // worker: the job must fail in its slot while the healthy job
+    // still completes.
     SweepManifest m;
     m.name = "mixed";
     JobSpec bad;
@@ -350,7 +288,9 @@ TEST(SweepRunner, CapturesPerJobFailureWithoutKillingTheSweep)
     const auto results = SweepRunner(opt).run(m);
     ASSERT_EQ(results.size(), 2u);
     EXPECT_EQ(results[0].status, JobResult::Status::Failed);
-    EXPECT_EQ(results[0].attempts, 2u); // one automatic retry
+    // Not retried: the attempt restored no checkpoint, and a full run
+    // is deterministic, so a retry would fail the same way.
+    EXPECT_EQ(results[0].attempts, 1u);
     EXPECT_NE(results[0].error.find("no-such-workload"),
               std::string::npos);
     EXPECT_EQ(results[1].status, JobResult::Status::Ok);
@@ -408,4 +348,256 @@ TEST(SweepRunner, EffectiveWorkersClampsToJobCount)
     EXPECT_EQ(r.effectiveWorkers(3), 3u);
     SweepOptions def;
     EXPECT_GE(SweepRunner(def).effectiveWorkers(1000), 1u);
+}
+
+TEST(SweepRunner, RetriesOnlyAFailedWarmRestoreInFull)
+{
+    // The retry exists for a corrupt shared warm state. Restoring
+    // another warm group's checkpoint fatal()s on the fingerprint, so
+    // attempt 1 fails and attempt 2 runs warmup + measure in full.
+    const auto m = tinyManifest();
+    const JobSpec &job = m.jobs[0];
+    const JobSpec &other = m.jobs[1];
+    const std::uint64_t other_fp =
+        warmFingerprint(other.toSystemConfig());
+    ASSERT_NE(warmFingerprint(job.toSystemConfig()), other_fp);
+    const auto foreign =
+        warmCheckpoint(WarmGroup{other, other_fp, 1}, "[test]", false);
+    ASSERT_NE(foreign.ckpt, nullptr);
+
+    auto retries = [] {
+        const json::Value snap = metrics::registry().toJson(0);
+        const json::Value *c =
+            snap.find("counters")->find("tdc_job_retries_total");
+        return c != nullptr ? c->asUint() : 0;
+    };
+    const std::uint64_t before = retries();
+    const JobResult r = runJob(job, 0.0, foreign.ckpt.get());
+    EXPECT_EQ(r.status, JobResult::Status::Ok) << r.error;
+    EXPECT_EQ(r.attempts, 2u);
+    EXPECT_EQ(retries() - before, 1u);
+    EXPECT_GT(r.warmupInsts, 0u); // the retry warmed up itself
+    EXPECT_EQ(r.report.dump(), runJob(job, 0.0).report.dump());
+}
+
+// ---------------------------------------------------------------------
+// runPipeline: the warm->measure scheduler
+// ---------------------------------------------------------------------
+
+namespace {
+
+constexpr std::size_t kGroups = 8;
+constexpr std::size_t kPerGroup = 3;
+
+/**
+ * 8 warm groups x 3 jobs, interleaved: job i is member i / 8 of group
+ * i % 8. Groups differ in warmup budget, which the warm fingerprint
+ * covers; members differ only in measure budget.
+ */
+std::vector<JobSpec>
+groupedJobs()
+{
+    std::vector<JobSpec> jobs;
+    for (std::size_t i = 0; i < kGroups * kPerGroup; ++i) {
+        JobSpec j;
+        j.label = format("g{}/m{}", i % kGroups, i / kGroups);
+        j.workloads = {"mcf"};
+        j.warmupInsts = 1000 * (i % kGroups + 1);
+        j.instsPerCore = 1000 * (i / kGroups + 1);
+        jobs.push_back(std::move(j));
+    }
+    return jobs;
+}
+
+/**
+ * A warm() that simulates nothing: it returns an empty checkpoint
+ * stamped with the group's fingerprint, whose deleter keeps a count
+ * of the checkpoints alive at once.
+ */
+struct FakeWarm
+{
+    std::atomic<int> live{0};
+    std::atomic<int> calls{0};
+    std::mutex peak_mutex;
+    int peak = 0; //!< most checkpoints alive at once
+
+    std::shared_ptr<const ckpt::Checkpoint>
+    operator()(const WarmGroup &g)
+    {
+        ++calls;
+        auto ck = std::make_unique<ckpt::Checkpoint>();
+        ck->setFingerprint(g.fingerprint);
+        const auto release = [this](const ckpt::Checkpoint *p) {
+            --live;
+            delete p;
+        };
+        const int now = ++live;
+        {
+            std::lock_guard<std::mutex> lock(peak_mutex);
+            peak = std::max(peak, now);
+        }
+        return {ck.release(), release};
+    }
+};
+
+std::vector<std::uint64_t>
+fingerprintsOf(const std::vector<JobSpec> &jobs)
+{
+    std::vector<std::uint64_t> fps;
+    for (const auto &j : jobs)
+        fps.push_back(warmFingerprint(j.toSystemConfig()));
+    return fps;
+}
+
+} // namespace
+
+TEST(RunPipeline, AtMostOneLiveCheckpointPerWorker)
+{
+    const auto jobs = groupedJobs();
+    const auto fps = fingerprintsOf(jobs);
+    auto distinct = fps;
+    std::sort(distinct.begin(), distinct.end());
+    ASSERT_EQ(std::unique(distinct.begin(), distinct.end())
+                  - distinct.begin(),
+              static_cast<std::ptrdiff_t>(kGroups));
+
+    for (unsigned workers : {1u, 2u, 4u}) {
+        SCOPED_TRACE(format("{} worker(s)", workers));
+        FakeWarm fake;
+        std::vector<std::atomic<int>> runs(jobs.size());
+        std::atomic<int> wrong_ckpt{0};
+        std::atomic<int> over_bound{0};
+        const WarmFn warm = [&](const WarmGroup &g) { return fake(g); };
+        const JobFn run = [&](std::size_t i, const ckpt::Checkpoint *ck) {
+            ++runs[i];
+            if (ck == nullptr || ck->fingerprint() != fps[i])
+                ++wrong_ckpt;
+            if (fake.live.load() > static_cast<int>(workers))
+                ++over_bound;
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        };
+        runPipeline(jobs, workers, warm, run);
+        for (std::size_t i = 0; i < jobs.size(); ++i)
+            EXPECT_EQ(runs[i].load(), 1) << jobs[i].label;
+        EXPECT_EQ(wrong_ckpt.load(), 0);
+        EXPECT_EQ(fake.calls.load(), static_cast<int>(kGroups));
+        EXPECT_EQ(over_bound.load(), 0);
+        EXPECT_LE(fake.peak, static_cast<int>(workers));
+        EXPECT_EQ(fake.live.load(), 0); // every hold ended with its job
+    }
+}
+
+TEST(RunPipeline, IdleWorkersWaitForTheWarmInFlight)
+{
+    // One group of three jobs on three workers: two workers find both
+    // queues empty while the only warm runs. They must wait for it,
+    // not exit, so the group's jobs run side by side.
+    const auto all = groupedJobs();
+    const std::vector<JobSpec> jobs{all[0], all[kGroups],
+                                    all[2 * kGroups]};
+    FakeWarm fake;
+    std::mutex mutex;
+    std::condition_variable cv;
+    int running = 0;
+    int most = 0;
+    const WarmFn warm = [&](const WarmGroup &g) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        return fake(g);
+    };
+    const JobFn run = [&](std::size_t, const ckpt::Checkpoint *) {
+        std::unique_lock<std::mutex> lock(mutex);
+        most = std::max(most, ++running);
+        cv.notify_all();
+        cv.wait_for(lock, std::chrono::seconds(5), [&] { return most > 1; });
+        --running;
+    };
+    runPipeline(jobs, 3, warm, run);
+    EXPECT_GE(most, 2);
+}
+
+TEST(RunPipeline, NullCheckpointRunsItsGroupUnshared)
+{
+    const auto jobs = groupedJobs();
+    const auto fps = fingerprintsOf(jobs);
+    FakeWarm fake;
+    std::vector<std::atomic<int>> runs(jobs.size());
+    std::vector<const ckpt::Checkpoint *> got(jobs.size());
+    std::vector<std::uint64_t> got_fp(jobs.size());
+    const WarmFn warm = [&](const WarmGroup &g) {
+        // Group 0's warm run fails.
+        return g.first.label == "g0/m0" ? nullptr : fake(g);
+    };
+    const JobFn run = [&](std::size_t i, const ckpt::Checkpoint *ck) {
+        ++runs[i];
+        got[i] = ck;
+        got_fp[i] = ck != nullptr ? ck->fingerprint() : 0;
+    };
+    runPipeline(jobs, 2, warm, run);
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        EXPECT_EQ(runs[i].load(), 1) << jobs[i].label;
+        if (i % kGroups == 0)
+            EXPECT_EQ(got[i], nullptr) << jobs[i].label;
+        else
+            EXPECT_EQ(got_fp[i], fps[i]) << jobs[i].label;
+    }
+
+    // Without warm(), every job is ready at once, with no checkpoint.
+    std::vector<std::atomic<int>> plain(jobs.size());
+    std::atomic<int> with_ckpt{0};
+    const JobFn count = [&](std::size_t i, const ckpt::Checkpoint *ck) {
+        ++plain[i];
+        if (ck != nullptr)
+            ++with_ckpt;
+    };
+    runPipeline(jobs, 4, nullptr, count);
+    for (auto &n : plain)
+        EXPECT_EQ(n.load(), 1);
+    EXPECT_EQ(with_ckpt.load(), 0);
+}
+
+TEST(RunPipeline, RethrowsTheFirstFailureByJobIndexAfterTheRest)
+{
+    const auto jobs = groupedJobs();
+    FakeWarm fake;
+    const WarmFn warm = [&](const WarmGroup &g) { return fake(g); };
+
+    // Two throwing jobs: the lower index wins, and every job ran.
+    std::vector<std::atomic<int>> runs(jobs.size());
+    const JobFn run = [&](std::size_t i, const ckpt::Checkpoint *) {
+        ++runs[i];
+        if (i == 9 || i == 2)
+            throw std::runtime_error(format("job {}", i));
+    };
+    try {
+        runPipeline(jobs, 2, warm, run);
+        FAIL() << "no exception escaped runPipeline";
+    } catch (const std::runtime_error &e) {
+        EXPECT_STREQ(e.what(), "job 2");
+    }
+    for (auto &n : runs)
+        EXPECT_EQ(n.load(), 1);
+
+    // A throwing warm counts at its group's first member (job 1, before
+    // job 4) and its group's jobs never run; every other job does.
+    std::vector<std::atomic<int>> runs2(jobs.size());
+    const WarmFn failing_warm = [&](const WarmGroup &g) {
+        if (g.first.label == "g1/m0")
+            throw std::runtime_error("warm g1");
+        return fake(g);
+    };
+    const JobFn run2 = [&](std::size_t i, const ckpt::Checkpoint *) {
+        ++runs2[i];
+        if (i == 4)
+            throw std::runtime_error("job 4");
+    };
+    try {
+        runPipeline(jobs, 2, failing_warm, run2);
+        FAIL() << "no exception escaped runPipeline";
+    } catch (const std::runtime_error &e) {
+        EXPECT_STREQ(e.what(), "warm g1");
+    }
+    for (std::size_t i = 0; i < jobs.size(); ++i)
+        EXPECT_EQ(runs2[i].load(), i % kGroups == 1 ? 0 : 1)
+            << jobs[i].label;
+    EXPECT_EQ(fake.live.load(), 0);
 }
