@@ -79,7 +79,7 @@ class JsonReport
         if (!enabled())
             return;
         auto doc = json::Value::object();
-        doc.set("schema", "tdc-bench-report-v1");
+        doc.set("schema", "tdc-figure-report-v1");
         doc.set("bench", bench_);
         doc.set("runs", std::move(rows_));
         if (derived_.size() != 0)

@@ -24,34 +24,7 @@ AuditConfig::fromConfig(const Config &cfg)
     return c;
 }
 
-template <typename Event>
-struct InvariantAuditor::FnAttachment : Attachment
-{
-    using Fn = std::function<void(const Event &)>;
-
-    FnAttachment(obs::ProbePoint<Event> &p, Fn fn)
-        : listener(std::move(fn)), point(&p)
-    {
-        point->attach(&listener);
-    }
-
-    ~FnAttachment() override { point->detach(&listener); }
-
-    obs::FnListener<Event, Fn> listener;
-    obs::ProbePoint<Event> *point;
-};
-
-template <typename Event, typename Fn>
-void
-InvariantAuditor::bridge(obs::ProbePoint<Event> &p, Fn fn)
-{
-    attachments_.push_back(std::make_unique<FnAttachment<Event>>(
-        p, std::function<void(const Event &)>(std::move(fn))));
-}
-
 InvariantAuditor::InvariantAuditor(const AuditConfig &cfg) : cfg_(cfg) {}
-
-InvariantAuditor::~InvariantAuditor() = default;
 
 void
 InvariantAuditor::addTlb(const Tlb *tlb, CoreId core,
@@ -88,7 +61,7 @@ InvariantAuditor::maybeSweep()
 void
 InvariantAuditor::observeTlbMiss(obs::ProbePoint<obs::TlbMissEvent> &p)
 {
-    bridge(p, [this](const obs::TlbMissEvent &e) {
+    probes_.bridge(p, [this](const obs::TlbMissEvent &e) {
         ++eventChecks_;
         if (e.start > e.walkDone || e.walkDone > e.end)
             fatal("invariant violation [tlb-miss monotonicity]: core {} "
@@ -104,7 +77,7 @@ InvariantAuditor::observeTlbMiss(obs::ProbePoint<obs::TlbMissEvent> &p)
 void
 InvariantAuditor::observePageFill(obs::ProbePoint<obs::PageFillEvent> &p)
 {
-    bridge(p, [this](const obs::PageFillEvent &e) {
+    probes_.bridge(p, [this](const obs::PageFillEvent &e) {
         ++eventChecks_;
         if (e.start > e.pteDone || e.pteDone > e.copyDone)
             fatal("invariant violation [fill monotonicity]: frame {} "
@@ -134,7 +107,7 @@ InvariantAuditor::observePageFill(obs::ProbePoint<obs::PageFillEvent> &p)
 void
 InvariantAuditor::observeEviction(obs::ProbePoint<obs::EvictionEvent> &p)
 {
-    bridge(p, [this](const obs::EvictionEvent &e) {
+    probes_.bridge(p, [this](const obs::EvictionEvent &e) {
         ++eventChecks_;
         if (e.start > e.end)
             fatal("invariant violation [eviction monotonicity]: frame "
@@ -164,7 +137,7 @@ void
 InvariantAuditor::observeVictimHit(
     obs::ProbePoint<obs::VictimHitEvent> &p)
 {
-    bridge(p, [this](const obs::VictimHitEvent &e) {
+    probes_.bridge(p, [this](const obs::VictimHitEvent &e) {
         ++eventChecks_;
         if (tagless_ != nullptr && !tagless_->gipt().at(e.frame).valid)
             fatal("invariant violation [victim hit]: vpn {} hit "
@@ -176,7 +149,7 @@ void
 InvariantAuditor::observeFreeQueue(
     obs::ProbePoint<obs::FreeQueueEvent> &p)
 {
-    bridge(p, [this](const obs::FreeQueueEvent &e) {
+    probes_.bridge(p, [this](const obs::FreeQueueEvent &e) {
         ++eventChecks_;
         if (tagless_ != nullptr && e.depth != tagless_->freeBlocks())
             fatal("invariant violation [free-queue depth]: event "
@@ -188,7 +161,7 @@ InvariantAuditor::observeFreeQueue(
 void
 InvariantAuditor::observeGipt(obs::ProbePoint<obs::GiptEvent> &p)
 {
-    bridge(p, [this](const obs::GiptEvent &e) {
+    probes_.bridge(p, [this](const obs::GiptEvent &e) {
         ++eventChecks_;
         if (tagless_ == nullptr)
             return;
@@ -205,7 +178,7 @@ InvariantAuditor::observeGipt(obs::ProbePoint<obs::GiptEvent> &p)
 void
 InvariantAuditor::observeDram(obs::ProbePoint<obs::DramAccessEvent> &p)
 {
-    bridge(p, [this](const obs::DramAccessEvent &e) {
+    probes_.bridge(p, [this](const obs::DramAccessEvent &e) {
         ++eventChecks_;
         if (e.start > e.completion)
             fatal("invariant violation [dram monotonicity]: {} "

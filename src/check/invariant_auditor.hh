@@ -41,7 +41,6 @@
 #define TDC_CHECK_INVARIANT_AUDITOR_HH
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/config.hh"
@@ -80,7 +79,6 @@ class InvariantAuditor
 {
   public:
     explicit InvariantAuditor(const AuditConfig &cfg);
-    ~InvariantAuditor();
 
     InvariantAuditor(const InvariantAuditor &) = delete;
     InvariantAuditor &operator=(const InvariantAuditor &) = delete;
@@ -120,18 +118,6 @@ class InvariantAuditor
         const PageTable *pt;
     };
 
-    /** RAII probe attachment (mirrors obs::Observability). */
-    struct Attachment
-    {
-        virtual ~Attachment() = default;
-    };
-
-    template <typename Event>
-    struct FnAttachment;
-
-    template <typename Event, typename Fn>
-    void bridge(obs::ProbePoint<Event> &p, Fn fn);
-
     /** Counts a trigger firing and sweeps every Nth one. */
     void maybeSweep();
 
@@ -145,7 +131,7 @@ class InvariantAuditor
     std::vector<TlbSite> tlbs_;
     std::vector<const PageTable *> pageTables_;
     std::vector<const SramCache *> caches_;
-    std::vector<std::unique_ptr<Attachment>> attachments_;
+    obs::ProbeAttachments probes_;
 
     std::uint64_t fires_ = 0;
     mutable std::uint64_t eventChecks_ = 0;

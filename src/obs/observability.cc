@@ -45,15 +45,6 @@ Observability::Observability(const ObsConfig &cfg) : cfg_(cfg)
     }
 }
 
-Observability::~Observability()
-{
-    // Detach bridges before the sinks they capture go away.
-    attachments_.clear();
-    if (sampler_)
-        for (auto *p : retireProbes_)
-            p->detach(sampler_.get());
-}
-
 void
 Observability::nameCoreTrack(CoreId core, const std::string &name)
 {
@@ -81,7 +72,7 @@ Observability::observeTlbMiss(ProbePoint<TlbMissEvent> &p)
 {
     if (!tracer_ || !tracer_->enabled("ctlb"))
         return;
-    bridge<TlbMissEvent>(p, [t = tracer_.get()](const TlbMissEvent &e) {
+    probes_.bridge(p, [t = tracer_.get()](const TlbMissEvent &e) {
         const char *kind = e.bypass     ? "tlb_miss_bypass"
                            : e.victimHit ? "tlb_miss_victim_hit"
                            : e.coldFill  ? "tlb_miss_cold_fill"
@@ -99,7 +90,7 @@ Observability::observePageFill(ProbePoint<PageFillEvent> &p)
 {
     if (!tracer_ || !tracer_->enabled("cache"))
         return;
-    bridge<PageFillEvent>(p, [t = tracer_.get()](const PageFillEvent &e) {
+    probes_.bridge(p, [t = tracer_.get()](const PageFillEvent &e) {
         t->complete("cache", e.superpage ? "superpage_fill" : "page_fill",
                     e.core, e.start, e.copyDone,
                     {{"vpn", e.vpn},
@@ -115,7 +106,7 @@ Observability::observeEviction(ProbePoint<EvictionEvent> &p)
 {
     if (!tracer_ || !tracer_->enabled("cache"))
         return;
-    bridge<EvictionEvent>(p, [t = tracer_.get()](const EvictionEvent &e) {
+    probes_.bridge(p, [t = tracer_.get()](const EvictionEvent &e) {
         t->complete("cache", e.dirty ? "evict_dirty" : "evict_clean",
                     evictTid, e.start, e.end,
                     {{"frame", e.frame},
@@ -130,7 +121,7 @@ Observability::observeVictimHit(ProbePoint<VictimHitEvent> &p)
 {
     if (!tracer_ || !tracer_->enabled("cache"))
         return;
-    bridge<VictimHitEvent>(p, [t = tracer_.get()](const VictimHitEvent &e) {
+    probes_.bridge(p, [t = tracer_.get()](const VictimHitEvent &e) {
         t->instant("cache", "victim_hit", e.core, e.tick,
                    {{"vpn", e.vpn}, {"frame", e.frame}});
     });
@@ -141,7 +132,7 @@ Observability::observeFreeQueue(ProbePoint<FreeQueueEvent> &p)
 {
     if (!tracer_ || !tracer_->enabled("freeq"))
         return;
-    bridge<FreeQueueEvent>(p, [t = tracer_.get()](const FreeQueueEvent &e) {
+    probes_.bridge(p, [t = tracer_.get()](const FreeQueueEvent &e) {
         t->counter("freeq", "free_queue_depth", e.tick, e.depth);
         if (e.belowAlpha && !e.push)
             t->instant("freeq", "below_low_water", evictTid, e.tick,
@@ -154,7 +145,7 @@ Observability::observeGipt(ProbePoint<GiptEvent> &p)
 {
     if (!tracer_ || !tracer_->enabled("gipt"))
         return;
-    bridge<GiptEvent>(p, [t = tracer_.get()](const GiptEvent &e) {
+    probes_.bridge(p, [t = tracer_.get()](const GiptEvent &e) {
         t->instant("gipt",
                    e.kind == GiptEvent::Kind::Install ? "gipt_install"
                                                       : "gipt_invalidate",
@@ -167,7 +158,7 @@ Observability::observeDram(ProbePoint<DramAccessEvent> &p)
 {
     if (!tracer_ || !tracer_->enabled("dram"))
         return;
-    bridge<DramAccessEvent>(p, [this](const DramAccessEvent &e) {
+    probes_.bridge(p, [this](const DramAccessEvent &e) {
         const char *name = nullptr;
         switch (e.outcome) {
           case DramAccessEvent::Outcome::RowHit:
@@ -193,12 +184,10 @@ Observability::observeDram(ProbePoint<DramAccessEvent> &p)
 void
 Observability::observeRetire(ProbePoint<RetireEvent> &p)
 {
-    if (sampler_) {
-        p.attach(sampler_.get());
-        retireProbes_.push_back(&p);
-    }
+    if (sampler_)
+        probes_.attach(p, sampler_.get());
     if (tracer_ && tracer_->enabled("core")) {
-        bridge<RetireEvent>(p, [t = tracer_.get()](const RetireEvent &e) {
+        probes_.bridge(p, [t = tracer_.get()](const RetireEvent &e) {
             t->instant("core", "retire_milestone", e.core, e.tick,
                        {{"insts", e.insts}});
         });

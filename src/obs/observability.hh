@@ -20,7 +20,6 @@
 #define TDC_OBS_OBSERVABILITY_HH
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -69,7 +68,6 @@ class Observability
 {
   public:
     explicit Observability(const ObsConfig &cfg);
-    ~Observability();
 
     Observability(const Observability &) = delete;
     Observability &operator=(const Observability &) = delete;
@@ -112,43 +110,15 @@ class Observability
     static constexpr std::uint32_t giptTid = 201;
     static constexpr std::uint32_t dramTidBase = 300;
 
-    struct Attachment
-    {
-        virtual ~Attachment() = default;
-    };
-
-    template <typename Event>
-    struct FnAttachment : Attachment
-    {
-        using Fn = std::function<void(const Event &)>;
-
-        FnAttachment(ProbePoint<Event> &p, Fn fn)
-            : listener(std::move(fn)), point(&p)
-        {
-            point->attach(&listener);
-        }
-
-        ~FnAttachment() override { point->detach(&listener); }
-
-        FnListener<Event, Fn> listener;
-        ProbePoint<Event> *point;
-    };
-
-    template <typename Event>
-    void
-    bridge(ProbePoint<Event> &p, std::function<void(const Event &)> fn)
-    {
-        attachments_.push_back(
-            std::make_unique<FnAttachment<Event>>(p, std::move(fn)));
-    }
-
     std::uint32_t dramTid(std::string_view device);
 
     ObsConfig cfg_;
     std::unique_ptr<TraceWriter> tracer_;
     std::unique_ptr<IntervalSampler> sampler_;
-    std::vector<std::unique_ptr<Attachment>> attachments_;
-    std::vector<ProbePoint<RetireEvent> *> retireProbes_;
+    // Declared after the sinks: members are destroyed in reverse
+    // order, so every probe is detached before the tracer and sampler
+    // its listeners use go away.
+    ProbeAttachments probes_;
     std::vector<std::pair<std::string, std::uint32_t>> dramTids_;
 };
 

@@ -25,6 +25,7 @@
 #define TDC_OBS_PROBE_HH
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -99,6 +100,71 @@ class FnListener : public ProbeListener<Event>
 
   private:
     Fn fn_;
+};
+
+/**
+ * Owns a set of probe attachments and detaches every one of them when
+ * it is destroyed. A listener is either borrowed (attach(): it must
+ * outlive this owner) or a callable that bridge() wraps in an
+ * FnListener kept here. The probe points must outlive the owner too.
+ */
+class ProbeAttachments
+{
+  public:
+    ProbeAttachments() = default;
+
+    ProbeAttachments(const ProbeAttachments &) = delete;
+    ProbeAttachments &operator=(const ProbeAttachments &) = delete;
+
+    template <typename Event>
+    void
+    attach(ProbePoint<Event> &p, ProbeListener<Event> *l)
+    {
+        links_.push_back(std::make_unique<Link<Event>>(p, l));
+    }
+
+    template <typename Event, typename Fn>
+    void
+    bridge(ProbePoint<Event> &p, Fn fn)
+    {
+        links_.push_back(
+            std::make_unique<FnLink<Event, Fn>>(p, std::move(fn)));
+    }
+
+  private:
+    struct AnyLink
+    {
+        virtual ~AnyLink() = default;
+    };
+
+    template <typename Event>
+    struct Link : AnyLink
+    {
+        Link(ProbePoint<Event> &p, ProbeListener<Event> *l)
+            : point(&p), listener(l)
+        {
+            point->attach(listener);
+        }
+
+        ~Link() override { point->detach(listener); }
+
+        ProbePoint<Event> *point;
+        ProbeListener<Event> *listener;
+    };
+
+    template <typename Event, typename Fn>
+    struct FnLink : AnyLink
+    {
+        FnLink(ProbePoint<Event> &p, Fn fn)
+            : listener(std::move(fn)), link(p, &listener)
+        {
+        }
+
+        FnListener<Event, Fn> listener;
+        Link<Event> link; //!< declared last: detaches before `listener` dies
+    };
+
+    std::vector<std::unique_ptr<AnyLink>> links_;
 };
 
 } // namespace obs

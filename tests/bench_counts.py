@@ -34,16 +34,21 @@ LEFT_OUT = {"sys.measure_allocs"}
 def traced_counts(workload):
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "report.json")
-        subprocess.run([sys.executable,
-                        os.path.join(ROOT, "tdcbench", "run.py"),
-                        "--workload", workload, "--seed", str(SEED),
-                        "--trace", "1", "--out", out],
-                       cwd=ROOT, stdout=sys.stderr, check=True)
+        # tdc_bench writes the report, then exits 1 if an operation
+        # failed; the report says which.
+        p = subprocess.run([sys.executable,
+                            os.path.join(ROOT, "tdcbench", "run.py"),
+                            "--workload", workload, "--seed", str(SEED),
+                            "--trace", "1", "--out", out],
+                           cwd=ROOT, stdout=sys.stderr)
+        if not os.path.exists(out):
+            sys.exit(f"{workload}: run.py exited {p.returncode} without "
+                     f"writing a report")
         with open(out) as f:
             report = json.load(f)
-    if not report["correct"] or report["failed"] != 0:
-        sys.exit(f"{workload}: the traced run is not correct: "
-                 f"{report['errors']}")
+    if not report["correct"] or report["failed"] != 0 or p.returncode:
+        sys.exit(f"{workload}: the traced run is not correct (exit "
+                 f"{p.returncode}): {report['errors']}")
     return {name: int(m["value"])
             for name, m in sorted(report["metrics"].items())
             if m["unit"] in ("count", "bytes") and name not in LEFT_OUT}

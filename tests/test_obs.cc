@@ -131,6 +131,33 @@ TEST(Probe, FnListenerAdapts)
     EXPECT_EQ(installs, 1u);
 }
 
+TEST(Probe, AttachmentsDetachEverythingOnDestruction)
+{
+    obs::ProbePoint<obs::FreeQueueEvent> freeq;
+    obs::ProbePoint<obs::GiptEvent> gipt;
+    CountingListener borrowed;
+    unsigned bridged = 0;
+    {
+        obs::ProbeAttachments owner;
+        owner.attach(freeq, &borrowed);
+        owner.bridge(freeq, [&bridged](const obs::FreeQueueEvent &) {
+            ++bridged;
+        });
+        owner.bridge(gipt, [&bridged](const obs::GiptEvent &) {
+            ++bridged;
+        });
+        EXPECT_EQ(freeq.listenerCount(), 2u);
+        freeq.fire(obs::FreeQueueEvent{});
+        gipt.fire(obs::GiptEvent{});
+    }
+    EXPECT_FALSE(freeq.attached());
+    EXPECT_FALSE(gipt.attached());
+    freeq.fire(obs::FreeQueueEvent{});
+    gipt.fire(obs::GiptEvent{});
+    EXPECT_EQ(borrowed.calls, 1u);
+    EXPECT_EQ(bridged, 2u);
+}
+
 // ---------------------------------------------------------------------
 // StatSnapshot / delta, Histogram percentiles, Average extremes
 // ---------------------------------------------------------------------
