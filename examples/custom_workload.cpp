@@ -86,7 +86,7 @@ main()
     // GIPT occupancy: valid entries == cached pages.
     std::uint64_t occupied = 0;
     for (std::uint64_t f = 0; f < l3.totalFrames(); ++f)
-        occupied += l3.gipt().at(f).valid;
+        occupied += l3.gipt().at(f).valid();
     std::cout << format("GIPT occupancy     : {} / {} frames "
                         "({:.1f}%), {:.2f} MB table\n",
                         occupied, l3.totalFrames(),
@@ -98,7 +98,7 @@ main()
     // points straight back at it.
     for (std::uint64_t f = 0; f < l3.totalFrames(); ++f) {
         const auto &g = l3.gipt().at(f);
-        if (g.valid && (!g.ptep->vc || g.ptep->frame != f)) {
+        if (g.valid() && (!g.ptep->vc || g.ptep->frame != f)) {
             std::cout << "GIPT/PTE inconsistency at frame " << f << "\n";
             return 1;
         }

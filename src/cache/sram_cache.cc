@@ -1,7 +1,5 @@
 #include "cache/sram_cache.hh"
 
-#include <algorithm>
-
 #include "ckpt/stats_io.hh"
 #include "common/bitops.hh"
 
@@ -130,12 +128,6 @@ SramCache::invalidateLine(Addr addr)
         }
     }
     return false;
-}
-
-void
-SramCache::flushAll()
-{
-    std::fill(state_.begin(), state_.end(), std::uint8_t{0});
 }
 
 void

@@ -65,9 +65,6 @@ class SramCache : public SimObject, public ckpt::Checkpointable
      */
     bool invalidateLine(Addr addr);
 
-    /** Drops all contents (e.g. between benchmark phases). */
-    void flushAll();
-
     const SramCacheParams &params() const { return params_; }
     Cycles hitLatency() const { return params_.hitLatency; }
 

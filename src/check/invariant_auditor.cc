@@ -89,12 +89,10 @@ InvariantAuditor::observePageFill(obs::ProbePoint<obs::PageFillEvent> &p)
             for (unsigned i = 0; i < n; ++i) {
                 const std::uint64_t f = e.frame + i;
                 const Gipt::Entry &g = tagless_->gipt().at(f);
-                if (!g.valid || tagless_->frameFree(f))
+                if (!g.valid())
                     fatal("invariant violation [fill state]: filled "
-                          "frame {} is not GIPT-mapped or still "
-                          "free-flagged", f);
-                if (!e.superpage
-                    && (g.ptep == nullptr || g.ptep->frame != f))
+                          "frame {} is not GIPT-mapped", f);
+                if (!e.superpage && g.ptep->frame != f)
                     fatal("invariant violation [fill state]: frame "
                           "{}'s PTE does not hold its cache address",
                           f);
@@ -112,13 +110,9 @@ InvariantAuditor::observeEviction(obs::ProbePoint<obs::EvictionEvent> &p)
         if (e.start > e.end)
             fatal("invariant violation [eviction monotonicity]: frame "
                   "{} start={} end={}", e.frame, e.start, e.end);
-        if (tagless_ != nullptr) {
-            if (tagless_->gipt().at(e.frame).valid
-                || !tagless_->frameFree(e.frame))
-                fatal("invariant violation [eviction state]: evicted "
-                      "frame {} still GIPT-mapped or not free-flagged",
-                      e.frame);
-        }
+        if (tagless_ != nullptr && tagless_->gipt().at(e.frame).valid())
+            fatal("invariant violation [eviction state]: evicted frame "
+                  "{} still GIPT-mapped", e.frame);
         // The flush covers only the frame's access masks; any copy
         // left behind would alias the frame's next page.
         for (const SramCache *c : caches_) {
@@ -139,7 +133,7 @@ InvariantAuditor::observeVictimHit(
 {
     probes_.bridge(p, [this](const obs::VictimHitEvent &e) {
         ++eventChecks_;
-        if (tagless_ != nullptr && !tagless_->gipt().at(e.frame).valid)
+        if (tagless_ != nullptr && !tagless_->gipt().at(e.frame).valid())
             fatal("invariant violation [victim hit]: vpn {} hit "
                   "unmapped frame {}", e.vpn, e.frame);
     });
@@ -165,7 +159,7 @@ InvariantAuditor::observeGipt(obs::ProbePoint<obs::GiptEvent> &p)
         ++eventChecks_;
         if (tagless_ == nullptr)
             return;
-        const bool valid = tagless_->gipt().at(e.frame).valid;
+        const bool valid = tagless_->gipt().at(e.frame).valid();
         if (e.kind == obs::GiptEvent::Kind::Install && !valid)
             fatal("invariant violation [gipt install]: frame {} "
                   "invalid after install", e.frame);
@@ -191,12 +185,11 @@ InvariantAuditor::observeDram(obs::ProbePoint<obs::DramAccessEvent> &p)
 }
 
 /**
- * Invariant (b)+(c), frame side: every frame is either free-flagged or
- * GIPT-mapped (never both, never neither); a mapped frame's PTE holds
- * VC=1, not NC, and points back at this frame (superpages: at the
- * 512-aligned base, with pinned frames and contiguous PPNs); every
- * mapped non-pinned frame is reachable by the FIFO victim scan; every
- * pending fill's PTE still holds a cache mapping.
+ * Invariant (b), frame side: a mapped frame's PTE holds VC=1, not NC,
+ * and points back at this frame (superpages: at the 512-aligned base,
+ * with pinned frames and contiguous PPNs); every mapped non-pinned
+ * frame is reachable by the FIFO victim scan. A frame is free exactly
+ * when it is unmapped, so the free side is verifyFreeQueue()'s.
  */
 void
 InvariantAuditor::verifyFrameTable() const
@@ -207,16 +200,8 @@ InvariantAuditor::verifyFrameTable() const
 
     for (std::uint64_t f = 0; f < gipt.frames(); ++f) {
         const Gipt::Entry &g = gipt.at(f);
-        const bool free = tagless_->frameFree(f);
-        if (g.valid == free)
-            fatal("invariant violation [frame accounting]: frame {} is "
-                  "{} free-flagged and GIPT-mapped", f,
-                  g.valid ? "both" : "neither");
-        if (!g.valid)
+        if (!g.valid())
             continue;
-        if (g.ptep == nullptr)
-            fatal("invariant violation [gipt]: mapped frame {} has a "
-                  "null PTEP", f);
         const Pte &pte = *g.ptep;
         if (!pte.vc)
             fatal("invariant violation [bijection]: frame {} is "
@@ -244,20 +229,12 @@ InvariantAuditor::verifyFrameTable() const
                       "{} unreachable by the victim scan", f);
         }
     }
-
-    for (const auto &[pte, tick] : tagless_->pendingFills()) {
-        if (!pte->vc)
-            fatal("invariant violation [pending fill]: PTE (proc {}, "
-                  "vpn {}) pending at tick {} but VC=0", pte->proc,
-                  pte->vpn, tick);
-    }
 }
 
 /**
- * Invariant (c), queue side: free-queue entries are unique, within
- * range, free-flagged and unmapped -- including the header pointer at
- * the queue front -- and together with the mapped frames account for
- * the whole cache.
+ * Invariant (c): free-queue entries are unique, within range and
+ * unmapped -- including the header pointer at the queue front -- and
+ * together with the mapped frames account for the whole cache.
  */
 void
 InvariantAuditor::verifyFreeQueue() const
@@ -272,17 +249,14 @@ InvariantAuditor::verifyFreeQueue() const
         if (!seen.insert(b.frame).second)
             fatal("invariant violation [free queue]: frame {} queued "
                   "twice", b.frame);
-        if (!tagless_->frameFree(b.frame))
-            fatal("invariant violation [free queue]: queued frame {} "
-                  "not free-flagged", b.frame);
-        if (gipt.at(b.frame).valid)
+        if (gipt.at(b.frame).valid())
             fatal("invariant violation [free queue]: frame {} both "
                   "free-queued and GIPT-mapped", b.frame);
     }
 
     std::uint64_t mapped = 0;
     for (std::uint64_t f = 0; f < gipt.frames(); ++f)
-        mapped += gipt.at(f).valid ? 1 : 0;
+        mapped += gipt.at(f).valid() ? 1 : 0;
     if (mapped + seen.size() != gipt.frames())
         fatal("invariant violation [frame accounting]: {} mapped + {} "
               "free != {} total frames", mapped, seen.size(),
@@ -317,7 +291,7 @@ InvariantAuditor::verifyPageTables() const
                     fatal("invariant violation [bijection]: VC PTE "
                           "(proc {}, vpn {}) points outside the cache "
                           "({})", pte.proc, pte.vpn, f);
-                if (!gipt.at(f).valid || gipt.at(f).ptep != &pte)
+                if (gipt.at(f).ptep != &pte)
                     fatal("invariant violation [bijection]: VC PTE "
                           "(proc {}, vpn {}) not mapped back by GIPT "
                           "frame {}", pte.proc, pte.vpn, f);
@@ -383,7 +357,7 @@ InvariantAuditor::verifyTlbs() const
             // Cache-space entry: the paper's TLB-hit => cache-hit
             // guarantee, checked structurally.
             if (e.frame >= gipt.frames()
-                || !gipt.at(e.frame).valid)
+                || !gipt.at(e.frame).valid())
                 fatal("invariant violation [tlb=>cache]: core {} maps "
                       "(proc {}, vpn {}) to unoccupied frame {}",
                       site.core, procOf(e.key), vpn, e.frame);

@@ -1,7 +1,5 @@
 #include "dramcache/banshee_cache.hh"
 
-#include <algorithm>
-
 #include "ckpt/stats_io.hh"
 
 namespace tdc {
@@ -11,18 +9,13 @@ BansheeCache::BansheeCache(std::string name, DramDevice &in_pkg,
                            const ClockDomain &cpu_clk,
                            const BansheeCacheParams &params)
     : DramCacheOrg(std::move(name), in_pkg, off_pkg, phys, cpu_clk),
-      params_(params)
+      params_(params),
+      sets_(params.cacheBytes / pageBytes, params.associativity)
 {
-    const std::uint64_t frames = params_.cacheBytes / pageBytes;
-    tdc_assert(frames % params_.associativity == 0,
-               "cache size not divisible by associativity");
-    numSets_ = frames / params_.associativity;
-    tdc_assert(isPowerOf2(numSets_), "set count must be a power of two");
     tdc_assert(params_.sampleRate > 0, "sample rate must be positive");
     tdc_assert(params_.tagBufferEntries > 0,
                "tag buffer needs at least one entry");
-    ways_.assign(frames, Way{});
-    cands_.assign(numSets_, Candidate{});
+    cands_.assign(sets_.numSets(), Candidate{});
 
     auto &sg = statGroup();
     sg.addScalar("sampled_events", &sampledEvents_,
@@ -38,38 +31,11 @@ BansheeCache::BansheeCache(std::string name, DramDevice &in_pkg,
                  "L2 writebacks sent straight off-package");
 }
 
-int
-BansheeCache::findWay(std::uint64_t set, PageNum ppn) const
-{
-    const Way *base = &ways_[set * params_.associativity];
-    for (unsigned w = 0; w < params_.associativity; ++w) {
-        if (base[w].valid && base[w].ppn == ppn)
-            return static_cast<int>(w);
-    }
-    return -1;
-}
-
-unsigned
-BansheeCache::victimWay(std::uint64_t set) const
-{
-    const Way *base = &ways_[set * params_.associativity];
-    for (unsigned w = 0; w < params_.associativity; ++w) {
-        if (!base[w].valid)
-            return w;
-    }
-    // Coldest way; ties resolve to the lowest index (deterministic).
-    auto cmp = [](const Way &a, const Way &b) { return a.count < b.count; };
-    const Way *victim =
-        std::min_element(base, base + params_.associativity, cmp);
-    return static_cast<unsigned>(victim - base);
-}
-
 void
 BansheeCache::ageSet(std::uint64_t set)
 {
-    Way *base = &ways_[set * params_.associativity];
     for (unsigned w = 0; w < params_.associativity; ++w)
-        base[w].count /= 2;
+        sets_.at(set, w).count /= 2;
     cands_[set].count /= 2;
 }
 
@@ -96,16 +62,13 @@ void
 BansheeCache::replacePage(std::uint64_t set, unsigned way, PageNum ppn,
                           std::uint32_t count, Tick when, bool dirty)
 {
-    Way &w = ways_[set * params_.associativity + way];
-    const std::uint64_t frame = frameOf(set, way);
+    Way &w = sets_.at(set, way);
+    const std::uint64_t frame = sets_.frameOf(set, way);
 
     if (w.valid && w.dirty) {
-        // Stream the dirty victim back: in-package page read feeding an
-        // off-package posted page write, all in the background.
-        const Tick rd = inPkgPageAccess(frame, false, when);
-        offPkgPageAccess(w.ppn, true, rd);
+        // Stream the dirty victim back in the background.
+        writeBackPage(frame, w.ppn, when);
         ++dirtyEvictions_;
-        ++pageWritebacks_;
     }
 
     // Background fill of the whole page; the demanded block was already
@@ -129,8 +92,8 @@ BansheeCache::access(Addr addr, AccessType type, CoreId core, Tick when)
     const PageNum ppn = frameNumOf(addr);
     const Addr offset = pageOffset(addr);
     const bool write = isWrite(type);
-    const std::uint64_t set = setOf(ppn);
-    const int w = findWay(set, ppn);
+    const std::uint64_t set = sets_.setOf(ppn);
+    const int w = sets_.find(set, ppn);
 
     // Deterministic 1-in-N sampling; no per-access tag probe is paid
     // because the mapping arrived with the translation.
@@ -140,12 +103,12 @@ BansheeCache::access(Addr addr, AccessType type, CoreId core, Tick when)
 
     L3Result res;
     if (w >= 0) {
-        Way &way = ways_[set * params_.associativity + w];
+        Way &way = sets_.at(set, w);
         way.dirty |= write;
         if (sampled && ++way.count >= maxCount)
             ageSet(set);
         res.completionTick =
-            inPkgBlockAccess(frameOf(set, static_cast<unsigned>(w)),
+            inPkgBlockAccess(sets_.frameOf(set, static_cast<unsigned>(w)),
                              offset, write, when);
         res.servicedInPackage = true;
         res.l3Hit = true;
@@ -158,8 +121,10 @@ BansheeCache::access(Addr addr, AccessType type, CoreId core, Tick when)
         res.servicedInPackage = false;
         res.l3Hit = false;
 
-        const unsigned victim = victimWay(set);
-        Way &vw = ways_[set * params_.associativity + victim];
+        // The coldest way.
+        const unsigned victim =
+            sets_.victim(set, [](const Way &v) { return v.count; });
+        Way &vw = sets_.at(set, victim);
         if (!vw.valid) {
             // Free way: cache on first touch, no counter race needed.
             replacePage(set, victim, ppn, /*count=*/1, res.completionTick,
@@ -197,13 +162,12 @@ BansheeCache::writebackLine(Addr addr, CoreId core, Tick when)
     (void)core;
     const PageNum ppn = frameNumOf(addr);
     const Addr offset = pageOffset(addr);
-    const std::uint64_t set = setOf(ppn);
-    const int w = findWay(set, ppn);
+    const std::uint64_t set = sets_.setOf(ppn);
+    const int w = sets_.find(set, ppn);
     if (w >= 0) {
-        Way &way = ways_[set * params_.associativity + w];
-        way.dirty = true;
-        inPkgBlockAccess(frameOf(set, static_cast<unsigned>(w)), offset,
-                         true, when);
+        sets_.at(set, w).dirty = true;
+        inPkgBlockAccess(sets_.frameOf(set, static_cast<unsigned>(w)),
+                         offset, true, when);
     } else {
         // No write-allocate for L2 victims: send straight off-package.
         offPkgBlockAccess(ppn, offset, true, when);
@@ -211,17 +175,11 @@ BansheeCache::writebackLine(Addr addr, CoreId core, Tick when)
     }
 }
 
-bool
-BansheeCache::containsPage(PageNum ppn) const
-{
-    return findWay(setOf(ppn), ppn) >= 0;
-}
-
 void
 BansheeCache::saveOrgState(ckpt::Serializer &out) const
 {
-    out.putU64(ways_.size());
-    for (const Way &w : ways_) {
+    out.putU64(sets_.ways().size());
+    for (const Way &w : sets_.ways()) {
         out.putU64(w.ppn);
         out.putBool(w.valid);
         out.putBool(w.dirty);
@@ -246,9 +204,9 @@ void
 BansheeCache::loadOrgState(ckpt::Deserializer &in)
 {
     std::uint64_t n = in.getU64();
-    tdc_assert(n == ways_.size(),
+    tdc_assert(n == sets_.ways().size(),
                "Banshee cache geometry mismatch on checkpoint restore");
-    for (Way &w : ways_) {
+    for (Way &w : sets_.ways()) {
         w.ppn = in.getU64();
         w.valid = in.getBool();
         w.dirty = in.getBool();

@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "dramcache/dram_cache_org.hh"
+#include "dramcache/page_sets.hh"
 
 namespace tdc {
 
@@ -70,7 +71,7 @@ class BansheeCache final : public DramCacheOrg
     const BansheeCacheParams &params() const { return params_; }
 
     /** Functional membership check, for tests. */
-    bool containsPage(PageNum ppn) const;
+    bool containsPage(PageNum ppn) const { return sets_.contains(ppn); }
 
     std::uint64_t tagBufferFlushes() const
     {
@@ -101,18 +102,6 @@ class BansheeCache final : public DramCacheOrg
         std::uint32_t count = 0;
     };
 
-    std::uint64_t setOf(PageNum ppn) const { return ppn & (numSets_ - 1); }
-
-    /** Way-major frame layout (bank striping; see SramTagCache). */
-    std::uint64_t
-    frameOf(std::uint64_t set, unsigned way) const
-    {
-        return std::uint64_t{way} * numSets_ + set;
-    }
-
-    int findWay(std::uint64_t set, PageNum ppn) const;
-    unsigned victimWay(std::uint64_t set) const;
-
     /** Installs ppn over the victim way; charges evict + fill traffic. */
     void replacePage(std::uint64_t set, unsigned way, PageNum ppn,
                      std::uint32_t count, Tick when, bool dirty);
@@ -126,8 +115,7 @@ class BansheeCache final : public DramCacheOrg
     static constexpr std::uint32_t maxCount = 255;
 
     BansheeCacheParams params_;
-    std::uint64_t numSets_;
-    std::vector<Way> ways_;        //!< numSets_ * associativity, set-major
+    PageSets<Way> sets_;
     std::vector<Candidate> cands_; //!< one challenger per set
     std::uint64_t sampleTick_ = 0; //!< deterministic sampling counter
     std::uint64_t tagBufferOcc_ = 0;

@@ -130,4 +130,11 @@ DramCacheOrg::inPkgPageAccess(std::uint64_t frame, bool is_write,
         .completionTick;
 }
 
+Tick
+DramCacheOrg::writeBackPage(std::uint64_t frame, PageNum ppn, Tick when)
+{
+    ++pageWritebacks_;
+    return offPkgPageAccess(ppn, true, inPkgPageAccess(frame, false, when));
+}
+
 } // namespace tdc

@@ -146,7 +146,6 @@ class DramCacheOrg : public SimObject,
     std::uint64_t pageFills() const { return pageFills_.value(); }
     std::uint64_t pageWritebacks() const { return pageWritebacks_.value(); }
     std::uint64_t victimHits() const { return victimHits_.value(); }
-    double avgL3Latency() const { return l3Latency_.mean(); }
 
     double
     l3HitRate() const
@@ -184,6 +183,13 @@ class DramCacheOrg : public SimObject,
 
     /** Streams a whole 4 KiB page in-package (one row). */
     Tick inPkgPageAccess(std::uint64_t frame, bool is_write, Tick when);
+
+    /**
+     * Writes a dirty cached page back: an in-package page read chained
+     * into a posted off-package page write. Counts page_writebacks.
+     * @return tick at which the off-package write completes.
+     */
+    Tick writeBackPage(std::uint64_t frame, PageNum ppn, Tick when);
 
     void
     recordAccess(Tick start, const L3Result &res)

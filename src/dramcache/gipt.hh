@@ -6,11 +6,14 @@
  * back to its off-package physical page (PPN), a pointer to the PTE
  * currently holding the cache address (PTEP), and a TLB-residence bit
  * vector (here: per-core reference counts, since a page can be present
- * in a core's L1 and L2 TLB simultaneously).
+ * in a core's L1 and L2 TLB simultaneously). A frame is free exactly
+ * when its entry holds no PTEP.
  *
  * The paper sizes an entry at 82 bits (36b PPN + 42b PTEP + 4b
  * residence); storageBits() reports that figure for the scalability
- * accounting reproduced in the benches.
+ * accounting reproduced in the benches. The entry also carries the
+ * simulator's fill-completion tick (when the PU bit clears), which is
+ * bookkeeping, not paper-accounted storage.
  */
 
 #ifndef TDC_DRAMCACHE_GIPT_HH
@@ -37,7 +40,10 @@ class Gipt
         PageNum ppn = invalidPage; //!< original off-package frame
         Pte *ptep = nullptr;       //!< PTE holding the cache address
         std::array<std::uint16_t, maxCores> residence{};
-        bool valid = false;
+        /** Completion tick of the frame's 4 KiB fill (0 if none). */
+        Tick fillDone = 0;
+
+        bool valid() const { return ptep != nullptr; }
 
         bool
         residentAnywhere() const
@@ -48,6 +54,8 @@ class Gipt
             return false;
         }
     };
+
+    static_assert(sizeof(Entry) == 40, "fillDone fits in the padding");
 
     explicit Gipt(std::uint64_t frames) : entries_(frames) {}
 
@@ -71,22 +79,13 @@ class Gipt
     install(std::uint64_t frame, PageNum ppn, Pte *ptep)
     {
         Entry &e = at(frame);
-        tdc_assert(!e.valid, "GIPT entry {} already valid", frame);
-        e.ppn = ppn;
-        e.ptep = ptep;
-        e.valid = true;
-        e.residence.fill(0);
+        tdc_assert(!e.valid(), "GIPT entry {} already valid", frame);
+        tdc_assert(ptep != nullptr, "GIPT entry {} installed without a "
+                   "PTE", frame);
+        e = Entry{.ppn = ppn, .ptep = ptep};
     }
 
-    void
-    invalidate(std::uint64_t frame)
-    {
-        Entry &e = at(frame);
-        e.valid = false;
-        e.ppn = invalidPage;
-        e.ptep = nullptr;
-        e.residence.fill(0);
-    }
+    void invalidate(std::uint64_t frame) { at(frame) = Entry{}; }
 
     void
     addResidence(std::uint64_t frame, CoreId core)

@@ -1,7 +1,5 @@
 #include "dramcache/sram_tag_cache.hh"
 
-#include <algorithm>
-
 #include "ckpt/stats_io.hh"
 #include "common/units.hh"
 
@@ -32,15 +30,9 @@ SramTagCache::SramTagCache(std::string name, DramDevice &in_pkg,
                            const ClockDomain &cpu_clk,
                            const SramTagCacheParams &params)
     : DramCacheOrg(std::move(name), in_pkg, off_pkg, phys, cpu_clk),
-      params_(params)
+      params_(params),
+      sets_(params.cacheBytes / pageBytes, params.associativity)
 {
-    const std::uint64_t frames = params_.cacheBytes / pageBytes;
-    tdc_assert(frames % params_.associativity == 0,
-               "cache size not divisible by associativity");
-    numSets_ = frames / params_.associativity;
-    tdc_assert(isPowerOf2(numSets_), "set count must be a power of two");
-    ways_.assign(frames, Way{});
-
     auto &sg = statGroup();
     sg.addScalar("tag_probes", &tagProbes_, "SRAM tag array accesses");
     sg.addScalar("dirty_evictions", &dirtyEvictions_);
@@ -48,55 +40,21 @@ SramTagCache::SramTagCache(std::string name, DramDevice &in_pkg,
                  "L2 writebacks sent straight off-package");
 }
 
-int
-SramTagCache::findWay(std::uint64_t set, PageNum ppn) const
-{
-    const Way *base = &ways_[set * params_.associativity];
-    for (unsigned w = 0; w < params_.associativity; ++w) {
-        if (base[w].valid && base[w].ppn == ppn)
-            return static_cast<int>(w);
-    }
-    return -1;
-}
-
-unsigned
-SramTagCache::victimWay(std::uint64_t set)
-{
-    Way *base = &ways_[set * params_.associativity];
-    for (unsigned w = 0; w < params_.associativity; ++w) {
-        if (!base[w].valid)
-            return w;
-    }
-    auto cmp_lru = [](const Way &a, const Way &b) {
-        return a.lastUse < b.lastUse;
-    };
-    auto cmp_fifo = [](const Way &a, const Way &b) {
-        return a.fillTime < b.fillTime;
-    };
-    const Way *victim =
-        params_.policy == ReplPolicy::FIFO
-            ? std::min_element(base, base + params_.associativity,
-                               cmp_fifo)
-            : std::min_element(base, base + params_.associativity,
-                               cmp_lru);
-    return static_cast<unsigned>(victim - base);
-}
-
 std::uint64_t
 SramTagCache::fillPage(PageNum ppn, Tick when, bool dirty)
 {
-    const std::uint64_t set = setOf(ppn);
-    const unsigned w = victimWay(set);
-    Way &way = ways_[set * params_.associativity + w];
-    const std::uint64_t frame = frameOf(set, w);
+    const std::uint64_t set = sets_.setOf(ppn);
+    const unsigned w =
+        params_.policy == ReplPolicy::FIFO
+            ? sets_.victim(set, [](const Way &v) { return v.fillTime; })
+            : sets_.victim(set, [](const Way &v) { return v.lastUse; });
+    Way &way = sets_.at(set, w);
+    const std::uint64_t frame = sets_.frameOf(set, w);
 
     if (way.valid && way.dirty) {
-        // Stream the dirty victim back to off-package DRAM in the
-        // background: in-package page read + off-package page write.
-        const Tick rd = inPkgPageAccess(frame, false, when);
-        offPkgPageAccess(way.ppn, true, rd);
+        // Stream the dirty victim back in the background.
+        writeBackPage(frame, way.ppn, when);
         ++dirtyEvictions_;
-        ++pageWritebacks_;
     }
 
     way.valid = true;
@@ -121,16 +79,16 @@ SramTagCache::access(Addr addr, AccessType type, CoreId core, Tick when)
     ++tagProbes_;
     Tick t = when + cpuClk_.cyclesToTicks(params_.tagLatency);
 
-    const std::uint64_t set = setOf(ppn);
-    const int w = findWay(set, ppn);
+    const std::uint64_t set = sets_.setOf(ppn);
+    const int w = sets_.find(set, ppn);
 
     L3Result res;
     if (w >= 0) {
-        Way &way = ways_[set * params_.associativity + w];
+        Way &way = sets_.at(set, w);
         way.lastUse = ++useClock_;
         way.dirty |= write;
         res.completionTick =
-            inPkgBlockAccess(frameOf(set, static_cast<unsigned>(w)),
+            inPkgBlockAccess(sets_.frameOf(set, static_cast<unsigned>(w)),
                              offset, write, t);
         res.servicedInPackage = true;
         res.l3Hit = true;
@@ -158,14 +116,14 @@ SramTagCache::writebackLine(Addr addr, CoreId core, Tick when)
 
     ++tagProbes_;
     const Tick t = when + cpuClk_.cyclesToTicks(params_.tagLatency);
-    const std::uint64_t set = setOf(ppn);
-    const int w = findWay(set, ppn);
+    const std::uint64_t set = sets_.setOf(ppn);
+    const int w = sets_.find(set, ppn);
     if (w >= 0) {
-        Way &way = ways_[set * params_.associativity + w];
+        Way &way = sets_.at(set, w);
         way.dirty = true;
         way.lastUse = ++useClock_;
-        inPkgBlockAccess(frameOf(set, static_cast<unsigned>(w)), offset,
-                         true, t);
+        inPkgBlockAccess(sets_.frameOf(set, static_cast<unsigned>(w)),
+                         offset, true, t);
     } else {
         // No write-allocate for L2 victims: send straight off-package.
         offPkgBlockAccess(ppn, offset, true, t);
@@ -173,17 +131,11 @@ SramTagCache::writebackLine(Addr addr, CoreId core, Tick when)
     }
 }
 
-bool
-SramTagCache::containsPage(PageNum ppn) const
-{
-    return findWay(setOf(ppn), ppn) >= 0;
-}
-
 void
 SramTagCache::saveOrgState(ckpt::Serializer &out) const
 {
-    out.putU64(ways_.size());
-    for (const Way &w : ways_) {
+    out.putU64(sets_.ways().size());
+    for (const Way &w : sets_.ways()) {
         out.putU64(w.ppn);
         out.putBool(w.valid);
         out.putBool(w.dirty);
@@ -200,9 +152,9 @@ void
 SramTagCache::loadOrgState(ckpt::Deserializer &in)
 {
     const std::uint64_t n = in.getU64();
-    tdc_assert(n == ways_.size(),
+    tdc_assert(n == sets_.ways().size(),
                "SRAM-tag cache geometry mismatch on checkpoint restore");
-    for (Way &w : ways_) {
+    for (Way &w : sets_.ways()) {
         w.ppn = in.getU64();
         w.valid = in.getBool();
         w.dirty = in.getBool();

@@ -21,10 +21,10 @@
 #define TDC_DRAMCACHE_SRAM_TAG_CACHE_HH
 
 #include <cstdint>
-#include <vector>
 
 #include "cache/replacement.hh"
 #include "dramcache/dram_cache_org.hh"
+#include "dramcache/page_sets.hh"
 
 namespace tdc {
 
@@ -73,7 +73,7 @@ class SramTagCache final : public DramCacheOrg
     const SramTagCacheParams &params() const { return params_; }
 
     /** Functional membership check, for tests. */
-    bool containsPage(PageNum ppn) const;
+    bool containsPage(PageNum ppn) const { return sets_.contains(ppn); }
 
   protected:
     void saveOrgState(ckpt::Serializer &out) const override;
@@ -89,31 +89,11 @@ class SramTagCache final : public DramCacheOrg
         std::uint64_t fillTime = 0;
     };
 
-    std::uint64_t setOf(PageNum ppn) const { return ppn & (numSets_ - 1); }
-
-    /**
-     * Way-major frame layout: consecutive sets map to consecutive
-     * in-package frames so that sequential pages stripe across DRAM
-     * banks (set-major layout would funnel one-page-per-set workloads
-     * into a couple of banks).
-     */
-    std::uint64_t
-    frameOf(std::uint64_t set, unsigned way) const
-    {
-        return std::uint64_t{way} * numSets_ + set;
-    }
-
-    /** Looks up ppn; returns way index or -1. */
-    int findWay(std::uint64_t set, PageNum ppn) const;
-
     /** Fills ppn into its set, evicting as needed; returns the frame. */
     std::uint64_t fillPage(PageNum ppn, Tick when, bool dirty);
 
-    unsigned victimWay(std::uint64_t set);
-
     SramTagCacheParams params_;
-    std::uint64_t numSets_;
-    std::vector<Way> ways_; //!< numSets_ * associativity, set-major
+    PageSets<Way> sets_;
     std::uint64_t useClock_ = 0;
 
     stats::Scalar tagProbes_;

@@ -1,6 +1,7 @@
 #include "dramcache/tagless_cache.hh"
 
 #include <algorithm>
+#include <functional>
 #include <tuple>
 #include <vector>
 
@@ -14,8 +15,7 @@ TaglessCache::TaglessCache(std::string name, DramDevice &in_pkg,
                            const TaglessCacheParams &params)
     : DramCacheOrg(std::move(name), in_pkg, off_pkg, phys, cpu_clk),
       params_(params), gipt_(params.cacheBytes / pageBytes),
-      frames_(params.cacheBytes / pageBytes),
-      frameIsFree_(params.cacheBytes / pageBytes, true)
+      frames_(params.cacheBytes / pageBytes)
 {
     tdc_assert(params_.alphaFreeBlocks >= 1, "alpha must be >= 1");
 
@@ -52,8 +52,19 @@ void
 TaglessCache::touch(std::uint64_t frame)
 {
     frames_[frame].lastTouch = ++touchClock_;
-    if (params_.policy == ReplPolicy::LRU)
-        lruHeap_.emplace(frames_[frame].lastTouch, frame);
+    if (params_.policy != ReplPolicy::LRU)
+        return;
+    lruHeap_.emplace_back(touchClock_, frame);
+    std::push_heap(lruHeap_.begin(), lruHeap_.end(), std::greater<>{});
+    // A mapped frame has at most one live entry, so once the heap holds
+    // more than twice the mapped frames, most entries are stale. Drop
+    // them: pickVictimLru() skips them without side effects, so no
+    // victim changes, and the heap stays within that bound.
+    if (lruHeap_.size() > 2 * (frames_.size() - freeQueue_.size())) {
+        std::erase_if(lruHeap_,
+                      [this](const LruKey &k) { return lruStale(k); });
+        std::make_heap(lruHeap_.begin(), lruHeap_.end(), std::greater<>{});
+    }
 }
 
 TlbMissResult
@@ -143,12 +154,11 @@ TaglessCache::handleTlbMiss(PageTable &pt, PageNum vpn, CoreId core,
     }
 
     if (pte.pu) {
-        // Another thread's fill is in flight: busy-wait on the PU bit.
-        auto it = pendingFills_.find(&pte);
-        if (it != pendingFills_.end())
-            res.readyTick = std::max(when, it->second);
-        ++puWaits_;
+        // Another thread's fill is in flight: busy-wait on the PU bit,
+        // which clears when the frame's fill completes.
         tdc_assert(pte.vc, "PU set but mapping not yet a cache address");
+        res.readyTick = std::max(when, gipt_.at(pte.frame).fillDone);
+        ++puWaits_;
         res.entry.frame = pte.frame;
         res.entry.nc = false;
         return res;
@@ -198,7 +208,6 @@ TaglessCache::handleTlbMiss(PageTable &pt, PageNum vpn, CoreId core,
         evictOne(t);
     }
     FreeQueue::FreeBlock fb = freeQueue_.pop();
-    frameIsFree_[fb.frame] = false;
     const bool free_stalled = fb.readyTick > t;
     if (free_stalled) {
         ++freeStalls_;
@@ -245,7 +254,7 @@ TaglessCache::handleTlbMiss(PageTable &pt, PageNum vpn, CoreId core,
     // installed before the handler returns, protecting it the same way).
     pte.frame = frame;
     pte.vc = true;
-    pendingFills_[&pte] = t;
+    gipt_.at(frame).fillDone = t;
     frames_[frame] = FrameMeta{};
     touch(frame);
     allocOrder_.push_back(frame);
@@ -303,13 +312,11 @@ TaglessCache::reserveSuperpageRun()
         const std::uint64_t base = s * pagesPerSuperpage;
         bool all_free = true;
         for (unsigned i = 0; i < pagesPerSuperpage && all_free; ++i)
-            all_free = frameIsFree_[base + i];
+            all_free = !gipt_.at(base + i).valid();
         if (!all_free)
             continue;
-        // Claim the run: mark used and drop the frames from the free
-        // queue (rare operation; a linear rebuild is fine).
-        for (unsigned i = 0; i < pagesPerSuperpage; ++i)
-            frameIsFree_[base + i] = false;
+        // Claim the run: drop the frames from the free queue (rare
+        // operation; a linear rebuild is fine). The caller maps them.
         FreeQueue rebuilt;
         while (!freeQueue_.empty()) {
             const auto fb = freeQueue_.pop();
@@ -342,15 +349,11 @@ TaglessCache::releaseSuperpage(PageTable &pt, PageNum base_vpn,
     for (unsigned i = 0; i < pagesPerSuperpage; ++i) {
         const std::uint64_t f = base + i;
         bt = flushOnDie(f, bt);
-        if (frames_[f].dirty) {
-            const Tick rd = inPkgPageAccess(f, false, bt);
-            bt = offPkgPageAccess(old_base_ppn + i, true, rd);
-            ++pageWritebacks_;
-        }
+        if (frames_[f].dirty)
+            bt = writeBackPage(f, old_base_ppn + i, bt);
         gipt_.invalidate(f);
         frames_[f] = FrameMeta{};
         freeQueue_.push(f, bt);
-        frameIsFree_[f] = true;
         ++evictions_;
         if (freeQueueProbe.attached())
             freeQueueProbe.fire(obs::FreeQueueEvent{
@@ -377,7 +380,7 @@ TaglessCache::pickVictimFifo()
     for (std::size_t i = 0; i < limit; ++i) {
         const std::uint64_t f = allocOrder_.front();
         allocOrder_.pop_front();
-        if (!gipt_.at(f).valid)
+        if (!gipt_.at(f).valid())
             continue; // stale entry (frame freed by another path)
         if (evictionBlocked(f)) {
             // Hot within the TLB reach: rotate to the back and keep
@@ -395,9 +398,9 @@ TaglessCache::pickVictimFifo()
     for (std::size_t i = 0; i < fallback_limit; ++i) {
         const std::uint64_t f = allocOrder_.front();
         allocOrder_.pop_front();
-        if (!gipt_.at(f).valid)
+        if (!gipt_.at(f).valid())
             continue;
-        if (gipt_.at(f).ptep && gipt_.at(f).ptep->pu) {
+        if (gipt_.at(f).ptep->pu) {
             allocOrder_.push_back(f);
             continue;
         }
@@ -414,10 +417,12 @@ TaglessCache::pickVictimLru()
     // so without a limit an all-resident cache would loop forever.
     std::size_t blocked_skips = 0;
     while (!lruHeap_.empty() && blocked_skips <= frames_.size()) {
-        auto [stamp, f] = lruHeap_.top();
-        lruHeap_.pop();
-        if (!gipt_.at(f).valid || frames_[f].lastTouch != stamp)
-            continue; // stale heap entry
+        std::pop_heap(lruHeap_.begin(), lruHeap_.end(), std::greater<>{});
+        const LruKey top = lruHeap_.back();
+        lruHeap_.pop_back();
+        if (lruStale(top))
+            continue;
+        const std::uint64_t f = top.second;
         if (evictionBlocked(f)) {
             // Second chance: pretend it was just used.
             touch(f);
@@ -472,7 +477,7 @@ TaglessCache::evictOne(Tick when)
                                     ? pickVictimLru()
                                     : pickVictimFifo();
     Gipt::Entry &g = gipt_.at(frame);
-    tdc_assert(g.valid, "evicting unoccupied frame {}", frame);
+    tdc_assert(g.valid(), "evicting unoccupied frame {}", frame);
 
     // All of the following is off the access critical path (the free
     // queue is drained asynchronously); `bt` tracks background traffic.
@@ -488,11 +493,8 @@ TaglessCache::evictOne(Tick when)
     bt = flushOnDie(frame, bt);
 
     // Dirty pages stream back to off-package DRAM.
-    if (frames_[frame].dirty) {
-        const Tick rd = inPkgPageAccess(frame, false, bt);
-        bt = offPkgPageAccess(g.ppn, true, rd);
-        ++pageWritebacks_;
-    }
+    if (frames_[frame].dirty)
+        bt = writeBackPage(frame, g.ppn, bt);
 
     // Restore the physical mapping in the PTE.
     Pte &pte = *g.ptep;
@@ -500,14 +502,12 @@ TaglessCache::evictOne(Tick when)
                "PTE/GIPT mismatch on eviction");
     pte.vc = false;
     pte.frame = g.ppn;
-    pendingFills_.erase(&pte);
 
     const PageNum old_ppn = g.ppn;
     const bool was_dirty = frames_[frame].dirty;
     gipt_.invalidate(frame);
     frames_[frame] = FrameMeta{};
     freeQueue_.push(frame, bt);
-    frameIsFree_[frame] = true;
     ++evictions_;
     if (giptProbe.attached())
         giptProbe.fire(obs::GiptEvent{
@@ -543,7 +543,7 @@ TaglessCache::access(Addr addr, AccessType type, CoreId core, Tick when)
         const std::uint64_t frame = frameNumOf(addr);
         // The tagless guarantee: a cTLB translation always points at an
         // occupied frame, so this access needs no membership check.
-        tdc_assert(gipt_.at(frame).valid,
+        tdc_assert(gipt_.at(frame).valid(),
                    "CA access to unoccupied frame {}", frame);
         // Every on-die copy of a CA line enters through here (an L2
         // miss), so the masks name every core and line to flush.
@@ -574,7 +574,7 @@ TaglessCache::writebackLine(Addr addr, CoreId core, Tick when)
     (void)core;
     if (isCaSpace(addr)) {
         const std::uint64_t frame = frameNumOf(addr);
-        tdc_assert(gipt_.at(frame).valid,
+        tdc_assert(gipt_.at(frame).valid(),
                    "CA writeback to unoccupied frame {}", frame);
         frames_[frame].dirty = true;
         inPkgBlockAccess(frame, pageOffset(addr), true, when);
@@ -592,7 +592,7 @@ TaglessCache::onTlbResidence(const TlbEntry &entry, CoreId core,
     if (entry.type == PageType::Page2M)
         return; // superpages are pinned; residence tracking unneeded
     const std::uint64_t frame = entry.frame;
-    if (!gipt_.at(frame).valid)
+    if (!gipt_.at(frame).valid())
         return; // raced with an eviction path that already cleaned up
     if (resident)
         gipt_.addResidence(frame, core);
@@ -609,26 +609,34 @@ TaglessCache::saveOrgState(ckpt::Serializer &out) const
         out.putBool(m.pinned);
         out.putU64(m.lastTouch);
     }
-    for (std::uint64_t f = 0; f < frames_.size(); ++f)
-        out.putBool(frameIsFree_[f]);
+    // Free flags: a frame is free exactly when it is unmapped.
+    for (std::uint64_t f = 0; f < gipt_.frames(); ++f)
+        out.putBool(!gipt_.at(f).valid());
 
     // GIPT entries; the PTEP pointer is serialized as the PTE's
     // (proc, type, vpn) identity and re-resolved against the restored
-    // page tables at load time.
+    // page tables at load time. The same pass collects the fill ticks
+    // of the 4 KiB pages, emitted sorted below.
+    using FillRec = std::tuple<ProcId, PageNum, std::uint8_t, Tick>;
+    std::vector<FillRec> fills;
+    fills.reserve(gipt_.frames() - freeQueue_.size());
     for (std::uint64_t f = 0; f < gipt_.frames(); ++f) {
         const Gipt::Entry &g = gipt_.at(f);
-        out.putBool(g.valid);
-        if (!g.valid)
+        out.putBool(g.valid());
+        if (!g.valid())
             continue;
+        const Pte &pte = *g.ptep;
         out.putU64(g.ppn);
         for (std::uint16_t r : g.residence)
             out.putU16(r);
-        out.putBool(g.ptep != nullptr);
-        if (g.ptep) {
-            out.putU32(g.ptep->proc);
-            out.putU8(static_cast<std::uint8_t>(g.ptep->type));
-            out.putU64(g.ptep->vpn);
-        }
+        out.putBool(true); // has a PTEP
+        out.putU32(pte.proc);
+        out.putU8(static_cast<std::uint8_t>(pte.type));
+        out.putU64(pte.vpn);
+        if (pte.type == PageType::Page4K)
+            fills.emplace_back(pte.proc, pte.vpn,
+                               static_cast<std::uint8_t>(pte.type),
+                               g.fillDone);
     }
 
     out.putU64(freeQueue_.size());
@@ -641,17 +649,7 @@ TaglessCache::saveOrgState(ckpt::Serializer &out) const
     for (std::uint64_t f : allocOrder_)
         out.putU64(f);
 
-    // Unordered maps are emitted with sorted keys so the checkpoint
-    // byte stream does not depend on hash iteration order.
-    using FillRec = std::tuple<ProcId, PageNum, std::uint8_t, Tick>;
-    std::vector<FillRec> fills;
-    fills.reserve(pendingFills_.size());
-    for (const auto &kv : pendingFills_) {
-        const Pte *pte = kv.first;
-        fills.emplace_back(pte->proc, pte->vpn,
-                           static_cast<std::uint8_t>(pte->type),
-                           kv.second);
-    }
+    // The format fixes both lists below in sorted order.
     std::sort(fills.begin(), fills.end());
     out.putU64(fills.size());
     for (const auto &[proc, vpn, type, tick] : fills) {
@@ -702,31 +700,33 @@ TaglessCache::loadOrgState(ckpt::Deserializer &in)
         m.pinned = in.getBool();
         m.lastTouch = in.getU64();
     }
-    for (std::uint64_t f = 0; f < frames_.size(); ++f)
-        frameIsFree_[f] = in.getBool();
+    const std::uint8_t *free_flags = in.getBytes(frames_.size());
 
     for (std::uint64_t f = 0; f < gipt_.frames(); ++f) {
         gipt_.invalidate(f);
-        if (!in.getBool())
+        const bool mapped = in.getBool();
+        if (mapped == (free_flags[f] != 0))
+            fatal("checkpoint: tagless frame {} is {} free-flagged and "
+                  "GIPT-mapped", f, mapped ? "both" : "neither");
+        if (!mapped)
             continue;
         // The access masks are not checkpointed: until the frame turns
         // over, any core and any line may hold a copy.
         frames_[f].cores = 0xff;
         frames_[f].lines = ~std::uint64_t{0};
         Gipt::Entry &g = gipt_.at(f);
-        g.valid = true;
         g.ppn = in.getU64();
         for (std::uint16_t &r : g.residence)
             r = in.getU16();
-        if (in.getBool()) {
-            const ProcId proc = in.getU32();
-            const auto type = static_cast<PageType>(in.getU8());
-            const PageNum vpn = in.getU64();
-            g.ptep = pteResolver_(proc, type, vpn);
-            tdc_assert(g.ptep,
-                       "unresolvable GIPT PTEP (proc {}, vpn {})",
-                       proc, vpn);
-        }
+        if (!in.getBool())
+            fatal("checkpoint: GIPT-mapped frame {} has no PTEP", f);
+        const ProcId proc = in.getU32();
+        const auto type = static_cast<PageType>(in.getU8());
+        const PageNum vpn = in.getU64();
+        g.ptep = pteResolver_(proc, type, vpn);
+        if (g.ptep == nullptr)
+            fatal("checkpoint: GIPT frame {} names PTE (proc {}, vpn "
+                  "{}), which the page tables do not hold", f, proc, vpn);
     }
 
     freeQueue_.clear();
@@ -742,7 +742,6 @@ TaglessCache::loadOrgState(ckpt::Deserializer &in)
     for (std::uint64_t i = 0; i < nalloc; ++i)
         allocOrder_.push_back(in.getU64());
 
-    pendingFills_.clear();
     const std::uint64_t nfills = in.getU64();
     for (std::uint64_t i = 0; i < nfills; ++i) {
         const ProcId proc = in.getU32();
@@ -750,10 +749,12 @@ TaglessCache::loadOrgState(ckpt::Deserializer &in)
         const PageNum vpn = in.getU64();
         const Tick tick = in.getU64();
         const Pte *pte = pteResolver_(proc, type, vpn);
-        tdc_assert(pte,
-                   "unresolvable pending-fill PTE (proc {}, vpn {})",
-                   proc, vpn);
-        pendingFills_[pte] = tick;
+        if (pte == nullptr || !pte->vc || pte->frame >= gipt_.frames()
+            || gipt_.at(pte->frame).ptep != pte)
+            fatal("checkpoint: fill tick {} names PTE (proc {}, vpn {}), "
+                  "which is not a cached page the GIPT maps back to it",
+                  tick, proc, vpn);
+        gipt_.at(pte->frame).fillDone = tick;
     }
 
     filterCounts_.clear();
@@ -779,16 +780,14 @@ TaglessCache::loadOrgState(ckpt::Deserializer &in)
     ckpt::load(in, superpageNcFallbacks_);
     ckpt::load(in, filterRejects_);
 
-    // Rebuild the lazily invalidated LRU heap from the live
-    // (lastTouch, frame) pairs. A straight run's heap holds these live
-    // entries plus stale ones that pickVictimLru() skips without any
-    // side effect, so the rebuilt heap is behaviour-identical.
-    lruHeap_ = {};
+    // Rebuild the LRU heap from the live (lastTouch, frame) pairs.
+    lruHeap_.clear();
     if (params_.policy == ReplPolicy::LRU) {
         for (std::uint64_t f = 0; f < frames_.size(); ++f) {
-            if (gipt_.at(f).valid && frames_[f].lastTouch != 0)
-                lruHeap_.emplace(frames_[f].lastTouch, f);
+            if (gipt_.at(f).valid() && frames_[f].lastTouch != 0)
+                lruHeap_.emplace_back(frames_[f].lastTouch, f);
         }
+        std::make_heap(lruHeap_.begin(), lruHeap_.end(), std::greater<>{});
     }
 }
 

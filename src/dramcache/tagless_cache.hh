@@ -30,7 +30,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <queue>
 #include <unordered_map>
 #include <vector>
 
@@ -113,28 +112,18 @@ class TaglessCache final : public DramCacheOrg
     std::uint64_t shootdowns() const { return shootdowns_.value(); }
     std::uint64_t evictions() const { return evictions_.value(); }
 
-    /** True if the page of a CA-space frame is currently occupied. */
-    bool
-    frameOccupied(std::uint64_t frame) const
-    {
-        return gipt_.at(frame).valid;
-    }
-
     /**
      * Read-only structural views for the invariant auditor
      * (src/check/): the free queue with its readyTicks, the per-frame
-     * free/pinned flags, the FIFO fill order and the in-flight fills.
+     * pinned flags and the FIFO fill order. A frame is free exactly
+     * when its GIPT entry is unmapped.
      */
     const FreeQueue &freeQueue() const { return freeQueue_; }
-    bool frameFree(std::uint64_t frame) const { return frameIsFree_[frame]; }
     bool framePinned(std::uint64_t frame) const { return frames_[frame].pinned; }
     const std::deque<std::uint64_t> &allocOrder() const { return allocOrder_; }
 
-    const std::unordered_map<const Pte *, Tick> &
-    pendingFills() const
-    {
-        return pendingFills_;
-    }
+    /** Entries in the LRU heap, live and stale (for tests). */
+    std::size_t lruHeapSize() const { return lruHeap_.size(); }
 
     /** Installed by System; resolves serialized GIPT PTEP identities. */
     void
@@ -147,10 +136,12 @@ class TaglessCache final : public DramCacheOrg
     /**
      * Checkpointing of the full cache-management state: GIPT (with
      * PTEP identities as (proc, type, vpn) triples), free queue,
-     * per-frame metadata, fill order, pending fills, filter counts and
-     * the tagless-specific stats. The LRU heap is not serialized; it
-     * is rebuilt from the live (lastTouch, frame) pairs, which is
-     * behaviour-identical because stale heap entries are skipped
+     * per-frame metadata, fill order, 4 KiB fill ticks, filter counts
+     * and the tagless-specific stats. The free flags and the fill list
+     * restate what the GIPT holds; a restore rejects a file where they
+     * disagree. The LRU heap is not serialized: a restore rebuilds it
+     * from the live (lastTouch, frame) pairs, which is
+     * behaviour-identical because pickVictimLru() skips stale entries
      * without side effects.
      */
     void saveOrgState(ckpt::Serializer &out) const override;
@@ -183,8 +174,22 @@ class TaglessCache final : public DramCacheOrg
      */
     std::uint64_t reserveSuperpageRun();
 
-    /** Marks a frame recently used (LRU bookkeeping). */
+    /**
+     * Marks a frame recently used (LRU bookkeeping). In LRU mode it
+     * pushes a heap entry and drops the stale ones once the heap holds
+     * more than twice as many entries as there are mapped frames.
+     */
     void touch(std::uint64_t frame);
+
+    using LruKey = std::pair<std::uint64_t, std::uint64_t>;
+
+    /** True if the frame was evicted or touched again since `k`. */
+    bool
+    lruStale(const LruKey &k) const
+    {
+        return !gipt_.at(k.second).valid()
+               || frames_[k.second].lastTouch != k.first;
+    }
 
     /** Picks and evicts one victim; free frame enqueued with its
      *  eviction-traffic completion tick. */
@@ -210,7 +215,7 @@ class TaglessCache final : public DramCacheOrg
         if (frames_[frame].pinned)
             return true;
         const Gipt::Entry &g = gipt_.at(frame);
-        return g.residentAnywhere() || (g.ptep && g.ptep->pu);
+        return g.residentAnywhere() || (g.valid() && g.ptep->pu);
     }
 
     /** Forces eviction eligibility via TLB shootdown. */
@@ -227,19 +232,12 @@ class TaglessCache final : public DramCacheOrg
     FreeQueue freeQueue_;
     std::vector<FrameMeta> frames_;
 
-    /** Mirror of the free queue for contiguous-run searches. */
-    std::vector<bool> frameIsFree_;
-
     /** Frames in fill order (FIFO replacement candidates). */
     std::deque<std::uint64_t> allocOrder_;
 
-    /** Lazily invalidated (lastTouch, frame) min-heap for LRU mode. */
-    using LruKey = std::pair<std::uint64_t, std::uint64_t>;
-    std::priority_queue<LruKey, std::vector<LruKey>, std::greater<>>
-        lruHeap_;
-
-    /** In-flight fills: PTE -> completion tick (PU bit semantics). */
-    std::unordered_map<const Pte *, Tick> pendingFills_;
+    /** Lazily invalidated (lastTouch, frame) min-heap for LRU mode
+     *  (std::push_heap/pop_heap with std::greater). */
+    std::vector<LruKey> lruHeap_;
 
     /** Online filter: TLB-miss counts of uncached pages. */
     std::unordered_map<AsidVpn, std::uint32_t> filterCounts_;

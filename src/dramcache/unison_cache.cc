@@ -12,16 +12,11 @@ UnisonCache::UnisonCache(std::string name, DramDevice &in_pkg,
                          const ClockDomain &cpu_clk,
                          const UnisonCacheParams &params)
     : DramCacheOrg(std::move(name), in_pkg, off_pkg, phys, cpu_clk),
-      params_(params)
+      params_(params),
+      sets_(params.cacheBytes / pageBytes, params.associativity)
 {
-    const std::uint64_t frames = params_.cacheBytes / pageBytes;
-    tdc_assert(frames % params_.associativity == 0,
-               "cache size not divisible by associativity");
-    numSets_ = frames / params_.associativity;
-    tdc_assert(isPowerOf2(numSets_), "set count must be a power of two");
     tdc_assert(isPowerOf2(params_.predictorEntries),
                "predictor entry count must be a power of two");
-    ways_.assign(frames, Way{});
     predictor_.assign(params_.predictorEntries, PredEntry{});
 
     auto &sg = statGroup();
@@ -40,33 +35,6 @@ UnisonCache::UnisonCache(std::string name, DramDevice &in_pkg,
     sg.addScalar("dirty_evictions", &dirtyEvictions_);
     sg.addScalar("wb_miss_off_pkg", &wbMissOffPkg_,
                  "L2 writebacks sent straight off-package");
-}
-
-int
-UnisonCache::findWay(std::uint64_t set, PageNum ppn) const
-{
-    const Way *base = &ways_[set * params_.associativity];
-    for (unsigned w = 0; w < params_.associativity; ++w) {
-        if (base[w].valid && base[w].ppn == ppn)
-            return static_cast<int>(w);
-    }
-    return -1;
-}
-
-unsigned
-UnisonCache::victimWay(std::uint64_t set) const
-{
-    const Way *base = &ways_[set * params_.associativity];
-    for (unsigned w = 0; w < params_.associativity; ++w) {
-        if (!base[w].valid)
-            return w;
-    }
-    auto cmp = [](const Way &a, const Way &b) {
-        return a.lastUse < b.lastUse;
-    };
-    const Way *victim =
-        std::min_element(base, base + params_.associativity, cmp);
-    return static_cast<unsigned>(victim - base);
 }
 
 namespace {
@@ -184,21 +152,19 @@ UnisonCache::access(Addr addr, AccessType type, CoreId core, Tick when)
     const unsigned line = lineInPage(addr);
     const std::uint64_t bit = 1ULL << line;
     const bool write = isWrite(type);
-    const std::uint64_t set = setOf(ppn);
+    const std::uint64_t set = sets_.setOf(ppn);
 
     // The in-DRAM tag check gates every access, hit or miss; it is
     // colocated with the row the access will touch (the hit way, or
-    // the victim frame a miss will fill), and a read hit folds it
+    // the LRU victim frame a miss will fill), and a read hit folds it
     // into the data burst itself.
-    const int w = findWay(set, ppn);
-    const unsigned touchWay =
-        w >= 0 ? static_cast<unsigned>(w) : victimWay(set);
+    const int w = sets_.find(set, ppn);
 
     L3Result res;
     if (w >= 0) {
-        Way &way = ways_[set * params_.associativity + w];
+        Way &way = sets_.at(set, w);
         const std::uint64_t frame =
-            frameOf(set, static_cast<unsigned>(w));
+            sets_.frameOf(set, static_cast<unsigned>(w));
         way.lastUse = ++useClock_;
         way.refBits |= bit;
         if (way.validBits & bit) {
@@ -234,9 +200,10 @@ UnisonCache::access(Addr addr, AccessType type, CoreId core, Tick when)
         const std::uint64_t key = makeKey(core, line);
         const std::uint64_t footprint = predictFootprint(key) | bit;
 
-        const unsigned victim = touchWay;
-        Way &vw = ways_[set * params_.associativity + victim];
-        const std::uint64_t frame = frameOf(set, victim);
+        const unsigned victim =
+            sets_.victim(set, [](const Way &v) { return v.lastUse; });
+        Way &vw = sets_.at(set, victim);
+        const std::uint64_t frame = sets_.frameOf(set, victim);
         const Tick t = tagBurst(frame, offset, when);
         if (vw.valid) {
             trainPredictor(vw.predKey, vw.refBits | 1ULL);
@@ -282,51 +249,43 @@ UnisonCache::writebackLine(Addr addr, CoreId core, Tick when)
     const PageNum ppn = frameNumOf(addr);
     const Addr offset = pageOffset(addr);
     const std::uint64_t bit = 1ULL << lineInPage(addr);
-    const std::uint64_t set = setOf(ppn);
+    const std::uint64_t set = sets_.setOf(ppn);
 
-    const int w = findWay(set, ppn);
+    const int w = sets_.find(set, ppn);
     if (w >= 0) {
         // Write-allocate into the cached page: an L2 victim carries
         // the whole line, so it becomes valid+dirty even if the
         // footprint fill skipped it. Line + tag update drain as one
         // buffered compound write.
-        Way &way = ways_[set * params_.associativity + w];
+        Way &way = sets_.at(set, w);
         way.validBits |= bit;
         way.dirtyBits |= bit;
         way.refBits |= bit;
         way.lastUse = ++useClock_;
-        tagDataWrite(frameOf(set, static_cast<unsigned>(w)), offset,
-                     when);
+        tagDataWrite(sets_.frameOf(set, static_cast<unsigned>(w)),
+                     offset, when);
     } else {
         // No page allocation for L2 victims: the (buffered) tag check
         // comes back negative and the line goes straight off-package.
-        const Tick t = tagBurst(frameOf(set, 0), offset, when);
+        const Tick t = tagBurst(sets_.frameOf(set, 0), offset, when);
         offPkgBlockAccess(ppn, offset, true, t);
         ++wbMissOffPkg_;
     }
 }
 
-bool
-UnisonCache::containsPage(PageNum ppn) const
-{
-    return findWay(setOf(ppn), ppn) >= 0;
-}
-
 std::uint64_t
 UnisonCache::validBitsOf(PageNum ppn) const
 {
-    const std::uint64_t set = setOf(ppn);
-    const int w = findWay(set, ppn);
-    if (w < 0)
-        return 0;
-    return ways_[set * params_.associativity + w].validBits;
+    const std::uint64_t set = sets_.setOf(ppn);
+    const int w = sets_.find(set, ppn);
+    return w < 0 ? 0 : sets_.at(set, w).validBits;
 }
 
 void
 UnisonCache::saveOrgState(ckpt::Serializer &out) const
 {
-    out.putU64(ways_.size());
-    for (const Way &w : ways_) {
+    out.putU64(sets_.ways().size());
+    for (const Way &w : sets_.ways()) {
         out.putU64(w.ppn);
         out.putBool(w.valid);
         out.putU64(w.validBits);
@@ -356,9 +315,9 @@ void
 UnisonCache::loadOrgState(ckpt::Deserializer &in)
 {
     std::uint64_t n = in.getU64();
-    tdc_assert(n == ways_.size(),
+    tdc_assert(n == sets_.ways().size(),
                "Unison cache geometry mismatch on checkpoint restore");
-    for (Way &w : ways_) {
+    for (Way &w : sets_.ways()) {
         w.ppn = in.getU64();
         w.valid = in.getBool();
         w.validBits = in.getU64();

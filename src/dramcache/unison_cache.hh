@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "dramcache/dram_cache_org.hh"
+#include "dramcache/page_sets.hh"
 
 namespace tdc {
 
@@ -60,7 +61,7 @@ class UnisonCache final : public DramCacheOrg
     const UnisonCacheParams &params() const { return params_; }
 
     /** Functional membership check, for tests. */
-    bool containsPage(PageNum ppn) const;
+    bool containsPage(PageNum ppn) const { return sets_.contains(ppn); }
 
     /** Valid-line bitvector of a cached page (0 if absent), for tests. */
     std::uint64_t validBitsOf(PageNum ppn) const;
@@ -99,18 +100,6 @@ class UnisonCache final : public DramCacheOrg
         std::uint64_t footprint = 0;
     };
 
-    std::uint64_t setOf(PageNum ppn) const { return ppn & (numSets_ - 1); }
-
-    /** Way-major frame layout (bank striping; see SramTagCache). */
-    std::uint64_t
-    frameOf(std::uint64_t set, unsigned way) const
-    {
-        return std::uint64_t{way} * numSets_ + set;
-    }
-
-    int findWay(std::uint64_t set, PageNum ppn) const;
-    unsigned victimWay(std::uint64_t set) const;
-
     /** Tag-only DRAM burst (miss-path decisions): one tag beat. */
     Tick tagBurst(std::uint64_t frame, Addr offset, Tick when);
 
@@ -141,8 +130,7 @@ class UnisonCache final : public DramCacheOrg
     void trainPredictor(std::uint64_t key, std::uint64_t footprint);
 
     UnisonCacheParams params_;
-    std::uint64_t numSets_;
-    std::vector<Way> ways_; //!< numSets_ * associativity, set-major
+    PageSets<Way> sets_;
     std::vector<PredEntry> predictor_;
     std::uint64_t useClock_ = 0;
 

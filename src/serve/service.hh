@@ -145,8 +145,6 @@ class SweepService
     void publishMetrics() const;
 
     JobQueue &queue() { return queue_; }
-    WarmCache &warmCache() { return warm_; }
-    ResultCache &resultCache() { return results_; }
 
   private:
     ServeConfig cfg_;

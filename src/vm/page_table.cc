@@ -177,8 +177,6 @@ PageTable::walk(PageNum vpn)
     }
     ++demandAllocs_;
     ++count4k_;
-    if (hook_)
-        hook_(slot);
     return slot;
 }
 

@@ -18,7 +18,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <unordered_map>
 
@@ -34,9 +33,6 @@ namespace tdc {
 class PageTable : public SimObject, public ckpt::Checkpointable
 {
   public:
-    /** Called when a page is touched for the first time (demand zero). */
-    using FirstTouchHook = std::function<void(Pte &)>;
-
     PageTable(std::string name, ProcId proc, PhysMem &phys);
 
     ProcId proc() const { return proc_; }
@@ -108,16 +104,13 @@ class PageTable : public SimObject, public ckpt::Checkpointable
             fn(pte);
     }
 
-    /** Hook invoked on demand allocation (used by NC classification). */
-    void setFirstTouchHook(FirstTouchHook hook) { hook_ = std::move(hook); }
-
     std::uint64_t demandAllocs() const { return demandAllocs_.value(); }
 
     /**
      * Checkpointing. Entries are emitted sorted by key so the byte
      * stream is independent of storage layout (and identical to the
      * earlier sorted-map emission); loadState() installs mappings
-     * directly (no demand allocation, no first-touch hook).
+     * directly (no demand allocation).
      */
     void saveState(ckpt::Serializer &out) const override;
     void loadState(ckpt::Deserializer &in) override;
@@ -158,7 +151,6 @@ class PageTable : public SimObject, public ckpt::Checkpointable
     /** 2 MiB mappings, keyed by vpn >> 9 (superpage number). */
     std::unordered_map<PageNum, Pte> table2m_;
     std::unordered_map<PageNum, bool> ncHints_;
-    FirstTouchHook hook_;
 
     stats::Scalar demandAllocs_;
 };

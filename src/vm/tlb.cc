@@ -201,14 +201,6 @@ Tlb::invalidate(AsidVpn key)
 }
 
 void
-Tlb::flushAll()
-{
-    for (std::uint32_t s = head_; s != npos; s = slots_[s].next)
-        notifyResidence(slots_[s].entry, false);
-    resetStorage();
-}
-
-void
 Tlb::saveState(ckpt::Serializer &out) const
 {
     // MRU -> LRU order; loadState() rebuilds the same recency stack.

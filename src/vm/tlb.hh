@@ -9,13 +9,13 @@
  *
  * The TLB is fully associative with true-LRU replacement and is tagged
  * with (process, vpn) keys so multi-programmed mixes do not alias.
- * Insert/evict hooks let the tagless DRAM cache maintain the GIPT's
- * TLB-residence bit vector.
+ * Every insert and evict notifies one residence listener, through which
+ * the tagless DRAM cache maintains the GIPT's TLB-residence bit vector.
  *
  * Storage is a flat slot array sized at construction: the recency stack
  * is an intrusive doubly-linked list of slot indices and the key index
  * is an open-addressing table, so steady-state lookup/insert/evict
- * perform no heap allocation. Replacement order, hook firing order and
+ * perform no heap allocation. Replacement order, notification order and
  * the checkpoint byte format are identical to the earlier list+map
  * implementation.
  */
@@ -24,7 +24,6 @@
 #define TDC_VM_TLB_HH
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <vector>
 
@@ -48,10 +47,9 @@ struct TlbEntry
 };
 
 /**
- * Direct residence-notification interface: one virtual call instead of
- * a std::function hop on the insert/evict fast path. DramCacheOrg
- * implements it; tests that need ad-hoc callbacks use the std::function
- * hook instead (both fire when both are set).
+ * Residence notifications: called with resident=true on every insert
+ * and resident=false on every eviction or invalidation. DramCacheOrg
+ * implements it; MemorySystem wires each of a core's TLBs to the org.
  */
 class TlbResidenceListener
 {
@@ -66,9 +64,6 @@ class TlbResidenceListener
 class Tlb : public SimObject, public ckpt::Checkpointable
 {
   public:
-    using ResidenceHook =
-        std::function<void(const TlbEntry &entry, bool resident)>;
-
     Tlb(std::string name, unsigned entries);
 
     /** Looks up a translation, updating recency on a hit. */
@@ -94,16 +89,10 @@ class Tlb : public SimObject, public ckpt::Checkpointable
      */
     std::optional<TlbEntry> insert(const TlbEntry &entry);
 
-    /** Drops a translation (TLB shootdown); fires the residence hook. */
+    /** Drops a translation (TLB shootdown); notifies the listener. */
     bool invalidate(AsidVpn key);
 
-    /** Invalidate everything (context switch / phase boundary). */
-    void flushAll();
-
-    /** Called with (key, true) on insert and (key, false) on eviction. */
-    void setResidenceHook(ResidenceHook hook) { hook_ = std::move(hook); }
-
-    /** Fast-path residence notification (see TlbResidenceListener). */
+    /** Residence notification target (see TlbResidenceListener). */
     void
     setResidenceListener(TlbResidenceListener *listener, CoreId core)
     {
@@ -136,8 +125,8 @@ class Tlb : public SimObject, public ckpt::Checkpointable
 
     /**
      * Checkpointing. loadState() rebuilds the recency stack directly
-     * and deliberately does NOT fire the residence hook: the GIPT
-     * residence counts the hook maintains are restored as part of the
+     * and deliberately does NOT notify the residence listener: the
+     * GIPT residence counts it maintains are restored as part of the
      * owning org's own section.
      */
     void saveState(ckpt::Serializer &out) const override;
@@ -179,8 +168,6 @@ class Tlb : public SimObject, public ckpt::Checkpointable
     {
         if (listener_)
             listener_->onTlbResidence(e, listenerCore_, resident);
-        if (hook_)
-            hook_(e, resident);
     }
 
     unsigned capacity_;
@@ -193,7 +180,6 @@ class Tlb : public SimObject, public ckpt::Checkpointable
     std::uint32_t freeHead_ = npos;
     std::uint32_t count_ = 0;
 
-    ResidenceHook hook_;
     TlbResidenceListener *listener_ = nullptr;
     CoreId listenerCore_ = 0;
 

@@ -1,8 +1,7 @@
-/** @file Tests for the set-associative SRAM cache and the MSHR. */
+/** @file Tests for the set-associative SRAM cache. */
 
 #include <gtest/gtest.h>
 
-#include "cache/mshr.hh"
 #include "cache/sram_cache.hh"
 
 using namespace tdc;
@@ -126,16 +125,6 @@ TEST(SramCache, InvalidatePageLeavesOtherPages)
     EXPECT_TRUE(c.contains(0x8000));
 }
 
-TEST(SramCache, FlushAll)
-{
-    SramCache c("c", smallParams());
-    c.access(0x0, true);
-    c.access(0x40, false);
-    c.flushAll();
-    EXPECT_FALSE(c.contains(0x0));
-    EXPECT_FALSE(c.contains(0x40));
-}
-
 TEST(SramCache, HighAddressBitsDistinguishTags)
 {
     SramCache c("c", smallParams());
@@ -200,98 +189,3 @@ INSTANTIATE_TEST_SUITE_P(Policies, SramCachePolicy,
                          ::testing::Values(ReplPolicy::LRU,
                                            ReplPolicy::FIFO,
                                            ReplPolicy::Random));
-
-// ----------------------------------------------------------------- MSHR
-
-TEST(Mshr, StartsEmpty)
-{
-    Mshr m(4);
-    EXPECT_EQ(m.inFlight(), 0u);
-    EXPECT_EQ(m.lookup(1, 0), maxTick);
-    EXPECT_EQ(m.earliestStart(100), 100u);
-}
-
-TEST(Mshr, MergesSameLine)
-{
-    Mshr m(4);
-    m.allocate(7, 500, 0);
-    EXPECT_EQ(m.lookup(7, 0), 500u);
-    EXPECT_EQ(m.lookup(8, 0), maxTick);
-}
-
-// Regression: registers retire lazily, so a query must not merge into
-// a miss that completed in the past -- the pre-fix lookup() returned
-// line 7's stale completion tick 500 here, making the "merged" request
-// appear to finish before it was even issued.
-TEST(Mshr, LookupIgnoresCompletedMisses)
-{
-    Mshr m(4);
-    m.allocate(7, 500, 0);
-    EXPECT_EQ(m.lookup(7, 499), 500u); // still outstanding: merge
-    EXPECT_EQ(m.lookup(7, 500), maxTick); // completed: fresh miss
-    EXPECT_EQ(m.lookup(7, 900), maxTick);
-}
-
-// Regression: a full MSHR whose misses have all completed holds only
-// free registers in disguise; the pre-fix earliestStart() still
-// counted the stale entries as busy and delayed the new miss to the
-// stalest completion tick instead of starting it immediately.
-TEST(Mshr, FullButExpiredMshrDoesNotDelayNewMisses)
-{
-    Mshr m(2);
-    m.allocate(1, 100, 0);
-    m.allocate(2, 120, 0);
-    EXPECT_EQ(m.inFlight(), 2u); // lazily retained
-    EXPECT_EQ(m.inFlight(200), 0u); // genuinely outstanding
-    EXPECT_EQ(m.earliestStart(200), 200u);
-}
-
-TEST(Mshr, MixedExpiredAndBusyCountsOnlyBusy)
-{
-    Mshr m(2);
-    m.allocate(1, 100, 0);
-    m.allocate(2, 300, 0);
-    // At t=150 line 1 is done: one register is effectively free, so a
-    // new miss starts immediately despite the map still holding two.
-    EXPECT_EQ(m.inFlight(150), 1u);
-    EXPECT_EQ(m.earliestStart(150), 150u);
-    // At t=50 both are genuinely busy: wait for the first completion.
-    EXPECT_EQ(m.earliestStart(50), 100u);
-}
-
-TEST(Mshr, FullDelaysNewMisses)
-{
-    Mshr m(2);
-    m.allocate(1, 100, 0);
-    m.allocate(2, 200, 0);
-    EXPECT_EQ(m.earliestStart(50), 100u); // must wait for line 1
-    EXPECT_EQ(m.earliestStart(150), 150u); // line 1 already done
-}
-
-TEST(Mshr, RetireFreesEntries)
-{
-    Mshr m(2);
-    m.allocate(1, 100, 0);
-    m.allocate(2, 200, 0);
-    m.retireUpTo(150);
-    EXPECT_EQ(m.inFlight(), 1u);
-    m.allocate(3, 300, 150);
-    EXPECT_EQ(m.inFlight(), 2u);
-}
-
-TEST(Mshr, AllocateRetiresCompleted)
-{
-    Mshr m(1);
-    m.allocate(1, 100, 0);
-    // At t=100 the first miss has completed; allocation must succeed.
-    m.allocate(2, 300, 100);
-    EXPECT_EQ(m.inFlight(), 1u);
-}
-
-TEST(Mshr, Clear)
-{
-    Mshr m(2);
-    m.allocate(1, 100, 0);
-    m.clear();
-    EXPECT_EQ(m.inFlight(), 0u);
-}

@@ -38,7 +38,7 @@ captureViolation(Fn fn)
 
 /**
  * A miniature single-core tagless machine: the cache, one cTLB wired
- * with the residence hook exactly as MemorySystem wires it, and an
+ * to it as residence listener exactly as MemorySystem wires it, and an
  * auditor pointed at all of it.
  */
 struct CheckTest : public ::testing::Test
@@ -56,9 +56,7 @@ struct CheckTest : public ::testing::Test
         cache = std::make_unique<TaglessCache>(
             "ctlb", m.inPkg, m.offPkg, m.phys, m.cpuClk, p);
         tlb = std::make_unique<Tlb>("tlb", 32);
-        tlb->setResidenceHook([this](const TlbEntry &e, bool resident) {
-            cache->onTlbResidence(e, 0, resident);
-        });
+        tlb->setResidenceListener(cache.get(), 0);
 
         AuditConfig cfg;
         cfg.enabled = true;
@@ -188,9 +186,9 @@ TEST_F(CheckTest, DetectsTlbEntryForUnmappedFrame)
     build();
     miss(0, 0);
     // Hand-install a translation naming a frame the GIPT never mapped.
-    // Bypass the residence hook: this models a stale TLB entry, not a
-    // tracked insert.
-    tlb->setResidenceHook(nullptr);
+    // Bypass the residence listener: this models a stale TLB entry,
+    // not a tracked insert.
+    tlb->setResidenceListener(nullptr, 0);
     tlb->insert(TlbEntry{.key = makeAsidVpn(0, 99), .frame = 7});
 
     const std::string err =
@@ -203,9 +201,9 @@ TEST_F(CheckTest, DetectsResidenceUndercount)
 {
     build();
     const TlbMissResult r = miss(0, 0);
-    // Drop the entry behind the residence hook's back: the GIPT still
-    // counts it resident, the TLB no longer holds it.
-    tlb->setResidenceHook(nullptr);
+    // Drop the entry behind the residence listener's back: the GIPT
+    // still counts it resident, the TLB no longer holds it.
+    tlb->setResidenceListener(nullptr, 0);
     tlb->invalidate(r.entry.key);
 
     const std::string err =
@@ -222,7 +220,7 @@ TEST_F(CheckTest, DetectsStaleNcEntryForCachedPage)
     // A physical-mapping entry for a page that is in-package routes
     // its accesses off-package: exactly the staleness the filter
     // promotion path must shoot down.
-    tlb->setResidenceHook(nullptr);
+    tlb->setResidenceListener(nullptr, 0);
     const Pte *pte = m.pt.find(0);
     ASSERT_NE(pte, nullptr);
     tlb->insert(TlbEntry{.key = makeAsidVpn(0, 0),

@@ -13,11 +13,11 @@ TEST(Gipt, InstallAndInvalidate)
     Gipt g(16);
     Pte pte;
     g.install(3, 777, &pte);
-    EXPECT_TRUE(g.at(3).valid);
+    EXPECT_TRUE(g.at(3).valid());
     EXPECT_EQ(g.at(3).ppn, 777u);
     EXPECT_EQ(g.at(3).ptep, &pte);
     g.invalidate(3);
-    EXPECT_FALSE(g.at(3).valid);
+    EXPECT_FALSE(g.at(3).valid());
     EXPECT_EQ(g.at(3).ptep, nullptr);
 }
 

@@ -1,8 +1,13 @@
-/** @file Tests for the SRAM-tag page cache and Table 6 parameters. */
+/**
+ * @file
+ * Tests for the SRAM-tag page cache, Table 6 parameters and the
+ * set-associative page array the tagged page caches share.
+ */
 
 #include <gtest/gtest.h>
 
 #include "common/units.hh"
+#include "dramcache/page_sets.hh"
 #include "dramcache/sram_tag_cache.hh"
 #include "test_util.hh"
 
@@ -163,4 +168,55 @@ TEST_F(SramTagTest, MissRateTracked)
     EXPECT_EQ(cache->l3Accesses(), 3u);
     EXPECT_EQ(cache->l3Hits(), 1u);
     EXPECT_EQ(cache->l3Misses(), 2u);
+}
+
+// ------------------------------------------------------------ PageSets
+
+namespace {
+
+struct TestWay
+{
+    PageNum ppn = invalidPage;
+    bool valid = false;
+    std::uint64_t key = 0;
+};
+
+} // namespace
+
+TEST(PageSets, FramesAreWayMajor)
+{
+    PageSets<TestWay> s(16, 4);
+    EXPECT_EQ(s.numSets(), 4u);
+    EXPECT_EQ(s.setOf(13), 1u);
+    EXPECT_EQ(s.frameOf(1, 0), 1u);
+    EXPECT_EQ(s.frameOf(1, 2), 9u) << "way * sets + set";
+    EXPECT_EQ(s.frameOf(3, 3), 15u);
+}
+
+TEST(PageSets, FindIgnoresAnInvalidWayWithAMatchingPpn)
+{
+    PageSets<TestWay> s(16, 4);
+    s.at(1, 0) = TestWay{.ppn = 5, .valid = false};
+    EXPECT_EQ(s.find(1, 5), -1);
+    EXPECT_FALSE(s.contains(5));
+    s.at(1, 2) = TestWay{.ppn = 5, .valid = true};
+    EXPECT_EQ(s.find(1, 5), 2);
+    EXPECT_TRUE(s.contains(5));
+    EXPECT_EQ(s.find(2, 5), -1) << "only the named set is searched";
+}
+
+TEST(PageSets, VictimIsTheFirstInvalidWayElseTheSmallestKey)
+{
+    PageSets<TestWay> s(16, 4);
+    auto key = [](const TestWay &w) { return w.key; };
+    EXPECT_EQ(s.victim(0, key), 0u);
+    s.at(0, 0) = TestWay{.ppn = 0, .valid = true, .key = 1};
+    s.at(0, 2) = TestWay{.ppn = 8, .valid = true, .key = 0};
+    EXPECT_EQ(s.victim(0, key), 1u) << "first invalid way";
+    s.at(0, 1) = TestWay{.ppn = 4, .valid = true, .key = 7};
+    EXPECT_EQ(s.victim(0, key), 3u);
+    s.at(0, 3) = TestWay{.ppn = 12, .valid = true, .key = 0};
+    EXPECT_EQ(s.victim(0, key), 2u) << "smallest key, lowest index";
+    s.at(0, 2).key = 9;
+    EXPECT_EQ(s.victim(0, key), 3u);
 }

@@ -126,7 +126,7 @@ TEST_F(SuperpageTest, FillPinsContiguousRun)
     EXPECT_EQ(cache->pinnedFrames(), pagesPerSuperpage);
     // All 512 GIPT entries valid and consecutive.
     for (unsigned i = 0; i < pagesPerSuperpage; ++i)
-        EXPECT_TRUE(cache->gipt().at(res.entry.frame + i).valid) << i;
+        EXPECT_TRUE(cache->gipt().at(res.entry.frame + i).valid()) << i;
 }
 
 TEST_F(SuperpageTest, SecondMissIsResolvedWithoutRefill)
@@ -152,7 +152,7 @@ TEST_F(SuperpageTest, NcFallbackWhenNoContiguousRun)
     // Force frame into the second slot by filling pages until one
     // lands there.
     Tick t = 0;
-    while (!cache->gipt().at(pagesPerSuperpage).valid) {
+    while (!cache->gipt().at(pagesPerSuperpage).valid()) {
         static PageNum v = 10;
         t = cache->handleTlbMiss(m.pt, v++, 0, t).readyTick;
     }
@@ -176,7 +176,7 @@ TEST_F(SuperpageTest, PinnedFramesSurviveEvictionPressure)
     // The superpage is still fully cached.
     EXPECT_TRUE(m.pt.walk(spBase).vc);
     for (unsigned i = 0; i < pagesPerSuperpage; ++i)
-        EXPECT_TRUE(cache->gipt().at(sp.entry.frame + i).valid);
+        EXPECT_TRUE(cache->gipt().at(sp.entry.frame + i).valid());
 }
 
 TEST_F(SuperpageTest, AccessesWithinSuperpageHitInPackage)

@@ -7,12 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <list>
 #include <set>
 
 #include "ckpt/serializer.hh"
+#include "common/logging.hh"
 #include "common/random.hh"
 #include "common/units.hh"
+#include "dramcache/no_l3.hh"
 #include "dramcache/tagless_cache.hh"
 #include "obs/probe.hh"
 #include "test_util.hh"
@@ -63,13 +67,28 @@ struct TaglessTest : public ::testing::Test
         return {};
     }
 
+    /** The cache's own checkpoint section. */
+    std::vector<std::uint8_t>
+    orgBytes() const
+    {
+        ckpt::Serializer cs;
+        cache->saveState(cs);
+        return cs.bytes();
+    }
+
+    std::unique_ptr<TaglessCache>
+    restoreInto(Machine &m2)
+    {
+        return restoreInto(m2, orgBytes());
+    }
+
     /**
-     * Restores the cache's checkpoint into a fresh cache on `m2`, in
+     * Restores `org` (a cache section) into a fresh cache on `m2`, in
      * the System's order: page table and DRAM-device timing state
      * first (bank/row state shapes fill latencies), then the org.
      */
     std::unique_ptr<TaglessCache>
-    restoreInto(Machine &m2)
+    restoreInto(Machine &m2, const std::vector<std::uint8_t> &org)
     {
         ckpt::Serializer pts;
         m.phys.saveState(pts);
@@ -77,8 +96,6 @@ struct TaglessTest : public ::testing::Test
         ckpt::Serializer ds;
         m.inPkg.saveState(ds);
         m.offPkg.saveState(ds);
-        ckpt::Serializer cs;
-        cache->saveState(cs);
 
         ckpt::Deserializer ptd(pts.bytes());
         m2.phys.loadState(ptd);
@@ -96,9 +113,25 @@ struct TaglessTest : public ::testing::Test
                            ? m2.pt.findSuperpage(vpn)
                            : m2.pt.find(vpn);
             });
-        ckpt::Deserializer cd(cs.bytes());
+        ckpt::Deserializer cd(org);
         other->loadState(cd);
         return other;
+    }
+
+    /** Expects restoring `org` to fail with a fatal() naming `what`. */
+    void
+    expectRestoreFatal(const std::vector<std::uint8_t> &org,
+                       const std::string &what)
+    {
+        Machine m2;
+        ScopedFatalCapture capture;
+        try {
+            restoreInto(m2, org);
+            ADD_FAILURE() << "restore accepted a section naming " << what;
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+                << e.what();
+        }
     }
 
     void
@@ -154,7 +187,7 @@ TEST_F(TaglessTest, ColdFillAllocatesFrameAndRewritesPte)
     EXPECT_EQ(pte->frame, res.entry.frame);
 
     const auto &g = cache->gipt().at(res.entry.frame);
-    EXPECT_TRUE(g.valid);
+    EXPECT_TRUE(g.valid());
     EXPECT_EQ(g.ptep, pte);
 }
 
@@ -235,6 +268,78 @@ TEST_F(TaglessTest, PendingUpdateSerializesConcurrentFills)
     EXPECT_EQ(res.entry.frame, 3u);
     EXPECT_EQ(cache->puWaits(), 1u);
     EXPECT_FALSE(res.coldFill);
+}
+
+TEST_F(TaglessTest, PuWaitEndsWhenTheFillCompletes)
+{
+    build();
+    const auto fill = miss(100);
+    ASSERT_GT(fill.readyTick, 10u);
+    // The page's fill is still in flight for another thread's miss.
+    m.pt.find(100)->pu = true;
+    const auto early = miss(100, 10);
+    EXPECT_EQ(early.readyTick, fill.readyTick)
+        << "the wait ends when the frame's fill completes";
+    EXPECT_EQ(early.entry.frame, fill.entry.frame);
+    EXPECT_FALSE(early.coldFill);
+    EXPECT_FALSE(early.victimHit);
+    const auto late = miss(100, fill.readyTick + 5);
+    EXPECT_EQ(late.readyTick, fill.readyTick + 5);
+    EXPECT_EQ(cache->puWaits(), 2u);
+}
+
+TEST_F(TaglessTest, RestoreRejectsASectionThatContradictsTheGipt)
+{
+    build(); // 16 frames
+    miss(1);
+    const auto fill = miss(2);
+    m.pt.walk(7); // a page that exists but was never cached
+    const std::vector<std::uint8_t> good = orgBytes();
+    {
+        Machine m2;
+        ScopedFatalCapture capture;
+        EXPECT_NE(restoreInto(m2, good), nullptr);
+    }
+
+    // The free flags follow the shared stats (the whole section of a
+    // stateless org) and the frame count and 10-byte frame records.
+    ckpt::Serializer shared;
+    NoL3("nol3", m.inPkg, m.offPkg, m.phys, m.cpuClk).saveState(shared);
+    const std::size_t flags = shared.bytes().size() + 8 + 16 * 10;
+    std::vector<std::uint8_t> bad = good;
+    ASSERT_EQ(bad[flags], 0u) << "frame 0 holds page 1";
+    bad[flags] = 1;
+    expectRestoreFatal(bad, "frame 0");
+
+    // Frame 0's GIPT entry: valid, PPN, residence, has-PTEP, PTE id.
+    ckpt::Serializer entry;
+    entry.putBool(true);
+    entry.putU64(cache->gipt().at(0).ppn);
+    for (unsigned c = 0; c < Gipt::maxCores; ++c)
+        entry.putU16(0);
+    entry.putBool(true);
+    entry.putU32(0);
+    entry.putU8(static_cast<std::uint8_t>(PageType::Page4K));
+    entry.putU64(1);
+    auto at = std::search(good.begin(), good.end(),
+                          entry.bytes().begin(), entry.bytes().end());
+    ASSERT_NE(at, good.end());
+    bad = good;
+    bad[(at - good.begin()) + 1 + 8 + 2 * Gipt::maxCores] = 0;
+    expectRestoreFatal(bad, "frame 0 has no PTEP");
+
+    // Page 2's fill tick, pointed at page 7.
+    ckpt::Serializer rec;
+    rec.putU32(0);
+    rec.putU8(static_cast<std::uint8_t>(PageType::Page4K));
+    rec.putU64(2);
+    rec.putU64(fill.readyTick);
+    at = std::search(good.begin(), good.end(), rec.bytes().begin(),
+                     rec.bytes().end());
+    ASSERT_NE(at, good.end());
+    bad = good;
+    bad[(at - good.begin()) + 4 + 1] = 7; // the vpn's low byte
+    expectRestoreFatal(bad, "vpn 7");
 }
 
 TEST_F(TaglessTest, FifoEvictionRecyclesOldestFrame)
@@ -427,6 +532,78 @@ TEST_F(TaglessTest, LruEvictsLeastRecentlyTouched)
     EXPECT_TRUE(m.pt.find(3)->vc);
 }
 
+TEST_F(TaglessTest, LruHeapStaysBoundedAndEvictsLikeAnLruList)
+{
+    // Every touch pushes a heap entry; dropping the stale ones keeps
+    // the heap within twice the mapped frames. Victims must still
+    // follow a plain LRU list in which a TLB-resident page gets a
+    // second chance (moves to the most recent end) instead of being
+    // evicted.
+    constexpr std::uint64_t frames = 8;
+    constexpr PageNum pages = 20;
+    build(frames, ReplPolicy::LRU);
+    std::list<PageNum> lru; // front: least recently used
+    std::set<PageNum> resident;
+    auto use = [&](PageNum vpn) {
+        lru.remove(vpn);
+        lru.push_back(vpn);
+    };
+    auto setResident = [&](PageNum vpn, bool r) {
+        const Pte *pte = m.pt.find(vpn);
+        cache->onTlbResidence(TlbEntry{makeAsidVpn(0, vpn), pte->frame},
+                              0, r);
+        if (r)
+            resident.insert(vpn);
+        else
+            resident.erase(vpn);
+    };
+
+    Pcg32 rng(11);
+    Tick t = 0;
+    std::uint64_t touches = 0;
+    std::uint64_t second_chances = 0;
+    for (int i = 0; i < 5000; ++i) {
+        const PageNum vpn = rng.below(pages);
+        const Pte *pte = m.pt.find(vpn);
+        const bool cached = pte != nullptr && pte->vc;
+        if (cached && rng.chance(0.1)) {
+            if (resident.count(vpn))
+                setResident(vpn, false);
+            else if (resident.size() < 2)
+                setResident(vpn, true);
+        } else if (cached && rng.chance(0.7)) {
+            cache->access(caAddr(pte->frame, 0), AccessType::Load, 0, t);
+            use(vpn);
+            ++touches;
+        } else {
+            t = miss(vpn, t).readyTick;
+            use(vpn);
+            ++touches;
+            // One frame stays free (alpha = 1): evict down to 7 pages.
+            while (lru.size() > frames - 1) {
+                const PageNum front = lru.front();
+                if (resident.count(front) || front == vpn) {
+                    use(front); // second chance
+                    ++second_chances;
+                    continue;
+                }
+                lru.pop_front();
+            }
+        }
+        ASSERT_LE(cache->lruHeapSize(), 2 * (frames - cache->freeBlocks()))
+            << "step " << i;
+        for (PageNum v = 0; v < pages; ++v) {
+            const Pte *p = m.pt.find(v);
+            const bool in_cache = p != nullptr && p->vc;
+            const bool in_list =
+                std::find(lru.begin(), lru.end(), v) != lru.end();
+            ASSERT_EQ(in_cache, in_list) << "step " << i << " vpn " << v;
+        }
+    }
+    EXPECT_GT(touches, 200 * frames) << "stale entries were dropped often";
+    EXPECT_GT(second_chances, 0u);
+}
+
 TEST_F(TaglessTest, FreeStallWhenEvictionTrafficPending)
 {
     build(2);
@@ -561,7 +738,7 @@ TEST_P(TaglessInvariants, HoldAfterRandomWorkload)
             continue;
         ++cached_pages;
         const auto &g = cache.gipt().at(pte->frame);
-        EXPECT_TRUE(g.valid);
+        EXPECT_TRUE(g.valid());
         EXPECT_EQ(g.ptep, pte);
         EXPECT_TRUE(occupied.insert(pte->frame).second)
             << "two pages share frame " << pte->frame;
@@ -571,7 +748,7 @@ TEST_P(TaglessInvariants, HoldAfterRandomWorkload)
     unsigned valid_gipt = 0;
     for (std::uint64_t f = 0; f < frames; ++f) {
         const auto &g = cache.gipt().at(f);
-        if (!g.valid)
+        if (!g.valid())
             continue;
         ++valid_gipt;
         EXPECT_TRUE(g.ptep->vc);

@@ -141,21 +141,6 @@ TEST(PageTable, NonCacheableHintAfterTouch)
     EXPECT_TRUE(pt.walk(42).nc);
 }
 
-TEST(PageTable, FirstTouchHook)
-{
-    PhysMem pm("pm", 100);
-    PageTable pt("pt", 0, pm);
-    int calls = 0;
-    pt.setFirstTouchHook([&](Pte &pte) {
-        ++calls;
-        EXPECT_TRUE(pte.valid);
-    });
-    pt.walk(1);
-    pt.walk(1);
-    pt.walk(2);
-    EXPECT_EQ(calls, 2);
-}
-
 // ----------------------------------------------------------------- TLB
 
 namespace {
@@ -165,6 +150,21 @@ entry(PageNum vpn, Addr frame, bool nc = false)
 {
     return TlbEntry{makeAsidVpn(0, vpn), frame, nc};
 }
+
+/** Records every residence notification a TLB sends. */
+struct RecordingListener final : TlbResidenceListener
+{
+    int resident = 0;
+    std::vector<Addr> evicted;
+
+    void
+    onTlbResidence(const TlbEntry &e, CoreId, bool r) override
+    {
+        resident += r ? 1 : -1;
+        if (!r)
+            evicted.push_back(e.frame);
+    }
+};
 
 } // namespace
 
@@ -214,33 +214,28 @@ TEST(Tlb, Invalidate)
 TEST(Tlb, ResidenceHookTracksInsertAndEvict)
 {
     Tlb tlb("tlb", 2);
-    int resident = 0;
-    tlb.setResidenceHook([&](const TlbEntry &, bool r) {
-        resident += r ? 1 : -1;
-    });
+    RecordingListener rec;
+    tlb.setResidenceListener(&rec, 0);
     tlb.insert(entry(1, 1));
     tlb.insert(entry(2, 2));
-    EXPECT_EQ(resident, 2);
+    EXPECT_EQ(rec.resident, 2);
     tlb.insert(entry(3, 3)); // evicts one
-    EXPECT_EQ(resident, 2);
+    EXPECT_EQ(rec.resident, 2);
     tlb.invalidate(makeAsidVpn(0, 3));
-    EXPECT_EQ(resident, 1);
-    tlb.flushAll();
-    EXPECT_EQ(resident, 0);
+    EXPECT_EQ(rec.resident, 1);
+    tlb.invalidate(makeAsidVpn(0, 2));
+    EXPECT_EQ(rec.resident, 0);
 }
 
 TEST(Tlb, HookReceivesEvictedEntry)
 {
     Tlb tlb("tlb", 1);
-    std::vector<Addr> evicted;
-    tlb.setResidenceHook([&](const TlbEntry &e, bool r) {
-        if (!r)
-            evicted.push_back(e.frame);
-    });
+    RecordingListener rec;
+    tlb.setResidenceListener(&rec, 0);
     tlb.insert(entry(1, 111));
     tlb.insert(entry(2, 222));
-    ASSERT_EQ(evicted.size(), 1u);
-    EXPECT_EQ(evicted[0], 111u);
+    ASSERT_EQ(rec.evicted.size(), 1u);
+    EXPECT_EQ(rec.evicted[0], 111u);
 }
 
 TEST(Tlb, DistinguishesProcesses)
