@@ -38,13 +38,18 @@ SramCache::selectVictim(std::uint64_t set)
       case ReplPolicy::LRU:
       case ReplPolicy::FIFO: {
         // First minimum wins, replicating std::min_element's tie-break.
+        // The least key rides in a register and both selects are
+        // conditional moves, not a reload and a branch per way.
         const std::uint64_t *key = params_.policy == ReplPolicy::LRU
                                        ? lastUse_.data()
                                        : fillTime_.data();
         std::size_t best = base;
+        std::uint64_t least = key[base];
         for (unsigned w = 1; w < params_.associativity; ++w) {
-            if (key[base + w] < key[best])
-                best = base + w;
+            const std::uint64_t k = key[base + w];
+            const bool less = k < least;
+            best = less ? base + w : best;
+            least = less ? k : least;
         }
         return best;
       }

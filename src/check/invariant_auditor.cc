@@ -241,17 +241,20 @@ InvariantAuditor::verifyFreeQueue() const
 {
     const Gipt &gipt = tagless_->gipt();
     std::unordered_set<std::uint64_t> seen;
-    for (const FreeQueue::FreeBlock &b :
-         tagless_->freeQueue().blocks()) {
-        if (b.frame >= gipt.frames())
-            fatal("invariant violation [free queue]: frame {} out of "
-                  "range", b.frame);
-        if (!seen.insert(b.frame).second)
-            fatal("invariant violation [free queue]: frame {} queued "
-                  "twice", b.frame);
-        if (gipt.at(b.frame).valid())
-            fatal("invariant violation [free queue]: frame {} both "
-                  "free-queued and GIPT-mapped", b.frame);
+    const FreeQueue &queue = tagless_->freeQueue();
+    for (std::size_t i = 0; i < queue.runCount(); ++i) {
+        const FreeQueue::Run &r = queue.run(i);
+        for (std::uint64_t f = r.first; f < r.end(); ++f) {
+            if (f >= gipt.frames())
+                fatal("invariant violation [free queue]: frame {} out "
+                      "of range", f);
+            if (!seen.insert(f).second)
+                fatal("invariant violation [free queue]: frame {} "
+                      "queued twice", f);
+            if (gipt.at(f).valid())
+                fatal("invariant violation [free queue]: frame {} both "
+                      "free-queued and GIPT-mapped", f);
+        }
     }
 
     std::uint64_t mapped = 0;

@@ -45,7 +45,7 @@ namespace ckpt {
 
 inline constexpr char checkpointMagic[8] =
     {'T', 'D', 'C', 'C', 'K', 'P', 'T', '\0'};
-inline constexpr std::uint32_t checkpointFormatVersion = 2;
+inline constexpr std::uint32_t checkpointFormatVersion = 3;
 
 /** 64-bit FNV-1a over a byte range. */
 std::uint64_t fnv1a(const std::uint8_t *data, std::size_t n);
@@ -109,7 +109,7 @@ std::string hex16(std::uint64_t v);
  * format shared by `tdc_ckpt --json` and the sweep service's
  * warm-cache integrity/status paths, so scripts parse a single shape:
  *
- *   { "schema": "tdc-ckpt-info-v1", "path": ..., "format_version": 2,
+ *   { "schema": "tdc-ckpt-info-v1", "path": ..., "format_version": 3,
  *     "fingerprint": "<hex16>", "payload_bytes": N,
  *     "sections": [ { "name", "bytes", "checksum": "<hex16>" }, ... ],
  *     "meta": { ... } }

@@ -66,6 +66,14 @@ class Serializer
 
     void reserve(std::size_t n) { buf_.reserve(n); }
 
+    /** Overwrites the u64 written at byte offset `pos` (a count that
+     *  precedes the entries it counts). */
+    void
+    patchU64(std::size_t pos, std::uint64_t v)
+    {
+        std::memcpy(buf_.data() + pos, &v, sizeof(v));
+    }
+
     const std::vector<std::uint8_t> &bytes() const { return buf_; }
     std::vector<std::uint8_t> take() { return std::move(buf_); }
     std::size_t size() const { return buf_.size(); }
@@ -151,6 +159,56 @@ class Deserializer
     std::size_t size_;
     std::size_t pos_ = 0;
 };
+
+/**
+ * Writes a sparse list (DESIGN.md 8): a u64 entry count, then, for each
+ * index i in [0, n) where live(i) holds, in ascending order, the u64
+ * index followed by whatever put(i) writes.
+ */
+template <typename Live, typename Put>
+void
+putSparse(Serializer &out, std::uint64_t n, Live live, Put put)
+{
+    const std::size_t at = out.size();
+    out.putU64(0);
+    std::uint64_t count = 0;
+    for (std::uint64_t i = 0; i < n; ++i) {
+        if (!live(i))
+            continue;
+        out.putU64(i);
+        put(i);
+        ++count;
+    }
+    out.patchU64(at, count);
+}
+
+/**
+ * Reads a list written by putSparse() and calls get(i) for each entry.
+ * Each index must be below n and above the one before it, so a corrupt
+ * list is a fatal() naming `what` and the entry, never a write out of
+ * range or an entry restored twice.
+ */
+template <typename Get>
+void
+getSparse(Deserializer &in, std::string_view what, std::uint64_t n,
+          Get get)
+{
+    const std::uint64_t count = in.getU64();
+    std::uint64_t prev = 0;
+    for (std::uint64_t k = 0; k < count; ++k) {
+        const std::uint64_t i = in.getU64();
+        if (i >= n)
+            fatal("checkpoint: {} {} out of range ({} in all)", what, i,
+                  n);
+        if (k > 0 && i == prev)
+            fatal("checkpoint: {} {} listed twice", what, i);
+        if (k > 0 && i < prev)
+            fatal("checkpoint: {} {} listed after {} {}", what, i, what,
+                  prev);
+        get(i);
+        prev = i;
+    }
+}
 
 } // namespace ckpt
 } // namespace tdc

@@ -3,18 +3,26 @@
  * Lazily zero-filled flat array for huge, sparsely touched tables.
  *
  * std::vector value-initialization writes every byte eagerly, which for
- * a multi-hundred-megabyte tag store costs more than the simulation
- * that follows. calloc instead maps copy-on-write zero pages, so
- * construction is O(1) in touched memory and untouched slots never
- * fault in. Restricted to trivially-copyable, zero-initializable
- * element types; elements are destroyed by free() without destructor
- * calls.
+ * a multi-megabyte frame or tag table costs more memory and time than a
+ * short simulation that touches a few percent of it. The storage here
+ * is an anonymous private mapping instead: the kernel hands out zeroed
+ * pages on first write, so construction is O(1) in touched memory,
+ * untouched pages never count toward the resident set, and destruction
+ * returns every page at once. calloc() would often do the same, but
+ * only while glibc's dynamic mmap threshold is below the request; once
+ * it rises, calloc serves the array from the heap, touches it and keeps
+ * it resident after free().
+ *
+ * Restricted to trivially-copyable element types whose all-zero bytes
+ * are the default value; elements are never constructed or destroyed.
  */
 
 #ifndef TDC_COMMON_ZEROED_ARRAY_HH
 #define TDC_COMMON_ZEROED_ARRAY_HH
 
-#include <cstdlib>
+#include <sys/mman.h>
+
+#include <cstddef>
 #include <type_traits>
 #include <utility>
 
@@ -43,7 +51,7 @@ class ZeroedArray
     operator=(ZeroedArray &&o) noexcept
     {
         if (this != &o) {
-            std::free(data_);
+            release();
             data_ = std::exchange(o.data_, nullptr);
             size_ = std::exchange(o.size_, 0);
         }
@@ -53,19 +61,21 @@ class ZeroedArray
     ZeroedArray(const ZeroedArray &) = delete;
     ZeroedArray &operator=(const ZeroedArray &) = delete;
 
-    ~ZeroedArray() { std::free(data_); }
+    ~ZeroedArray() { release(); }
 
-    /** Releases the old storage and allocates n zeroed elements. */
+    /** Releases the old storage and maps n zeroed elements. */
     void
     reset(std::size_t n)
     {
-        std::free(data_);
-        data_ = nullptr;
-        size_ = 0;
+        release();
         if (n == 0)
             return;
-        data_ = static_cast<T *>(std::calloc(n, sizeof(T)));
-        tdc_assert(data_ != nullptr, "ZeroedArray: allocation failed");
+        void *p = ::mmap(nullptr, n * sizeof(T), PROT_READ | PROT_WRITE,
+                         MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1,
+                         0);
+        tdc_assert(p != MAP_FAILED, "ZeroedArray: cannot map {} bytes",
+                   n * sizeof(T));
+        data_ = static_cast<T *>(p);
         size_ = n;
     }
 
@@ -79,6 +89,15 @@ class ZeroedArray
     const T *data() const { return data_; }
 
   private:
+    void
+    release()
+    {
+        if (data_ != nullptr)
+            ::munmap(data_, size_ * sizeof(T));
+        data_ = nullptr;
+        size_ = 0;
+    }
+
     T *data_ = nullptr;
     std::size_t size_ = 0;
 };

@@ -84,11 +84,13 @@ void
 AlloyCache::saveOrgState(ckpt::Serializer &out) const
 {
     out.putU64(numSlots_);
-    for (std::uint64_t i = 0; i < numSlots_; ++i) {
-        out.putU64(linesP1_[i] - 1);
-        out.putBool((state_[i] & stValid) != 0);
-        out.putBool((state_[i] & stDirty) != 0);
-    }
+    ckpt::putSparse(
+        out, numSlots_,
+        [this](std::uint64_t i) { return (state_[i] & stValid) != 0; },
+        [&](std::uint64_t i) {
+            out.putU64(linesP1_[i] - 1);
+            out.putBool((state_[i] & stDirty) != 0);
+        });
     ckpt::save(out, dirtyEvictions_);
 }
 
@@ -98,12 +100,10 @@ AlloyCache::loadOrgState(ckpt::Deserializer &in)
     const std::uint64_t n = in.getU64();
     tdc_assert(n == numSlots_,
                "Alloy cache geometry mismatch on checkpoint restore");
-    for (std::uint64_t i = 0; i < numSlots_; ++i) {
+    ckpt::getSparse(in, "Alloy slot", n, [&](std::uint64_t i) {
         linesP1_[i] = in.getU64() + 1;
-        const bool valid = in.getBool();
-        const bool dirty = in.getBool();
-        state_[i] = (valid ? stValid : 0) | (dirty ? stDirty : 0);
-    }
+        state_[i] = in.getBool() ? (stValid | stDirty) : stValid;
+    });
     ckpt::load(in, dirtyEvictions_);
 }
 

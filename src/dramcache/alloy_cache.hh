@@ -68,12 +68,10 @@ class AlloyCache final : public DramCacheOrg
 
     AlloyCacheParams params_;
     std::uint64_t numSlots_ = 0;
-    // Tag store as zero-page-backed arrays: a 1 GiB cache has ~15M
-    // slots and eagerly initializing them dwarfed short runs. Lines
-    // are stored biased by +1 so the all-zero fresh state means
-    // "empty" (0 == no line); the checkpoint stream still emits the
-    // unbiased value, byte-identical to the old TagEntry emission
-    // (untouched slots save as ~0).
+    // Tag store as lazily zeroed arrays: a 1 GiB cache has ~15M slots,
+    // and a run touches the few it fills. Lines are stored biased by +1
+    // so the all-zero fresh state means "empty" (0 == no line); a
+    // checkpoint lists only the valid slots, with unbiased lines.
     ZeroedArray<std::uint64_t> linesP1_;
     ZeroedArray<std::uint8_t> state_; //!< stValid | stDirty
 

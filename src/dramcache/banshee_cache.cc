@@ -15,7 +15,7 @@ BansheeCache::BansheeCache(std::string name, DramDevice &in_pkg,
     tdc_assert(params_.sampleRate > 0, "sample rate must be positive");
     tdc_assert(params_.tagBufferEntries > 0,
                "tag buffer needs at least one entry");
-    cands_.assign(sets_.numSets(), Candidate{});
+    cands_.reset(sets_.numSets());
 
     auto &sg = statGroup();
     sg.addScalar("sampled_events", &sampledEvents_,
@@ -131,16 +131,16 @@ BansheeCache::access(Addr addr, AccessType type, CoreId core, Tick when)
                         write);
         } else if (sampled) {
             Candidate &cand = cands_[set];
-            if (cand.ppn == ppn) {
+            if (cand.ppnP1 == ppn + 1) {
                 if (++cand.count >= maxCount)
                     ageSet(set);
             } else if (cand.count > 0) {
                 --cand.count; //!< frequency-sketch style decay
             } else {
-                cand.ppn = ppn;
+                cand.ppnP1 = ppn + 1;
                 cand.count = 1;
             }
-            if (cand.ppn == ppn
+            if (cand.ppnP1 == ppn + 1
                 && cand.count > vw.count + params_.threshold) {
                 replacePage(set, victim, ppn, cand.count,
                             res.completionTick, write);
@@ -178,55 +178,59 @@ BansheeCache::writebackLine(Addr addr, CoreId core, Tick when)
 void
 BansheeCache::saveOrgState(ckpt::Serializer &out) const
 {
-    out.putU64(sets_.ways().size());
-    for (const Way &w : sets_.ways()) {
-        out.putU64(w.ppn);
-        out.putBool(w.valid);
-        out.putBool(w.dirty);
-        out.putU64(w.count);
-    }
-    out.putU64(cands_.size());
-    for (const Candidate &c : cands_) {
-        out.putU64(c.ppn);
-        out.putU64(c.count);
-    }
+    const auto &ways = sets_.ways();
+    out.putU64(ways.size());
+    ckpt::putSparse(
+        out, ways.size(), [&](std::uint64_t i) { return ways[i].valid; },
+        [&](std::uint64_t i) {
+            out.putU64(ways[i].ppn);
+            out.putBool(ways[i].dirty);
+            out.putU32(ways[i].count);
+        });
+    ckpt::putSparse(
+        out, cands_.size(),
+        [this](std::uint64_t s) { return cands_[s].ppnP1 != 0; },
+        [&](std::uint64_t s) {
+            out.putU64(cands_[s].ppnP1 - 1);
+            out.putU32(cands_[s].count);
+        });
     out.putU64(sampleTick_);
     out.putU64(tagBufferOcc_);
     ckpt::save(out, sampledEvents_);
     ckpt::save(out, bypassedMisses_);
     ckpt::save(out, tagBufferOps_);
     ckpt::save(out, tagBufferFlushes_);
-    ckpt::save(out, dirtyEvictions_);
     ckpt::save(out, wbMissOffPkg_);
 }
 
 void
 BansheeCache::loadOrgState(ckpt::Deserializer &in)
 {
-    std::uint64_t n = in.getU64();
-    tdc_assert(n == sets_.ways().size(),
+    auto &ways = sets_.ways();
+    const std::uint64_t n = in.getU64();
+    tdc_assert(n == ways.size(),
                "Banshee cache geometry mismatch on checkpoint restore");
-    for (Way &w : sets_.ways()) {
+    ckpt::getSparse(in, "Banshee way", n, [&](std::uint64_t i) {
+        Way &w = ways[i];
+        w.valid = true;
         w.ppn = in.getU64();
-        w.valid = in.getBool();
         w.dirty = in.getBool();
-        w.count = static_cast<std::uint32_t>(in.getU64());
-    }
-    n = in.getU64();
-    tdc_assert(n == cands_.size(),
-               "Banshee candidate-table mismatch on checkpoint restore");
-    for (Candidate &c : cands_) {
-        c.ppn = in.getU64();
-        c.count = static_cast<std::uint32_t>(in.getU64());
-    }
+        w.count = in.getU32();
+    });
+    ckpt::getSparse(in, "Banshee candidate set", cands_.size(),
+                    [&](std::uint64_t s) {
+                        cands_[s].ppnP1 = in.getU64() + 1;
+                        cands_[s].count = in.getU32();
+                    });
     sampleTick_ = in.getU64();
     tagBufferOcc_ = in.getU64();
     ckpt::load(in, sampledEvents_);
     ckpt::load(in, bypassedMisses_);
     ckpt::load(in, tagBufferOps_);
     ckpt::load(in, tagBufferFlushes_);
-    ckpt::load(in, dirtyEvictions_);
     ckpt::load(in, wbMissOffPkg_);
+    // Every dirty eviction is one page write-back.
+    dirtyEvictions_.restore(pageWritebacks_.value());
 }
 
 } // namespace tdc

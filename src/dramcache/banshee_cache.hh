@@ -25,8 +25,8 @@
 #define TDC_DRAMCACHE_BANSHEE_CACHE_HH
 
 #include <cstdint>
-#include <vector>
 
+#include "common/zeroed_array.hh"
 #include "dramcache/dram_cache_org.hh"
 #include "dramcache/page_sets.hh"
 
@@ -89,16 +89,20 @@ class BansheeCache final : public DramCacheOrg
   private:
     struct Way
     {
-        PageNum ppn = invalidPage;
+        PageNum ppn = 0;
         bool valid = false;
         bool dirty = false;
         std::uint32_t count = 0; //!< sampled access-frequency counter
     };
 
-    /** Per-set challenger: the hottest currently-uncached page. */
+    /**
+     * Per-set challenger: the hottest currently-uncached page. The PPN
+     * is stored +1 so that the all-zero record is "no challenger" and
+     * never matches page 0.
+     */
     struct Candidate
     {
-        PageNum ppn = invalidPage;
+        PageNum ppnP1 = 0;
         std::uint32_t count = 0;
     };
 
@@ -116,7 +120,7 @@ class BansheeCache final : public DramCacheOrg
 
     BansheeCacheParams params_;
     PageSets<Way> sets_;
-    std::vector<Candidate> cands_; //!< one challenger per set
+    ZeroedArray<Candidate> cands_; //!< one challenger per set
     std::uint64_t sampleTick_ = 0; //!< deterministic sampling counter
     std::uint64_t tagBufferOcc_ = 0;
 

@@ -14,6 +14,9 @@
  * accounting reproduced in the benches. The entry also carries the
  * simulator's fill-completion tick (when the PU bit clears), which is
  * bookkeeping, not paper-accounted storage.
+ *
+ * The entries live in a ZeroedArray: an all-zero entry is an unmapped
+ * frame, so the table costs memory only for the frames a run maps.
  */
 
 #ifndef TDC_DRAMCACHE_GIPT_HH
@@ -21,10 +24,10 @@
 
 #include <array>
 #include <cstdint>
-#include <vector>
 
 #include "common/logging.hh"
 #include "common/types.hh"
+#include "common/zeroed_array.hh"
 #include "vm/pte.hh"
 
 namespace tdc {
@@ -37,7 +40,7 @@ class Gipt
 
     struct Entry
     {
-        PageNum ppn = invalidPage; //!< original off-package frame
+        PageNum ppn = 0;           //!< original off-package frame
         Pte *ptep = nullptr;       //!< PTE holding the cache address
         std::array<std::uint16_t, maxCores> residence{};
         /** Completion tick of the frame's 4 KiB fill (0 if none). */
@@ -113,7 +116,7 @@ class Gipt
     }
 
   private:
-    std::vector<Entry> entries_;
+    ZeroedArray<Entry> entries_;
 };
 
 } // namespace tdc

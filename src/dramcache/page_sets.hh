@@ -5,7 +5,10 @@
  * set chosen by the low PPN bits.
  *
  * `Way` is the organization's own per-way record; it needs a `ppn` and
- * a `valid` member. Records are stored set-major, so a lookup scans
+ * a `valid` member, and its all-zero bytes must be the empty (invalid)
+ * way: the records live in a ZeroedArray, so the array costs memory
+ * only for the sets a run fills, and a checkpoint lists only the valid
+ * ways (DESIGN.md 8). Records are stored set-major, so a lookup scans
  * one contiguous run, while in-package frames are laid out way-major
  * (frameOf()).
  */
@@ -14,11 +17,11 @@
 #define TDC_DRAMCACHE_PAGE_SETS_HH
 
 #include <cstdint>
-#include <vector>
 
 #include "common/bitops.hh"
 #include "common/logging.hh"
 #include "common/types.hh"
+#include "common/zeroed_array.hh"
 
 namespace tdc {
 
@@ -27,13 +30,13 @@ class PageSets
 {
   public:
     PageSets(std::uint64_t frames, unsigned assoc)
-        : assoc_(assoc), numSets_(assoc ? frames / assoc : 0)
+        : assoc_(assoc), numSets_(assoc ? frames / assoc : 0),
+          ways_(frames)
     {
         tdc_assert(assoc > 0 && frames % assoc == 0,
                    "cache size not divisible by associativity");
         tdc_assert(isPowerOf2(numSets_),
                    "set count must be a power of two");
-        ways_.assign(frames, Way{});
     }
 
     std::uint64_t numSets() const { return numSets_; }
@@ -85,24 +88,31 @@ class PageSets
     victim(std::uint64_t set, Key key) const
     {
         const Way *base = &ways_[set * assoc_];
-        unsigned best = 0;
         for (unsigned w = 0; w < assoc_; ++w) {
             if (!base[w].valid)
                 return w;
-            if (key(base[w]) < key(base[best]))
-                best = w;
+        }
+        // The least key rides in a register and both selects are
+        // conditional moves, not a branch per way.
+        unsigned best = 0;
+        auto least = key(base[0]);
+        for (unsigned w = 1; w < assoc_; ++w) {
+            const auto k = key(base[w]);
+            const bool less = k < least;
+            best = less ? w : best;
+            least = less ? k : least;
         }
         return best;
     }
 
     /** Every way, set-major (checkpoint order). */
-    std::vector<Way> &ways() { return ways_; }
-    const std::vector<Way> &ways() const { return ways_; }
+    ZeroedArray<Way> &ways() { return ways_; }
+    const ZeroedArray<Way> &ways() const { return ways_; }
 
   private:
     unsigned assoc_;
     std::uint64_t numSets_;
-    std::vector<Way> ways_;
+    ZeroedArray<Way> ways_;
 };
 
 } // namespace tdc

@@ -134,37 +134,41 @@ SramTagCache::writebackLine(Addr addr, CoreId core, Tick when)
 void
 SramTagCache::saveOrgState(ckpt::Serializer &out) const
 {
-    out.putU64(sets_.ways().size());
-    for (const Way &w : sets_.ways()) {
-        out.putU64(w.ppn);
-        out.putBool(w.valid);
-        out.putBool(w.dirty);
-        out.putU64(w.lastUse);
-        out.putU64(w.fillTime);
-    }
+    const auto &ways = sets_.ways();
+    out.putU64(ways.size());
+    ckpt::putSparse(
+        out, ways.size(), [&](std::uint64_t i) { return ways[i].valid; },
+        [&](std::uint64_t i) {
+            out.putU64(ways[i].ppn);
+            out.putBool(ways[i].dirty);
+            out.putU64(ways[i].lastUse);
+            out.putU64(ways[i].fillTime);
+        });
     out.putU64(useClock_);
     ckpt::save(out, tagProbes_);
-    ckpt::save(out, dirtyEvictions_);
     ckpt::save(out, wbMissOffPkg_);
 }
 
 void
 SramTagCache::loadOrgState(ckpt::Deserializer &in)
 {
+    auto &ways = sets_.ways();
     const std::uint64_t n = in.getU64();
-    tdc_assert(n == sets_.ways().size(),
+    tdc_assert(n == ways.size(),
                "SRAM-tag cache geometry mismatch on checkpoint restore");
-    for (Way &w : sets_.ways()) {
+    ckpt::getSparse(in, "SRAM-tag way", n, [&](std::uint64_t i) {
+        Way &w = ways[i];
+        w.valid = true;
         w.ppn = in.getU64();
-        w.valid = in.getBool();
         w.dirty = in.getBool();
         w.lastUse = in.getU64();
         w.fillTime = in.getU64();
-    }
+    });
     useClock_ = in.getU64();
     ckpt::load(in, tagProbes_);
-    ckpt::load(in, dirtyEvictions_);
     ckpt::load(in, wbMissOffPkg_);
+    // Every dirty eviction is one page write-back.
+    dirtyEvictions_.restore(pageWritebacks_.value());
 }
 
 } // namespace tdc

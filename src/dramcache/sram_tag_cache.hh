@@ -82,7 +82,7 @@ class SramTagCache final : public DramCacheOrg
   private:
     struct Way
     {
-        PageNum ppn = invalidPage;
+        PageNum ppn = 0;
         bool valid = false;
         bool dirty = false;
         std::uint64_t lastUse = 0;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <tuple>
 #include <vector>
 
 #include "ckpt/stats_io.hh"
@@ -21,8 +20,8 @@ TaglessCache::TaglessCache(std::string name, DramDevice &in_pkg,
 
     // Initially the whole cache is free; the header pointer starts at
     // frame 0 and walks the frames in order.
-    for (std::uint64_t f = 0; f < frames_.size(); ++f)
-        freeQueue_.push(f, 0);
+    if (!frames_.empty())
+        freeQueue_.pushRun(0, frames_.size(), 0);
 
     // The GIPT itself lives in ordinary (off-package) DRAM right after
     // the last usable physical page.
@@ -315,15 +314,9 @@ TaglessCache::reserveSuperpageRun()
             all_free = !gipt_.at(base + i).valid();
         if (!all_free)
             continue;
-        // Claim the run: drop the frames from the free queue (rare
-        // operation; a linear rebuild is fine). The caller maps them.
-        FreeQueue rebuilt;
-        while (!freeQueue_.empty()) {
-            const auto fb = freeQueue_.pop();
-            if (fb.frame < base || fb.frame >= base + pagesPerSuperpage)
-                rebuilt.push(fb.frame, fb.readyTick);
-        }
-        freeQueue_ = std::move(rebuilt);
+        // Claim the run: drop the frames from the free queue. The
+        // caller maps them.
+        freeQueue_.remove(base, base + pagesPerSuperpage);
         return base;
     }
     return invalidPage;
@@ -604,61 +597,40 @@ void
 TaglessCache::saveOrgState(ckpt::Serializer &out) const
 {
     out.putU64(frames_.size());
-    for (const FrameMeta &m : frames_) {
-        out.putBool(m.dirty);
-        out.putBool(m.pinned);
-        out.putU64(m.lastTouch);
-    }
-    // Free flags: a frame is free exactly when it is unmapped.
-    for (std::uint64_t f = 0; f < gipt_.frames(); ++f)
-        out.putBool(!gipt_.at(f).valid());
-
-    // GIPT entries; the PTEP pointer is serialized as the PTE's
+    // Mapped frames. The PTEP pointer is serialized as the PTE's
     // (proc, type, vpn) identity and re-resolved against the restored
-    // page tables at load time. The same pass collects the fill ticks
-    // of the 4 KiB pages, emitted sorted below.
-    using FillRec = std::tuple<ProcId, PageNum, std::uint8_t, Tick>;
-    std::vector<FillRec> fills;
-    fills.reserve(gipt_.frames() - freeQueue_.size());
-    for (std::uint64_t f = 0; f < gipt_.frames(); ++f) {
-        const Gipt::Entry &g = gipt_.at(f);
-        out.putBool(g.valid());
-        if (!g.valid())
-            continue;
-        const Pte &pte = *g.ptep;
-        out.putU64(g.ppn);
-        for (std::uint16_t r : g.residence)
-            out.putU16(r);
-        out.putBool(true); // has a PTEP
-        out.putU32(pte.proc);
-        out.putU8(static_cast<std::uint8_t>(pte.type));
-        out.putU64(pte.vpn);
-        if (pte.type == PageType::Page4K)
-            fills.emplace_back(pte.proc, pte.vpn,
-                               static_cast<std::uint8_t>(pte.type),
-                               g.fillDone);
-    }
+    // page tables at load time.
+    ckpt::putSparse(
+        out, gipt_.frames(),
+        [this](std::uint64_t f) { return gipt_.at(f).valid(); },
+        [&](std::uint64_t f) {
+            const Gipt::Entry &g = gipt_.at(f);
+            out.putU64(g.ppn);
+            for (std::uint16_t r : g.residence)
+                out.putU16(r);
+            out.putU32(g.ptep->proc);
+            out.putU8(static_cast<std::uint8_t>(g.ptep->type));
+            out.putU64(g.ptep->vpn);
+            out.putU64(g.fillDone);
+            const FrameMeta &m = frames_[f];
+            out.putBool(m.dirty);
+            out.putBool(m.pinned);
+            out.putU64(m.lastTouch);
+        });
 
-    out.putU64(freeQueue_.size());
-    for (const FreeQueue::FreeBlock &b : freeQueue_.blocks()) {
-        out.putU64(b.frame);
-        out.putU64(b.readyTick);
+    out.putU64(freeQueue_.runCount());
+    for (std::size_t i = 0; i < freeQueue_.runCount(); ++i) {
+        const FreeQueue::Run &r = freeQueue_.run(i);
+        out.putU64(r.first);
+        out.putU64(r.count);
+        out.putU64(r.readyTick);
     }
 
     out.putU64(allocOrder_.size());
     for (std::uint64_t f : allocOrder_)
         out.putU64(f);
 
-    // The format fixes both lists below in sorted order.
-    std::sort(fills.begin(), fills.end());
-    out.putU64(fills.size());
-    for (const auto &[proc, vpn, type, tick] : fills) {
-        out.putU32(proc);
-        out.putU8(type);
-        out.putU64(vpn);
-        out.putU64(tick);
-    }
-
+    // The format fixes the filter counts in key order.
     std::vector<std::pair<AsidVpn, std::uint32_t>> counts(
         filterCounts_.begin(), filterCounts_.end());
     std::sort(counts.begin(), counts.end());
@@ -669,7 +641,6 @@ TaglessCache::saveOrgState(ckpt::Serializer &out) const
     }
 
     out.putU64(touchClock_);
-    out.putU64(pinnedCount_);
     out.putBool(lastVictimForced_);
 
     ckpt::save(out, ncBypasses_);
@@ -695,31 +666,17 @@ TaglessCache::loadOrgState(ckpt::Deserializer &in)
                "tagless cache geometry mismatch on checkpoint restore "
                "({} vs {} frames)", nframes, frames_.size());
 
-    for (FrameMeta &m : frames_) {
-        m.dirty = in.getBool();
-        m.pinned = in.getBool();
-        m.lastTouch = in.getU64();
-    }
-    const std::uint8_t *free_flags = in.getBytes(frames_.size());
-
-    for (std::uint64_t f = 0; f < gipt_.frames(); ++f) {
-        gipt_.invalidate(f);
-        const bool mapped = in.getBool();
-        if (mapped == (free_flags[f] != 0))
-            fatal("checkpoint: tagless frame {} is {} free-flagged and "
-                  "GIPT-mapped", f, mapped ? "both" : "neither");
-        if (!mapped)
-            continue;
-        // The access masks are not checkpointed: until the frame turns
-        // over, any core and any line may hold a copy.
-        frames_[f].cores = 0xff;
-        frames_[f].lines = ~std::uint64_t{0};
+    // A freshly built cache has every frame unmapped with all of its
+    // state zero, so only the listed frames are written.
+    tdc_assert(allocOrder_.empty() && freeQueue_.size() == nframes,
+               "tagless cache restore needs a freshly built cache");
+    freeQueue_ = FreeQueue{};
+    std::vector<std::uint64_t> mapped;
+    ckpt::getSparse(in, "tagless frame", nframes, [&](std::uint64_t f) {
         Gipt::Entry &g = gipt_.at(f);
         g.ppn = in.getU64();
         for (std::uint16_t &r : g.residence)
             r = in.getU16();
-        if (!in.getBool())
-            fatal("checkpoint: GIPT-mapped frame {} has no PTEP", f);
         const ProcId proc = in.getU32();
         const auto type = static_cast<PageType>(in.getU8());
         const PageNum vpn = in.getU64();
@@ -727,37 +684,72 @@ TaglessCache::loadOrgState(ckpt::Deserializer &in)
         if (g.ptep == nullptr)
             fatal("checkpoint: GIPT frame {} names PTE (proc {}, vpn "
                   "{}), which the page tables do not hold", f, proc, vpn);
-    }
+        const std::uint64_t base = g.ptep->frame;
+        const bool maps_back =
+            g.ptep->vc
+            && (g.ptep->type == PageType::Page2M
+                    ? f >= base && f - base < pagesPerSuperpage
+                    : f == base);
+        if (!maps_back)
+            fatal("checkpoint: GIPT frame {} names PTE (proc {}, vpn "
+                  "{}), which does not map back to it", f, proc, vpn);
+        g.fillDone = in.getU64();
+        FrameMeta &m = frames_[f];
+        m.dirty = in.getBool();
+        m.pinned = in.getBool();
+        m.lastTouch = in.getU64();
+        // The access masks are not checkpointed: until the frame turns
+        // over, any core and any line may hold a copy.
+        m.cores = 0xff;
+        m.lines = ~std::uint64_t{0};
+        pinnedCount_ += m.pinned ? 1 : 0;
+        mapped.push_back(f);
+    });
 
-    freeQueue_.clear();
-    const std::uint64_t nfree = in.getU64();
-    for (std::uint64_t i = 0; i < nfree; ++i) {
-        const std::uint64_t frame = in.getU64();
+    // Free runs: in range, disjoint from each other and from the
+    // mapped frames, and with them covering the whole cache.
+    const std::uint64_t nruns = in.getU64();
+    std::vector<FreeQueue::Run> spans;
+    for (std::uint64_t i = 0; i < nruns; ++i) {
+        const std::uint64_t first = in.getU64();
+        const std::uint64_t count = in.getU64();
         const Tick ready = in.getU64();
-        freeQueue_.push(frame, ready);
+        if (count == 0 || first >= nframes || count > nframes - first)
+            fatal("checkpoint: tagless free-queue run [{}, +{}) is "
+                  "empty or out of range ({} frames)", first, count,
+                  nframes);
+        freeQueue_.pushRun(first, count, ready);
+        spans.push_back(FreeQueue::Run{first, count, ready});
     }
+    std::sort(spans.begin(), spans.end(),
+              [](const FreeQueue::Run &a, const FreeQueue::Run &b) {
+                  return a.first < b.first;
+              });
+    for (std::size_t i = 0; i < spans.size(); ++i) {
+        const FreeQueue::Run &r = spans[i];
+        if (i > 0 && r.first < spans[i - 1].end())
+            fatal("checkpoint: tagless free-queue runs [{}, {}) and "
+                  "[{}, {}) overlap", spans[i - 1].first,
+                  spans[i - 1].end(), r.first, r.end());
+        const auto m = std::lower_bound(mapped.begin(), mapped.end(),
+                                        r.first);
+        if (m != mapped.end() && *m < r.end())
+            fatal("checkpoint: tagless free-queue run [{}, {}) overlaps "
+                  "mapped frame {}", r.first, r.end(), *m);
+    }
+    if (mapped.size() + freeQueue_.size() != nframes)
+        fatal("checkpoint: tagless cache has {} mapped and {} free of "
+              "{} frames", mapped.size(), freeQueue_.size(), nframes);
 
-    allocOrder_.clear();
     const std::uint64_t nalloc = in.getU64();
-    for (std::uint64_t i = 0; i < nalloc; ++i)
-        allocOrder_.push_back(in.getU64());
-
-    const std::uint64_t nfills = in.getU64();
-    for (std::uint64_t i = 0; i < nfills; ++i) {
-        const ProcId proc = in.getU32();
-        const auto type = static_cast<PageType>(in.getU8());
-        const PageNum vpn = in.getU64();
-        const Tick tick = in.getU64();
-        const Pte *pte = pteResolver_(proc, type, vpn);
-        if (pte == nullptr || !pte->vc || pte->frame >= gipt_.frames()
-            || gipt_.at(pte->frame).ptep != pte)
-            fatal("checkpoint: fill tick {} names PTE (proc {}, vpn {}), "
-                  "which is not a cached page the GIPT maps back to it",
-                  tick, proc, vpn);
-        gipt_.at(pte->frame).fillDone = tick;
+    for (std::uint64_t i = 0; i < nalloc; ++i) {
+        const std::uint64_t f = in.getU64();
+        if (f >= nframes)
+            fatal("checkpoint: tagless fill-order frame {} out of range "
+                  "({} frames)", f, nframes);
+        allocOrder_.push_back(f);
     }
 
-    filterCounts_.clear();
     const std::uint64_t ncounts = in.getU64();
     for (std::uint64_t i = 0; i < ncounts; ++i) {
         const AsidVpn key = in.getU64();
@@ -765,7 +757,6 @@ TaglessCache::loadOrgState(ckpt::Deserializer &in)
     }
 
     touchClock_ = in.getU64();
-    pinnedCount_ = in.getU64();
     lastVictimForced_ = in.getBool();
 
     ckpt::load(in, ncBypasses_);
@@ -781,10 +772,9 @@ TaglessCache::loadOrgState(ckpt::Deserializer &in)
     ckpt::load(in, filterRejects_);
 
     // Rebuild the LRU heap from the live (lastTouch, frame) pairs.
-    lruHeap_.clear();
     if (params_.policy == ReplPolicy::LRU) {
-        for (std::uint64_t f = 0; f < frames_.size(); ++f) {
-            if (gipt_.at(f).valid() && frames_[f].lastTouch != 0)
+        for (std::uint64_t f : mapped) {
+            if (frames_[f].lastTouch != 0)
                 lruHeap_.emplace_back(frames_[f].lastTouch, f);
         }
         std::make_heap(lruHeap_.begin(), lruHeap_.end(), std::greater<>{});

@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "cache/replacement.hh"
+#include "common/zeroed_array.hh"
 #include "dramcache/dram_cache_org.hh"
 #include "dramcache/free_queue.hh"
 #include "dramcache/gipt.hh"
@@ -134,26 +135,28 @@ class TaglessCache final : public DramCacheOrg
 
   protected:
     /**
-     * Checkpointing of the full cache-management state: GIPT (with
-     * PTEP identities as (proc, type, vpn) triples), free queue,
-     * per-frame metadata, fill order, 4 KiB fill ticks, filter counts
-     * and the tagless-specific stats. The free flags and the fill list
-     * restate what the GIPT holds; a restore rejects a file where they
-     * disagree. The LRU heap is not serialized: a restore rebuilds it
-     * from the live (lastTouch, frame) pairs, which is
-     * behaviour-identical because pickVictimLru() skips stale entries
-     * without side effects.
+     * Checkpointing of the full cache-management state (DESIGN.md 8):
+     * one record per mapped frame (GIPT entry with the PTEP as a
+     * (proc, type, vpn) identity, fill tick and frame metadata), the
+     * free-queue runs, the fill order, filter counts and the
+     * tagless-specific stats. An unmapped frame's GIPT entry and
+     * metadata are all zero, so they are not written and a restore
+     * touches only the listed frames. The LRU heap is not serialized:
+     * a restore rebuilds it from the live (lastTouch, frame) pairs,
+     * which is behaviour-identical because pickVictimLru() skips stale
+     * entries without side effects.
      */
     void saveOrgState(ckpt::Serializer &out) const override;
     void loadOrgState(ckpt::Deserializer &in) override;
 
   private:
     /**
-     * Per-frame state. `cores` and `lines` record which cores and which
-     * of the page's 64 lines reached the frame through access() since
-     * its fill: only those can hold on-die copies, so an eviction
-     * flushes only those (DESIGN.md 5). Not checkpointed; a restore
-     * sets both to all-ones on every occupied frame.
+     * Per-frame state; all zero while the frame is unmapped. `cores`
+     * and `lines` record which cores and which of the page's 64 lines
+     * reached the frame through access() since its fill: only those can
+     * hold on-die copies, so an eviction flushes only those (DESIGN.md
+     * 5). Not checkpointed; a restore sets both to all-ones on every
+     * occupied frame.
      */
     struct FrameMeta
     {
@@ -230,7 +233,7 @@ class TaglessCache final : public DramCacheOrg
     TaglessCacheParams params_;
     Gipt gipt_;
     FreeQueue freeQueue_;
-    std::vector<FrameMeta> frames_;
+    ZeroedArray<FrameMeta> frames_;
 
     /** Frames in fill order (FIFO replacement candidates). */
     std::deque<std::uint64_t> allocOrder_;

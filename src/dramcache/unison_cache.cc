@@ -284,16 +284,19 @@ UnisonCache::validBitsOf(PageNum ppn) const
 void
 UnisonCache::saveOrgState(ckpt::Serializer &out) const
 {
-    out.putU64(sets_.ways().size());
-    for (const Way &w : sets_.ways()) {
-        out.putU64(w.ppn);
-        out.putBool(w.valid);
-        out.putU64(w.validBits);
-        out.putU64(w.dirtyBits);
-        out.putU64(w.refBits);
-        out.putU64(w.predKey);
-        out.putU64(w.lastUse);
-    }
+    const auto &ways = sets_.ways();
+    out.putU64(ways.size());
+    ckpt::putSparse(
+        out, ways.size(), [&](std::uint64_t i) { return ways[i].valid; },
+        [&](std::uint64_t i) {
+            const Way &w = ways[i];
+            out.putU64(w.ppn);
+            out.putU64(w.validBits);
+            out.putU64(w.dirtyBits);
+            out.putU64(w.refBits);
+            out.putU64(w.predKey);
+            out.putU64(w.lastUse);
+        });
     out.putU64(predictor_.size());
     for (const PredEntry &e : predictor_) {
         out.putBool(e.valid);
@@ -307,25 +310,26 @@ UnisonCache::saveOrgState(ckpt::Serializer &out) const
     ckpt::save(out, partialWbLines_);
     ckpt::save(out, predictorHits_);
     ckpt::save(out, predictorMisses_);
-    ckpt::save(out, dirtyEvictions_);
     ckpt::save(out, wbMissOffPkg_);
 }
 
 void
 UnisonCache::loadOrgState(ckpt::Deserializer &in)
 {
+    auto &ways = sets_.ways();
     std::uint64_t n = in.getU64();
-    tdc_assert(n == sets_.ways().size(),
+    tdc_assert(n == ways.size(),
                "Unison cache geometry mismatch on checkpoint restore");
-    for (Way &w : sets_.ways()) {
+    ckpt::getSparse(in, "Unison way", n, [&](std::uint64_t i) {
+        Way &w = ways[i];
+        w.valid = true;
         w.ppn = in.getU64();
-        w.valid = in.getBool();
         w.validBits = in.getU64();
         w.dirtyBits = in.getU64();
         w.refBits = in.getU64();
         w.predKey = in.getU64();
         w.lastUse = in.getU64();
-    }
+    });
     n = in.getU64();
     tdc_assert(n == predictor_.size(),
                "Unison predictor mismatch on checkpoint restore");
@@ -341,8 +345,9 @@ UnisonCache::loadOrgState(ckpt::Deserializer &in)
     ckpt::load(in, partialWbLines_);
     ckpt::load(in, predictorHits_);
     ckpt::load(in, predictorMisses_);
-    ckpt::load(in, dirtyEvictions_);
     ckpt::load(in, wbMissOffPkg_);
+    // Every dirty eviction is one page write-back.
+    dirtyEvictions_.restore(pageWritebacks_.value());
 }
 
 } // namespace tdc

@@ -84,7 +84,7 @@ class UnisonCache final : public DramCacheOrg
   private:
     struct Way
     {
-        PageNum ppn = invalidPage;
+        PageNum ppn = 0;
         bool valid = false;
         std::uint64_t validBits = 0; //!< lines present in the cache
         std::uint64_t dirtyBits = 0; //!< lines to write back on evict

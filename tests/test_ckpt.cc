@@ -13,7 +13,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <string>
@@ -53,18 +55,51 @@ straightReport(const SystemConfig &cfg)
     return makeRunReport(cfg, r, &sys).dump();
 }
 
+/** A checkpoint of a System warmed with `cfg`. */
+ckpt::Checkpoint
+warmedCheckpoint(const SystemConfig &cfg)
+{
+    System sys(cfg);
+    sys.warmup();
+    return sys.makeCheckpoint();
+}
+
+/** `ck` with its `org` section replaced by `org`. */
+ckpt::Checkpoint
+withOrgSection(const ckpt::Checkpoint &ck,
+               const std::vector<std::uint8_t> &org)
+{
+    ckpt::Checkpoint out;
+    out.setFingerprint(ck.fingerprint());
+    for (const ckpt::Section &sec : ck.sections()) {
+        const auto &bytes = sec.name == "org" ? org : sec.payload;
+        ckpt::Serializer s;
+        s.putBytes(bytes.data(), bytes.size());
+        out.addSection(sec.name, std::move(s));
+    }
+    return out;
+}
+
+std::uint64_t
+u64At(const std::vector<std::uint8_t> &b, std::size_t at)
+{
+    std::uint64_t v;
+    std::memcpy(&v, b.data() + at, sizeof(v));
+    return v;
+}
+
+void
+putU64At(std::vector<std::uint8_t> &b, std::size_t at, std::uint64_t v)
+{
+    std::memcpy(b.data() + at, &v, sizeof(v));
+}
+
 /** Full report of a warmup/checkpoint/fresh-System/restore/measure run. */
 std::string
 restoredReport(const SystemConfig &cfg)
 {
-    ckpt::Checkpoint ck;
-    {
-        System warm(cfg);
-        warm.warmup();
-        ck = warm.makeCheckpoint();
-    }
     System sys(cfg);
-    sys.restoreCheckpoint(ck);
+    sys.restoreCheckpoint(warmedCheckpoint(cfg));
     const RunResult r = sys.measure();
     return makeRunReport(cfg, r, &sys).dump();
 }
@@ -176,6 +211,45 @@ TEST(CkptSerializer, TruncatedStringIsFatal)
     EXPECT_THROW(d.getString(), FatalError);
 }
 
+TEST(CkptSerializer, SparseListRoundTripsAndNamesABadIndex)
+{
+    const std::vector<std::uint64_t> values = {0, 7, 0, 0, 9, 0};
+    ckpt::Serializer out;
+    ckpt::putSparse(
+        out, values.size(),
+        [&](std::uint64_t i) { return values[i] != 0; },
+        [&](std::uint64_t i) { out.putU64(values[i]); });
+    // count 2, then (index 1, 7) and (index 4, 9)
+    ASSERT_EQ(out.size(), 5u * 8);
+
+    std::vector<std::uint64_t> back(values.size(), 0);
+    ckpt::Deserializer in(out.bytes());
+    ckpt::getSparse(in, "slot", back.size(),
+                    [&](std::uint64_t i) { back[i] = in.getU64(); });
+    EXPECT_TRUE(in.done());
+    EXPECT_EQ(back, values);
+
+    // Each listed index is checked before its payload is read.
+    auto expectFatal = [&](std::size_t word, std::uint64_t v,
+                           const std::string &what) {
+        std::vector<std::uint8_t> bad = out.bytes();
+        std::memcpy(bad.data() + word * 8, &v, sizeof(v));
+        ScopedFatalCapture capture;
+        try {
+            ckpt::Deserializer d(bad);
+            ckpt::getSparse(d, "slot", back.size(),
+                            [&](std::uint64_t) { d.getU64(); });
+            ADD_FAILURE() << "accepted a list with " << what;
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+                << e.what();
+        }
+    };
+    expectFatal(1, 6, "slot 6 out of range (6 in all)");
+    expectFatal(3, 1, "slot 1 listed twice");
+    expectFatal(3, 0, "slot 0 listed after slot 1");
+}
+
 // ---------------------------------------------------------------------
 // Checkpoint container
 // ---------------------------------------------------------------------
@@ -252,16 +326,16 @@ TEST(CkptContainer, RejectsTruncation)
     }
 }
 
-TEST(CkptContainer, V2BytesArePinned)
+TEST(CkptContainer, V3BytesArePinned)
 {
-    // The version-2 byte image, field by field. The round-trip tests
+    // The version-3 byte image, field by field. The round-trip tests
     // only show that encode() and decode() agree with each other; this
     // pins what both must agree with.
     const std::vector<std::uint8_t> tiny = {
         // magic "TDCCKPT\0"
         'T', 'D', 'C', 'C', 'K', 'P', 'T', 0,
-        // u32 format version 2
-        2, 0, 0, 0,
+        // u32 format version 3
+        3, 0, 0, 0,
         // u64 fingerprint
         0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11,
         // u32 section count 2
@@ -286,6 +360,22 @@ TEST(CkptContainer, V2BytesArePinned)
         'b', 'e', 't', 'a', ' ', 'p', 'a', 'y', 'l', 'o', 'a', 'd'};
     EXPECT_EQ(tinyCheckpoint().encode(), tiny);
 
+    // A version-2 image is refused, not migrated.
+    std::vector<std::uint8_t> v2 = tiny;
+    v2[8] = 2;
+    {
+        ScopedFatalCapture capture;
+        try {
+            ckpt::Checkpoint::decode(v2);
+            ADD_FAILURE() << "decode accepted a version-2 image";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "format version 2 unsupported"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+
     // A whole warmed System: every component's saveState goes through
     // the same Serializer, so its bytes are pinned by their hash.
     auto cfg = quickConfig(OrgKind::Tagless, {"mcf"}, 60'000, 100'000);
@@ -293,7 +383,7 @@ TEST(CkptContainer, V2BytesArePinned)
     System sys(cfg);
     sys.warmup();
     const auto bytes = sys.makeCheckpoint().encode();
-    EXPECT_EQ(ckpt::fnv1a(bytes.data(), bytes.size()), 0xaaad24b4f3b314f2ULL);
+    EXPECT_EQ(ckpt::fnv1a(bytes.data(), bytes.size()), 0x23f9d56a8da41157ULL);
 }
 
 TEST(CkptContainer, FileRoundTrip)
@@ -439,16 +529,15 @@ TEST(CkptRoundTrip, SaveAfterRestoreIsByteIdentical)
 {
     // Restoring a checkpoint and immediately re-saving must reproduce
     // the original byte stream: no state is lost or reordered.
-    const auto cfg = quickConfig(OrgKind::Tagless, {"mcf"});
-    ckpt::Checkpoint ck;
-    {
-        System warm(cfg);
-        warm.warmup();
-        ck = warm.makeCheckpoint();
+    for (OrgKind org : allOrgKinds()) {
+        SCOPED_TRACE(std::string(cliName(org)));
+        const auto cfg = quickConfig(org, {"mcf"});
+        const ckpt::Checkpoint ck = warmedCheckpoint(cfg);
+        System sys(cfg);
+        sys.restoreCheckpoint(ck);
+        EXPECT_EQ(sys.makeCheckpoint().encode(), ck.encode());
     }
-    System sys(cfg);
-    sys.restoreCheckpoint(ck);
-    EXPECT_EQ(sys.makeCheckpoint().encode(), ck.encode());
+    const auto ck = warmedCheckpoint(quickConfig(OrgKind::Tagless, {"mcf"}));
 
     // The section layout is part of the format: changing it means
     // bumping checkpointFormatVersion.
@@ -503,6 +592,127 @@ TEST(CkptRoundTrip, FingerprintMismatchIsFatal)
     } catch (const FatalError &e) {
         EXPECT_NE(std::string(e.what()).find("fingerprint"),
                   std::string::npos);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Sparse organization sections (format version 3)
+// ---------------------------------------------------------------------
+
+TEST(CkptSparse, OrgSectionDoesNotGrowWithCapacity)
+{
+    // A section lists what the warmup filled, so the same warmup makes
+    // the same section whatever the cache's size.
+    for (OrgKind org : allOrgKinds()) {
+        SCOPED_TRACE(std::string(cliName(org)));
+        auto small = quickConfig(org, {"libquantum"}, 1000, 100'000);
+        small.l3SizeBytes = 256ULL << 20;
+        auto big = small;
+        big.l3SizeBytes = 1ULL << 30;
+        const std::size_t small_bytes =
+            warmedCheckpoint(small).require("org").payload.size();
+        const std::size_t big_bytes =
+            warmedCheckpoint(big).require("org").payload.size();
+        EXPECT_LE(big_bytes, small_bytes);
+    }
+}
+
+TEST(CkptSparse, RestoreNamesAnEntryOutOfRangeRepeatedOrOutOfOrder)
+{
+    // Each org section opens with the shared stats (the whole section
+    // of a stateless org), then the u64 table size and the entry count
+    // of its first sparse list. Each entry is a u64 index followed by
+    // a record of `record` bytes.
+    struct Case
+    {
+        OrgKind org;
+        std::string what;
+        std::size_t record;
+    };
+    const Case cases[] = {
+        {OrgKind::Tagless, "tagless frame", 8 + 16 + 4 + 1 + 8 + 8 + 2 + 8},
+        {OrgKind::SramTag, "SRAM-tag way", 8 + 1 + 8 + 8},
+        {OrgKind::Banshee, "Banshee way", 8 + 1 + 4},
+        {OrgKind::Unison, "Unison way", 6 * 8},
+        {OrgKind::Alloy, "Alloy slot", 8 + 1},
+    };
+    const std::size_t shared = warmedCheckpoint(quickConfig(
+        OrgKind::NoL3, {"mcf"})).require("org").payload.size();
+
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.what);
+        const auto cfg = quickConfig(c.org, {"mcf"});
+        const ckpt::Checkpoint ck = warmedCheckpoint(cfg);
+        const std::vector<std::uint8_t> &good = ck.require("org").payload;
+        const std::uint64_t limit = u64At(good, shared);
+        ASSERT_GE(u64At(good, shared + 8), 2u) << "two listed entries";
+        const std::size_t at0 = shared + 16;
+        const std::size_t at1 = at0 + 8 + c.record;
+        const std::uint64_t i0 = u64At(good, at0);
+        const std::uint64_t i1 = u64At(good, at1);
+        ASSERT_LT(i0, i1);
+        ASSERT_LT(i1, limit);
+        {
+            System sys(cfg);
+            sys.restoreCheckpoint(withOrgSection(ck, good));
+        }
+
+        auto expectFatal = [&](const std::vector<std::uint8_t> &org,
+                               const std::string &msg) {
+            ScopedFatalCapture capture;
+            System sys(cfg);
+            try {
+                sys.restoreCheckpoint(withOrgSection(ck, org));
+                ADD_FAILURE() << "restore accepted: " << msg;
+            } catch (const FatalError &e) {
+                EXPECT_NE(std::string(e.what()).find(msg),
+                          std::string::npos)
+                    << e.what();
+            }
+        };
+        auto bad = good;
+        putU64At(bad, at0, limit);
+        expectFatal(bad, format("{} {} out of range", c.what, limit));
+        bad = good;
+        putU64At(bad, at1, i0);
+        expectFatal(bad, format("{} {} listed twice", c.what, i0));
+        // Whole entries swapped: the first is valid on its own.
+        bad = good;
+        std::swap_ranges(bad.begin() + at0, bad.begin() + at1,
+                         bad.begin() + at1);
+        expectFatal(bad, format("{} {} listed after {} {}", c.what, i0,
+                                c.what, i1));
+    }
+}
+
+TEST(CkptSparse, DirtyEvictionsFollowPageWritebacksAcrossRestore)
+{
+    // Every dirty eviction of these orgs is one page write-back, so the
+    // checkpoint stores the count once and a restore sets both.
+    for (OrgKind org : {OrgKind::SramTag, OrgKind::Banshee,
+                        OrgKind::Unison}) {
+        SCOPED_TRACE(std::string(cliName(org)));
+        auto cfg = quickConfig(org, {"milc"}, 1000, 100'000);
+        cfg.l3SizeBytes = 1ULL << 20;
+        ckpt::Checkpoint ck;
+        std::uint64_t writebacks = 0;
+        {
+            System warm(cfg);
+            warm.warmup();
+            writebacks = warm.org().pageWritebacks();
+            ck = warm.makeCheckpoint();
+        }
+        ASSERT_GT(writebacks, 0u) << "the warmup must evict dirty pages";
+        System sys(cfg);
+        sys.restoreCheckpoint(ck);
+        const json::Value stats = sys.statsJson();
+        const json::Value *l3 = nullptr;
+        for (const auto &[name, v] : stats.members())
+            if (name.starts_with("l3_"))
+                l3 = &v;
+        ASSERT_NE(l3, nullptr);
+        EXPECT_EQ(l3->find("page_writebacks")->asUint(), writebacks);
+        EXPECT_EQ(l3->find("dirty_evictions")->asUint(), writebacks);
     }
 }
 

@@ -1,6 +1,6 @@
 /**
- * @file Tests for bit operations, units, config, stats, RNG and the
- * logging layer (levels, labels, JSONL event sink).
+ * @file Tests for bit operations, units, config, stats, RNG, the lazily
+ * zeroed array and the logging layer (levels, labels, JSONL event sink).
  */
 
 #include <gtest/gtest.h>
@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -20,6 +21,7 @@
 #include "common/random.hh"
 #include "common/stats.hh"
 #include "common/units.hh"
+#include "common/zeroed_array.hh"
 
 using namespace tdc;
 
@@ -371,6 +373,46 @@ TEST(Random, ZipfCoversDomain)
 }
 
 // -------------------------------------------------------------- logging
+
+// ---------------------------------------------------------- ZeroedArray
+
+namespace {
+
+/** This process's resident set in KiB, from /proc/self/status. */
+long
+residentKib()
+{
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    while (std::getline(status, line)) {
+        if (line.rfind("VmRSS:", 0) == 0)
+            return std::stol(line.substr(6));
+    }
+    ADD_FAILURE() << "no VmRSS line";
+    return 0;
+}
+
+} // namespace
+
+TEST(ZeroedArray, PaysOnlyForTouchedPagesAndReturnsThem)
+{
+    constexpr std::size_t size = 256u << 20;
+    constexpr std::size_t touched = 32u << 20;
+    const long before = residentKib();
+    auto arr = std::make_unique<ZeroedArray<std::uint8_t>>(size);
+    const long mapped = residentKib();
+    EXPECT_LT(mapped - before, 1024) << "untouched pages cost nothing";
+    EXPECT_EQ((*arr)[size - 1], 0u);
+    EXPECT_EQ((*arr)[size / 2], 0u);
+
+    for (std::size_t i = 0; i < touched; i += 4096)
+        (*arr)[i] = 1;
+    const long used = residentKib();
+    EXPECT_GE(used - mapped, 31 * 1024) << "each touched page is resident";
+
+    arr.reset();
+    EXPECT_LT(residentKib() - before, 1024) << "destruction unmaps";
+}
 
 TEST(Logging, LogLevelParseAndNameRoundTrip)
 {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "dramcache/free_queue.hh"
 #include "dramcache/frame_space.hh"
 #include "dramcache/gipt.hh"
@@ -92,6 +94,56 @@ TEST(FreeQueue, FifoOrder)
     EXPECT_EQ(a.readyTick, 10u);
     EXPECT_EQ(q.pop().frame, 2u);
     EXPECT_TRUE(q.empty());
+}
+
+TEST(FreeQueue, KeepsRunsAndPopsInFifoOrder)
+{
+    FreeQueue q;
+    q.pushRun(0, 4, 0); // a fresh cache: one run
+    q.push(9, 5);
+    q.push(10, 5); // continues [9, 10) with the same tick
+    q.push(11, 6); // a new tick starts a new run
+    ASSERT_EQ(q.runCount(), 3u);
+    EXPECT_EQ(q.run(1).first, 9u);
+    EXPECT_EQ(q.run(1).count, 2u);
+    EXPECT_EQ(q.size(), 7u);
+
+    std::vector<std::uint64_t> frames;
+    std::vector<Tick> ticks;
+    while (!q.empty()) {
+        const auto b = q.pop();
+        frames.push_back(b.frame);
+        ticks.push_back(b.readyTick);
+    }
+    EXPECT_EQ(frames, (std::vector<std::uint64_t>{0, 1, 2, 3, 9, 10, 11}));
+    EXPECT_EQ(ticks, (std::vector<Tick>{0, 0, 0, 0, 5, 5, 6}));
+    EXPECT_EQ(q.runCount(), 0u);
+
+    // Churn: the runs wrap around their ring and it grows while
+    // wrapped, and frames still come out in the order they went in.
+    std::uint64_t in = 0, out = 0;
+    for (int step = 0; step < 40; ++step) {
+        for (int k = 0; k < 3; ++k, ++in)
+            q.push(2 * in, in); // never adjacent: one run each
+        for (int k = 0; k < 2; ++k, ++out)
+            ASSERT_EQ(q.pop().frame, 2 * out) << "step " << step;
+    }
+    EXPECT_EQ(q.runCount(), in - out);
+}
+
+TEST(FreeQueue, RemoveDropsARangeAndKeepsTheRestInOrder)
+{
+    FreeQueue q;
+    q.push(20, 1);
+    q.pushRun(0, 16, 0);
+    q.push(30, 2);
+    q.remove(4, 8);
+    EXPECT_EQ(q.size(), 14u);
+    std::vector<std::uint64_t> frames;
+    while (!q.empty())
+        frames.push_back(q.pop().frame);
+    EXPECT_EQ(frames, (std::vector<std::uint64_t>{20, 0, 1, 2, 3, 8, 9, 10,
+                                                  11, 12, 13, 14, 15, 30}));
 }
 
 TEST(FreeQueueDeath, PopEmpty)

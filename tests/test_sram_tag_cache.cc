@@ -176,7 +176,7 @@ namespace {
 
 struct TestWay
 {
-    PageNum ppn = invalidPage;
+    PageNum ppn = 0;
     bool valid = false;
     std::uint64_t key = 0;
 };

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <functional>
 #include <list>
 #include <set>
@@ -292,7 +293,7 @@ TEST_F(TaglessTest, RestoreRejectsASectionThatContradictsTheGipt)
 {
     build(); // 16 frames
     miss(1);
-    const auto fill = miss(2);
+    miss(2);
     m.pt.walk(7); // a page that exists but was never cached
     const std::vector<std::uint8_t> good = orgBytes();
     {
@@ -301,45 +302,67 @@ TEST_F(TaglessTest, RestoreRejectsASectionThatContradictsTheGipt)
         EXPECT_NE(restoreInto(m2, good), nullptr);
     }
 
-    // The free flags follow the shared stats (the whole section of a
-    // stateless org) and the frame count and 10-byte frame records.
+    // The section opens with the shared stats (the whole section of a
+    // stateless org) and the frame count. Then come the mapped frames,
+    // each a u64 index and a 55-byte record (PPN, residence, PTE id,
+    // fill tick, dirty, pinned, lastTouch), then the free-queue runs.
     ckpt::Serializer shared;
     NoL3("nol3", m.inPkg, m.offPkg, m.phys, m.cpuClk).saveState(shared);
-    const std::size_t flags = shared.bytes().size() + 8 + 16 * 10;
-    std::vector<std::uint8_t> bad = good;
-    ASSERT_EQ(bad[flags], 0u) << "frame 0 holds page 1";
-    bad[flags] = 1;
-    expectRestoreFatal(bad, "frame 0");
+    const std::size_t frames_at = shared.bytes().size() + 8;
+    const std::size_t record = 8 + 55;
+    const std::size_t runs_at = frames_at + 8 + 2 * record;
+    auto u64At = [](const std::vector<std::uint8_t> &b, std::size_t at) {
+        std::uint64_t v;
+        std::memcpy(&v, b.data() + at, sizeof(v));
+        return v;
+    };
+    auto with = [](std::vector<std::uint8_t> b, std::size_t at,
+                   std::uint64_t v) {
+        std::memcpy(b.data() + at, &v, sizeof(v));
+        return b;
+    };
+    ASSERT_EQ(u64At(good, frames_at), 2u);
+    ASSERT_EQ(u64At(good, frames_at + 8), 0u);
+    ASSERT_EQ(u64At(good, frames_at + 8 + record), 1u);
+    ASSERT_EQ(u64At(good, runs_at), 1u) << "one free run";
+    ASSERT_EQ(u64At(good, runs_at + 8), 2u);
+    ASSERT_EQ(u64At(good, runs_at + 16), 14u);
 
-    // Frame 0's GIPT entry: valid, PPN, residence, has-PTEP, PTE id.
-    ckpt::Serializer entry;
-    entry.putBool(true);
-    entry.putU64(cache->gipt().at(0).ppn);
-    for (unsigned c = 0; c < Gipt::maxCores; ++c)
-        entry.putU16(0);
-    entry.putBool(true);
-    entry.putU32(0);
-    entry.putU8(static_cast<std::uint8_t>(PageType::Page4K));
-    entry.putU64(1);
-    auto at = std::search(good.begin(), good.end(),
-                          entry.bytes().begin(), entry.bytes().end());
-    ASSERT_NE(at, good.end());
-    bad = good;
-    bad[(at - good.begin()) + 1 + 8 + 2 * Gipt::maxCores] = 0;
-    expectRestoreFatal(bad, "frame 0 has no PTEP");
+    // Frame indices: in range, listed once, ascending.
+    const std::size_t second = frames_at + 8 + record;
+    expectRestoreFatal(with(good, second, 16),
+                       "tagless frame 16 out of range");
+    expectRestoreFatal(with(good, second, 0),
+                       "tagless frame 0 listed twice");
+    std::vector<std::uint8_t> swapped = good;
+    std::swap_ranges(swapped.begin() + frames_at + 8,
+                     swapped.begin() + second, swapped.begin() + second);
+    expectRestoreFatal(swapped,
+                       "tagless frame 0 listed after tagless frame 1");
 
-    // Page 2's fill tick, pointed at page 7.
-    ckpt::Serializer rec;
-    rec.putU32(0);
-    rec.putU8(static_cast<std::uint8_t>(PageType::Page4K));
-    rec.putU64(2);
-    rec.putU64(fill.readyTick);
-    at = std::search(good.begin(), good.end(), rec.bytes().begin(),
-                     rec.bytes().end());
-    ASSERT_NE(at, good.end());
-    bad = good;
-    bad[(at - good.begin()) + 4 + 1] = 7; // the vpn's low byte
-    expectRestoreFatal(bad, "vpn 7");
+    // Frame 1 (page 2) pointed at page 7, which is not cached.
+    const std::size_t vpn_at = second + 8 + 8 + 16 + 4 + 1;
+    ASSERT_EQ(u64At(good, vpn_at), 2u);
+    expectRestoreFatal(with(good, vpn_at, 7),
+                       "vpn 7), which does not map back to it");
+
+    // Free runs: disjoint from the mapped frames and from each other,
+    // and with them covering the cache.
+    expectRestoreFatal(with(with(good, runs_at + 8, 1), runs_at + 16, 15),
+                       "run [1, 16) overlaps mapped frame 1");
+    expectRestoreFatal(with(good, runs_at + 16, 15),
+                       "run [2, +15) is empty or out of range");
+    expectRestoreFatal(with(good, runs_at + 16, 13),
+                       "2 mapped and 13 free of 16 frames");
+    ckpt::Serializer two_runs;
+    two_runs.putU64(2);
+    for (std::uint64_t v : {2, 8, 0, 9, 7, 0})
+        two_runs.putU64(v);
+    std::vector<std::uint8_t> bad(good.begin(), good.begin() + runs_at);
+    bad.insert(bad.end(), two_runs.bytes().begin(),
+               two_runs.bytes().end());
+    bad.insert(bad.end(), good.begin() + runs_at + 32, good.end());
+    expectRestoreFatal(bad, "runs [2, 10) and [9, 16) overlap");
 }
 
 TEST_F(TaglessTest, FifoEvictionRecyclesOldestFrame)
@@ -622,7 +645,7 @@ TEST_F(TaglessTest, FreeStallChargesExactReadyTickDifference)
     build(2);
     miss(1);
     miss(2); // evicts page 1; its frame re-queues with a future readyTick
-    ASSERT_FALSE(cache->freeQueue().blocks().empty());
+    ASSERT_FALSE(cache->freeQueue().empty());
     const Tick ready = cache->freeQueue().front().readyTick;
     ASSERT_GT(ready, 0u) << "eviction traffic must still be draining";
 
@@ -656,7 +679,7 @@ TEST_F(TaglessTest, FreeStallSurvivesCheckpointRestore)
     Machine m2;
     auto other = restoreInto(m2);
 
-    ASSERT_FALSE(other->freeQueue().blocks().empty());
+    ASSERT_FALSE(other->freeQueue().empty());
     EXPECT_EQ(other->freeQueue().front().readyTick, ready)
         << "pending eviction traffic must survive restore";
 
