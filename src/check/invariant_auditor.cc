@@ -195,8 +195,10 @@ void
 InvariantAuditor::verifyFrameTable() const
 {
     const Gipt &gipt = tagless_->gipt();
-    std::unordered_set<std::uint64_t> fifo(
-        tagless_->allocOrder().begin(), tagless_->allocOrder().end());
+    const Ring<std::uint64_t> &order = tagless_->allocOrder();
+    std::unordered_set<std::uint64_t> fifo;
+    for (std::size_t i = 0; i < order.size(); ++i)
+        fifo.insert(order[i]);
 
     for (std::uint64_t f = 0; f < gipt.frames(); ++f) {
         const Gipt::Entry &g = gipt.at(f);

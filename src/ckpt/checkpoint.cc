@@ -110,9 +110,8 @@ forEachPiece(const HeaderBytes &h, const std::vector<Section> &sections,
 } // namespace
 
 std::uint64_t
-fnv1a(const std::uint8_t *data, std::size_t n)
+fnv1a(const std::uint8_t *data, std::size_t n, std::uint64_t hash)
 {
-    std::uint64_t hash = 14695981039346656037ULL;
     for (std::size_t i = 0; i < n; ++i) {
         hash ^= data[i];
         hash *= 1099511628211ULL;

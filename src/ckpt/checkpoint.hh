@@ -47,8 +47,13 @@ inline constexpr char checkpointMagic[8] =
     {'T', 'D', 'C', 'C', 'K', 'P', 'T', '\0'};
 inline constexpr std::uint32_t checkpointFormatVersion = 3;
 
-/** 64-bit FNV-1a over a byte range. */
-std::uint64_t fnv1a(const std::uint8_t *data, std::size_t n);
+/** The FNV-1a offset basis: the hash of no bytes. */
+inline constexpr std::uint64_t fnv1aBasis = 14695981039346656037ULL;
+
+/** 64-bit FNV-1a over a byte range. Passing the hash of the bytes
+ *  before it continues a hash, so a stream can be hashed in pieces. */
+std::uint64_t fnv1a(const std::uint8_t *data, std::size_t n,
+                    std::uint64_t hash = fnv1aBasis);
 std::uint64_t fnv1a(std::string_view s);
 
 struct Section

@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "common/logging.hh"
+#include "common/ring.hh"
 #include "common/types.hh"
 
 namespace tdc {
@@ -63,36 +64,32 @@ class FreeQueue
     {
         tdc_assert(count > 0, "empty free-queue run");
         size_ += count;
-        if (nruns_ > 0) {
-            Run &back = at(nruns_ - 1);
+        if (!runs_.empty()) {
+            Run &back = runs_.back();
             if (back.end() == first && back.readyTick == ready) {
                 back.count += count;
                 return;
             }
         }
-        if (nruns_ == ring_.size())
-            grow();
-        at(nruns_++) = Run{first, count, ready};
+        runs_.push_back(Run{first, count, ready});
     }
 
     /** The header pointer's target: the next free block. */
     FreeBlock
     front() const
     {
-        tdc_assert(nruns_ > 0, "free queue empty");
-        return FreeBlock{run(0).first, run(0).readyTick};
+        tdc_assert(!runs_.empty(), "free queue empty");
+        return FreeBlock{runs_[0].first, runs_[0].readyTick};
     }
 
     FreeBlock
     pop()
     {
         const FreeBlock b = front();
-        Run &r = at(0);
+        Run &r = runs_.front();
         ++r.first;
-        if (--r.count == 0) {
-            head_ = (head_ + 1) & (ring_.size() - 1);
-            --nruns_;
-        }
+        if (--r.count == 0)
+            runs_.pop_front();
         --size_;
         return b;
     }
@@ -102,9 +99,10 @@ class FreeQueue
     remove(std::uint64_t lo, std::uint64_t hi)
     {
         std::vector<Run> old;
-        for (std::size_t i = 0; i < nruns_; ++i)
-            old.push_back(run(i));
-        head_ = nruns_ = size_ = 0;
+        for (std::size_t i = 0; i < runs_.size(); ++i)
+            old.push_back(runs_[i]);
+        runs_.clear();
+        size_ = 0;
         for (const Run &r : old) {
             if (r.first < lo)
                 pushRun(r.first, std::min(r.end(), lo) - r.first,
@@ -120,36 +118,11 @@ class FreeQueue
 
     /** The runs in FIFO order (checkpointing, auditing): run(0) is
      *  the front. */
-    std::size_t runCount() const { return nruns_; }
-    const Run &
-    run(std::size_t i) const
-    {
-        return ring_[(head_ + i) & (ring_.size() - 1)];
-    }
+    std::size_t runCount() const { return runs_.size(); }
+    const Run &run(std::size_t i) const { return runs_[i]; }
 
   private:
-    Run &
-    at(std::size_t i)
-    {
-        return ring_[(head_ + i) & (ring_.size() - 1)];
-    }
-
-    /** Doubles the ring, unwrapping the runs to its start. */
-    void
-    grow()
-    {
-        std::vector<Run> bigger(std::max<std::size_t>(4, 2 * ring_.size()));
-        for (std::size_t i = 0; i < nruns_; ++i)
-            bigger[i] = run(i);
-        ring_.swap(bigger);
-        head_ = 0;
-    }
-
-    // The runs live in a ring whose size is a power of two, so a queue
-    // that churns one frame in, one frame out allocates nothing.
-    std::vector<Run> ring_;
-    std::size_t head_ = 0;
-    std::size_t nruns_ = 0;
+    Ring<Run> runs_;
     std::size_t size_ = 0; //!< free frames over all runs
 };
 

@@ -371,8 +371,7 @@ TaglessCache::pickVictimFifo()
     tdc_assert(!allocOrder_.empty(), "no victim candidates");
     const std::size_t limit = allocOrder_.size();
     for (std::size_t i = 0; i < limit; ++i) {
-        const std::uint64_t f = allocOrder_.front();
-        allocOrder_.pop_front();
+        const std::uint64_t f = allocOrder_.pop_front();
         if (!gipt_.at(f).valid())
             continue; // stale entry (frame freed by another path)
         if (evictionBlocked(f)) {
@@ -389,8 +388,7 @@ TaglessCache::pickVictimFifo()
     // mid-fill (PU set) stay protected even here.
     const std::size_t fallback_limit = allocOrder_.size();
     for (std::size_t i = 0; i < fallback_limit; ++i) {
-        const std::uint64_t f = allocOrder_.front();
-        allocOrder_.pop_front();
+        const std::uint64_t f = allocOrder_.pop_front();
         if (!gipt_.at(f).valid())
             continue;
         if (gipt_.at(f).ptep->pu) {
@@ -627,8 +625,8 @@ TaglessCache::saveOrgState(ckpt::Serializer &out) const
     }
 
     out.putU64(allocOrder_.size());
-    for (std::uint64_t f : allocOrder_)
-        out.putU64(f);
+    for (std::size_t i = 0; i < allocOrder_.size(); ++i)
+        out.putU64(allocOrder_[i]);
 
     // The format fixes the filter counts in key order.
     std::vector<std::pair<AsidVpn, std::uint32_t>> counts(

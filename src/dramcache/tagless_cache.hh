@@ -29,11 +29,11 @@
 #define TDC_DRAMCACHE_TAGLESS_CACHE_HH
 
 #include <cstdint>
-#include <deque>
 #include <unordered_map>
 #include <vector>
 
 #include "cache/replacement.hh"
+#include "common/ring.hh"
 #include "common/zeroed_array.hh"
 #include "dramcache/dram_cache_org.hh"
 #include "dramcache/free_queue.hh"
@@ -121,7 +121,7 @@ class TaglessCache final : public DramCacheOrg
      */
     const FreeQueue &freeQueue() const { return freeQueue_; }
     bool framePinned(std::uint64_t frame) const { return frames_[frame].pinned; }
-    const std::deque<std::uint64_t> &allocOrder() const { return allocOrder_; }
+    const Ring<std::uint64_t> &allocOrder() const { return allocOrder_; }
 
     /** Entries in the LRU heap, live and stale (for tests). */
     std::size_t lruHeapSize() const { return lruHeap_.size(); }
@@ -236,7 +236,7 @@ class TaglessCache final : public DramCacheOrg
     ZeroedArray<FrameMeta> frames_;
 
     /** Frames in fill order (FIFO replacement candidates). */
-    std::deque<std::uint64_t> allocOrder_;
+    Ring<std::uint64_t> allocOrder_;
 
     /** Lazily invalidated (lastTouch, frame) min-heap for LRU mode
      *  (std::push_heap/pop_heap with std::greater). */

@@ -1,17 +1,15 @@
 #include "trace/mtrace.hh"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 
-#if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
-#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#define TDC_MTRACE_HAVE_MMAP 1
-#endif
 
 #include "ckpt/checkpoint.hh"
 #include "ckpt/serializer.hh"
@@ -29,14 +27,26 @@ constexpr std::uint8_t flagDependent = 0x04;
 constexpr std::uint8_t flagNegDelta = 0x08;
 constexpr std::uint8_t flagReserved = 0xF0;
 
-void
-putVarint(std::vector<std::uint8_t> &out, std::uint64_t v)
+/** The most bytes the writer encodes a record into: the flags byte, a
+ *  32-bit nonMemInsts varint and a 64-bit address-delta varint. */
+constexpr std::size_t maxRecordBytes = 1 + 5 + 10;
+
+/** The most bytes the decoder reads for one record, well-formed or
+ *  not: it rejects a varint at its tenth byte. */
+constexpr std::size_t maxDecodeBytes = 1 + 10 + 10;
+
+/** Bytes of the buffer open() streams the file through. */
+constexpr std::size_t streamBufferBytes = 64 << 10;
+
+std::uint8_t *
+putVarint(std::uint8_t *p, std::uint64_t v)
 {
     while (v >= 0x80) {
-        out.push_back(static_cast<std::uint8_t>(v) | 0x80);
+        *p++ = static_cast<std::uint8_t>(v) | 0x80;
         v >>= 7;
     }
-    out.push_back(static_cast<std::uint8_t>(v));
+    *p++ = static_cast<std::uint8_t>(v);
+    return p;
 }
 
 std::string
@@ -45,7 +55,52 @@ coreSectionName(unsigned core)
     return format("core{}", core);
 }
 
+/** pwrite()s all of [data, data + n) at offset `at`; false on error. */
+bool
+pwriteFully(int fd, const std::uint8_t *data, std::size_t n,
+            std::uint64_t at)
+{
+    while (n > 0) {
+        const ssize_t got =
+            ::pwrite(fd, data, n, static_cast<off_t>(at));
+        if (got < 0 && errno == EINTR)
+            continue;
+        if (got <= 0)
+            return false;
+        data += got;
+        at += static_cast<std::uint64_t>(got);
+        n -= static_cast<std::size_t>(got);
+    }
+    return true;
+}
+
+/** pread()s exactly `n` bytes at offset `at`; false on an error or an
+ *  early end of file. */
+bool
+preadFully(int fd, std::uint8_t *out, std::size_t n, std::uint64_t at)
+{
+    while (n > 0) {
+        const ssize_t got = ::pread(fd, out, n, static_cast<off_t>(at));
+        if (got < 0 && errno == EINTR)
+            continue;
+        if (got <= 0)
+            return false;
+        out += got;
+        at += static_cast<std::uint64_t>(got);
+        n -= static_cast<std::size_t>(got);
+    }
+    return true;
+}
+
 } // namespace
+
+void
+FileHandle::reset(int fd)
+{
+    if (fd_ >= 0)
+        ::close(fd_);
+    fd_ = fd;
+}
 
 // ---------------------------------------------------------------------
 // Writer
@@ -60,6 +115,15 @@ MtraceWriter::MtraceWriter(std::string path, unsigned cores,
       streams_(cores)
 {
     tdc_assert(cores >= 1, "mtrace writer needs at least one core");
+    for (Stream &s : streams_)
+        s.buf.resize(spillChunkBytes);
+    // Unlinked at once: only the descriptor reaches the spill, so no
+    // way out of the writer, a crash included, leaves it behind.
+    std::string spill_path = path_ + ".spill.XXXXXX";
+    spill_.reset(::mkostemp(spill_path.data(), O_CLOEXEC));
+    if (spill_.get() < 0)
+        fatal("cannot create a spill file next to mtrace '{}'", path_);
+    ::unlink(spill_path.c_str());
 }
 
 MtraceWriter::~MtraceWriter()
@@ -83,12 +147,16 @@ MtraceWriter::append(unsigned core, const TraceRecord &rec)
                streams_.size());
     Stream &s = streams_[core];
 
-    if (s.count % blockRecords_ == 0) {
+    if (s.blockLeft == 0) {
         // Block boundary: record the reference and restart the delta
         // base, so this block decodes without its predecessors.
-        s.blocks.push_back({s.bytes.size(), s.count});
+        s.blocks.push_back({s.spilled + s.fill, s.count});
+        s.blockLeft = blockRecords_;
         s.prev = 0;
     }
+    --s.blockLeft;
+    if (s.buf.size() - s.fill < maxRecordBytes)
+        spill(s);
 
     std::uint8_t flags = static_cast<std::uint8_t>(rec.type);
     if (rec.dependent)
@@ -100,11 +168,26 @@ MtraceWriter::append(unsigned core, const TraceRecord &rec)
         delta = s.prev - rec.vaddr;
         flags |= flagNegDelta;
     }
-    s.bytes.push_back(flags);
-    putVarint(s.bytes, rec.nonMemInsts);
-    putVarint(s.bytes, delta);
+    std::uint8_t *p = s.buf.data() + s.fill;
+    *p++ = flags;
+    p = putVarint(p, rec.nonMemInsts);
+    p = putVarint(p, delta);
+    s.fill = static_cast<std::size_t>(p - s.buf.data());
     s.prev = rec.vaddr;
     ++s.count;
+}
+
+void
+MtraceWriter::spill(Stream &s)
+{
+    if (s.fill == 0)
+        return;
+    if (!pwriteFully(spill_.get(), s.buf.data(), s.fill, spillBytes_))
+        fatal("error writing the spill file of mtrace '{}'", path_);
+    s.chunks.push_back({spillBytes_, s.fill});
+    spillBytes_ += s.fill;
+    s.spilled += s.fill;
+    s.fill = 0;
 }
 
 std::uint64_t
@@ -133,7 +216,40 @@ MtraceWriter::close()
                   "never run dry, so every stream must be non-empty)",
                   path_, c);
     }
+    for (Stream &s : streams_)
+        spill(s);
 
+    const std::string tmp = path_ + ".tmp";
+    bool written;
+    {
+        FileHandle out;
+        out.reset(::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC
+                                          | O_CLOEXEC,
+                         0666));
+        if (out.get() < 0)
+            fatal("cannot open '{}' for writing", tmp);
+        written = writeContainer(out.get());
+    }
+    if (!written) {
+        ::unlink(tmp.c_str());
+        fatal("error writing mtrace file '{}'", tmp);
+    }
+    if (std::rename(tmp.c_str(), path_.c_str()) != 0) {
+        ::unlink(tmp.c_str());
+        fatal("cannot publish mtrace file '{}'", path_);
+    }
+    for (Stream &s : streams_) {
+        s.buf = {};
+        s.chunks = {};
+        s.blocks = {};
+    }
+    spill_.reset();
+    closed_ = true;
+}
+
+bool
+MtraceWriter::writeContainer(int fd)
+{
     auto meta = json::Value::object();
     meta.set("schema", mtraceSchema);
     meta.set("cores", static_cast<std::uint64_t>(streams_.size()));
@@ -144,65 +260,77 @@ MtraceWriter::close()
         counts.push(s.count);
     meta.set("records", std::move(counts));
     meta.set("source", source_);
+    ckpt::Serializer meta_payload;
+    meta_payload.putString(meta.dump());
 
-    struct Sec
-    {
-        std::string name;
-        std::vector<std::uint8_t> payload;
-    };
-    std::vector<Sec> secs;
-    {
-        ckpt::Serializer s;
-        s.putString(meta.dump());
-        secs.push_back({"meta", s.take()});
-    }
-    for (std::size_t c = 0; c < streams_.size(); ++c)
-        secs.push_back({coreSectionName(static_cast<unsigned>(c)),
-                        std::move(streams_[c].bytes)});
-    {
-        ckpt::Serializer s;
-        s.putU32(static_cast<std::uint32_t>(streams_.size()));
-        for (const Stream &st : streams_) {
-            s.putU64(st.count);
-            s.putU64(st.blocks.size());
-            for (const BlockRef &b : st.blocks) {
-                s.putU64(b.byteOffset);
-                s.putU64(b.firstRecord);
-            }
+    ckpt::Serializer index;
+    index.putU32(static_cast<std::uint32_t>(streams_.size()));
+    for (const Stream &s : streams_) {
+        index.putU64(s.count);
+        index.putU64(s.blocks.size());
+        for (const BlockRef &b : s.blocks) {
+            index.putU64(b.byteOffset);
+            index.putU64(b.firstRecord);
         }
-        secs.push_back({"index", s.take()});
     }
 
-    const std::string tmp = path_ + ".tmp";
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out)
-        fatal("cannot open '{}' for writing", tmp);
-    {
-        ckpt::Serializer head;
-        for (char ch : mtraceMagic)
-            head.putU8(static_cast<std::uint8_t>(ch));
-        head.putU32(mtraceFormatVersion);
-        head.putU32(static_cast<std::uint32_t>(secs.size()));
-        out.write(reinterpret_cast<const char *>(head.bytes().data()),
-                  static_cast<std::streamsize>(head.size()));
-    }
-    for (const Sec &sec : secs) {
+    // Any failed read or write sticks, and close() reports it.
+    bool ok = true;
+    std::uint64_t at = 0;
+    auto put = [&](const std::uint8_t *data, std::size_t n) {
+        ok = ok && pwriteFully(fd, data, n, at);
+        at += n;
+    };
+    // A section header goes out with a zero checksum; the payload is
+    // hashed on its way out and the sum patched in after it.
+    std::uint64_t sum_at = 0;
+    std::uint64_t sum = 0;
+    auto beginSection = [&](const std::string &name, std::uint64_t size) {
         ckpt::Serializer sh;
-        sh.putString(sec.name);
-        sh.putU64(sec.payload.size());
-        sh.putU64(ckpt::fnv1a(sec.payload.data(), sec.payload.size()));
-        out.write(reinterpret_cast<const char *>(sh.bytes().data()),
-                  static_cast<std::streamsize>(sh.size()));
-        out.write(reinterpret_cast<const char *>(sec.payload.data()),
-                  static_cast<std::streamsize>(sec.payload.size()));
+        sh.putString(name);
+        sh.putU64(size);
+        sum_at = at + sh.size();
+        sh.putU64(0);
+        put(sh.bytes().data(), sh.size());
+        sum = ckpt::fnv1aBasis;
+    };
+    auto payload = [&](const std::uint8_t *data, std::size_t n) {
+        sum = ckpt::fnv1a(data, n, sum);
+        put(data, n);
+    };
+    auto endSection = [&] {
+        ckpt::Serializer s;
+        s.putU64(sum);
+        ok = ok && pwriteFully(fd, s.bytes().data(), s.size(), sum_at);
+    };
+
+    ckpt::Serializer head;
+    for (char ch : mtraceMagic)
+        head.putU8(static_cast<std::uint8_t>(ch));
+    head.putU32(mtraceFormatVersion);
+    head.putU32(static_cast<std::uint32_t>(streams_.size() + 2));
+    put(head.bytes().data(), head.size());
+
+    beginSection("meta", meta_payload.size());
+    payload(meta_payload.bytes().data(), meta_payload.size());
+    endSection();
+    std::vector<std::uint8_t> copy(spillChunkBytes);
+    for (std::size_t c = 0; c < streams_.size(); ++c) {
+        const Stream &s = streams_[c];
+        beginSection(coreSectionName(static_cast<unsigned>(c)),
+                     s.spilled);
+        for (const Chunk &k : s.chunks) {
+            const auto n = static_cast<std::size_t>(k.bytes);
+            ok = ok
+                 && preadFully(spill_.get(), copy.data(), n, k.offset);
+            payload(copy.data(), n);
+        }
+        endSection();
     }
-    out.flush();
-    if (!out)
-        fatal("error writing mtrace file '{}'", tmp);
-    out.close();
-    if (std::rename(tmp.c_str(), path_.c_str()) != 0)
-        fatal("cannot publish mtrace file '{}'", path_);
-    closed_ = true;
+    beginSection("index", index.size());
+    payload(index.bytes().data(), index.size());
+    endSection();
+    return ok;
 }
 
 // ---------------------------------------------------------------------
@@ -211,32 +339,43 @@ MtraceWriter::close()
 
 namespace {
 
-/** Bounds-checked parse cursor over the mapped file, reporting the
- *  absolute offset of whatever is malformed or missing. */
-struct FileView
+/**
+ * Bounds-checked sequential reads of the file range [pos, end) through
+ * a fixed buffer, reporting the absolute offset of whatever is
+ * malformed or missing.
+ */
+class FileStream
 {
-    const std::string &path;
-    const std::uint8_t *data;
-    std::uint64_t size;
-    std::uint64_t pos = 0;
+  public:
+    FileStream(const std::string &path, int fd, std::uint64_t pos,
+               std::uint64_t end)
+        : path_(path), fd_(fd), pos_(pos), end_(end),
+          buf_(static_cast<std::size_t>(
+              std::min<std::uint64_t>(streamBufferBytes, end - pos))),
+          bufStart_(pos), bufEnd_(pos)
+    {
+    }
+
+    std::uint64_t pos() const { return pos_; }
 
     void
     need(std::uint64_t n, const char *what) const
     {
-        if (n > size - pos)
+        if (n > end_ - pos_)
             fatal("mtrace '{}': truncated {} at offset {} (need {} "
                   "bytes, {} available)",
-                  path, what, pos, n, size - pos);
+                  path_, what, pos_, n, end_ - pos_);
     }
 
     std::uint32_t
     getU32(const char *what)
     {
         need(4, what);
+        std::uint8_t b[4];
+        take(b, 4);
         std::uint32_t v = 0;
         for (int i = 0; i < 4; ++i)
-            v |= static_cast<std::uint32_t>(data[pos + i]) << (8 * i);
-        pos += 4;
+            v |= static_cast<std::uint32_t>(b[i]) << (8 * i);
         return v;
     }
 
@@ -244,10 +383,11 @@ struct FileView
     getU64(const char *what)
     {
         need(8, what);
+        std::uint8_t b[8];
+        take(b, 8);
         std::uint64_t v = 0;
         for (int i = 0; i < 8; ++i)
-            v |= static_cast<std::uint64_t>(data[pos + i]) << (8 * i);
-        pos += 8;
+            v |= static_cast<std::uint64_t>(b[i]) << (8 * i);
         return v;
     }
 
@@ -256,83 +396,110 @@ struct FileView
     {
         const std::uint64_t len = getU64(what);
         need(len, what);
-        std::string s(reinterpret_cast<const char *>(data + pos),
-                      static_cast<std::size_t>(len));
-        pos += len;
+        std::string s(static_cast<std::size_t>(len), '\0');
+        take(reinterpret_cast<std::uint8_t *>(s.data()), s.size());
         return s;
     }
+
+    /** Copies the next `n` bytes, which need() has vouched for. */
+    void
+    take(std::uint8_t *out, std::size_t n)
+    {
+        while (n > 0) {
+            const std::size_t k = std::min(n, buffered());
+            std::memcpy(out, buf_.data() + (pos_ - bufStart_), k);
+            out += k;
+            n -= k;
+            pos_ += k;
+        }
+    }
+
+    /** FNV-1a of the next `n` bytes, which need() has vouched for. */
+    std::uint64_t
+    hash(std::uint64_t n)
+    {
+        std::uint64_t h = ckpt::fnv1aBasis;
+        while (n > 0) {
+            const std::size_t k = static_cast<std::size_t>(
+                std::min<std::uint64_t>(n, buffered()));
+            h = ckpt::fnv1a(buf_.data() + (pos_ - bufStart_), k, h);
+            n -= k;
+            pos_ += k;
+        }
+        return h;
+    }
+
+  private:
+    /** Bytes buffered from pos_ on, refilling when there are none. */
+    std::size_t
+    buffered()
+    {
+        if (pos_ == bufEnd_) {
+            const auto n = static_cast<std::size_t>(
+                std::min<std::uint64_t>(buf_.size(), end_ - pos_));
+            if (!preadFully(fd_, buf_.data(), n, pos_))
+                fatal("mtrace '{}': cannot read {} bytes at offset {}",
+                      path_, n, pos_);
+            bufStart_ = pos_;
+            bufEnd_ = pos_ + n;
+        }
+        return static_cast<std::size_t>(bufEnd_ - pos_);
+    }
+
+    const std::string &path_;
+    int fd_;
+    std::uint64_t pos_;
+    std::uint64_t end_;
+    std::vector<std::uint8_t> buf_;
+    std::uint64_t bufStart_; //!< file offset of buf_[0]
+    std::uint64_t bufEnd_;   //!< past the last buffered byte
 };
 
 } // namespace
 
 MtraceReader::MtraceReader(const std::string &path) : path_(path)
 {
-    mapFile();
+    fd_.reset(::open(path_.c_str(), O_RDONLY | O_CLOEXEC));
+    if (fd_.get() < 0)
+        fatal("cannot open mtrace file '{}'", path_);
+    struct stat st{};
+    if (::fstat(fd_.get(), &st) != 0)
+        fatal("cannot stat mtrace file '{}'", path_);
+    size_ = static_cast<std::uint64_t>(st.st_size);
+    if (size_ == 0)
+        fatal("mtrace '{}': file is empty", path_);
     parse();
-}
 
-MtraceReader::~MtraceReader()
-{
-#ifdef TDC_MTRACE_HAVE_MMAP
-    if (mapped_)
-        ::munmap(const_cast<std::uint8_t *>(data_),
-                 static_cast<std::size_t>(size_));
-#endif
+    // Each stream must end with its last record. Decoding every last
+    // block makes bytes after it an open-time error, so replay rejects
+    // them too, not only verifyAll().
+    for (unsigned c = 0; c < meta_.cores; ++c) {
+        MtraceCursor tail(*this, c);
+        tail.seek(meta_.records[c] - 1);
+        (void)tail.next();
+        tail.checkBlockEnd();
+    }
 }
 
 void
-MtraceReader::mapFile()
+MtraceReader::readAt(std::uint64_t at, std::uint8_t *out,
+                     std::size_t n) const
 {
-#ifdef TDC_MTRACE_HAVE_MMAP
-    const int fd = ::open(path_.c_str(), O_RDONLY);
-    if (fd < 0)
-        fatal("cannot open mtrace file '{}'", path_);
-    struct stat st{};
-    if (::fstat(fd, &st) != 0) {
-        ::close(fd);
-        fatal("cannot stat mtrace file '{}'", path_);
-    }
-    size_ = static_cast<std::uint64_t>(st.st_size);
-    if (size_ == 0) {
-        ::close(fd);
-        fatal("mtrace '{}': file is empty", path_);
-    }
-    void *m = ::mmap(nullptr, static_cast<std::size_t>(size_),
-                     PROT_READ, MAP_PRIVATE, fd, 0);
-    ::close(fd);
-    if (m != MAP_FAILED) {
-        data_ = static_cast<const std::uint8_t *>(m);
-        mapped_ = true;
-        return;
-    }
-#endif
-    // Fallback: read the whole file into memory.
-    std::ifstream in(path_, std::ios::binary);
-    if (!in)
-        fatal("cannot open mtrace file '{}'", path_);
-    in.seekg(0, std::ios::end);
-    const auto end = in.tellg();
-    if (end <= 0)
-        fatal("mtrace '{}': file is empty", path_);
-    fallback_.resize(static_cast<std::size_t>(end));
-    in.seekg(0, std::ios::beg);
-    in.read(reinterpret_cast<char *>(fallback_.data()),
-            static_cast<std::streamsize>(fallback_.size()));
-    if (!in)
-        fatal("error reading mtrace file '{}'", path_);
-    data_ = fallback_.data();
-    size_ = fallback_.size();
+    if (!preadFully(fd_.get(), out, n, at))
+        fatal("mtrace '{}': cannot read {} bytes at offset {}", path_, n,
+              at);
 }
 
 void
 MtraceReader::parse()
 {
-    FileView v{path_, data_, size_};
+    FileStream v{path_, fd_.get(), 0, size_};
 
-    v.need(sizeof(mtraceMagic), "magic");
-    if (std::memcmp(data_, mtraceMagic, sizeof(mtraceMagic)) != 0)
+    std::uint8_t magic[sizeof(mtraceMagic)];
+    v.need(sizeof(magic), "magic");
+    v.take(magic, sizeof(magic));
+    if (std::memcmp(magic, mtraceMagic, sizeof(magic)) != 0)
         fatal("'{}' is not a tdc-mtrace file (bad magic)", path_);
-    v.pos = sizeof(mtraceMagic);
     const std::uint32_t version = v.getU32("format version");
     if (version != mtraceFormatVersion)
         fatal("mtrace '{}': unsupported format version {} (this build "
@@ -341,7 +508,7 @@ MtraceReader::parse()
     const std::uint32_t nsec = v.getU32("section count");
     if (nsec < 3 || nsec > 3 + 1024)
         fatal("mtrace '{}': implausible section count {} at offset {}",
-              path_, nsec, v.pos - 4);
+              path_, nsec, v.pos() - 4);
 
     struct RawSec
     {
@@ -355,19 +522,19 @@ MtraceReader::parse()
         const std::uint64_t sz = v.getU64("section size");
         const std::uint64_t sum = v.getU64("section checksum");
         v.need(sz, "section payload");
-        const std::uint64_t got = ckpt::fnv1a(data_ + v.pos, sz);
+        const std::uint64_t at = v.pos();
+        const std::uint64_t got = v.hash(sz);
         if (got != sum)
             fatal("mtrace '{}': checksum mismatch in section '{}' at "
                   "offset {} (stored {:016x}, computed {:016x})",
-                  path_, name, v.pos, sum, got);
-        raw.push_back({name, v.pos, sz});
+                  path_, name, at, sum, got);
+        raw.push_back({name, at, sz});
         sections_.push_back({name, sz, sum});
-        v.pos += sz;
     }
-    if (v.pos != size_)
+    if (v.pos() != size_)
         fatal("mtrace '{}': {} trailing bytes after the last section "
               "(offset {})",
-              path_, size_ - v.pos, v.pos);
+              path_, size_ - v.pos(), v.pos());
 
     auto findSec = [&](const std::string &name) -> const RawSec & {
         for (const RawSec &s : raw)
@@ -380,11 +547,11 @@ MtraceReader::parse()
     // "meta": a length-prefixed JSON string.
     {
         const RawSec &ms = findSec("meta");
-        FileView mv{path_, data_, ms.offset + ms.size, ms.offset};
+        FileStream mv{path_, fd_.get(), ms.offset, ms.offset + ms.size};
         const std::string text = mv.getString("meta JSON");
-        if (mv.pos != ms.offset + ms.size)
+        if (mv.pos() != ms.offset + ms.size)
             fatal("mtrace '{}': trailing bytes in 'meta' at offset {}",
-                  path_, mv.pos);
+                  path_, mv.pos());
         std::string err;
         auto doc = json::Value::parse(text, &err);
         if (!doc || !doc->isObject())
@@ -432,15 +599,13 @@ MtraceReader::parse()
     // Core sections, in order.
     for (unsigned c = 0; c < meta_.cores; ++c) {
         const RawSec &cs = findSec(coreSectionName(c));
-        cores_.push_back(
-            {data_ + cs.offset, cs.size, cs.offset, meta_.records[c],
-             {}});
+        cores_.push_back({cs.size, cs.offset, meta_.records[c], {}});
     }
 
     // "index": per-core block tables, validated against the streams.
     {
         const RawSec &is = findSec("index");
-        FileView iv{path_, data_, is.offset + is.size, is.offset};
+        FileStream iv{path_, fd_.get(), is.offset, is.offset + is.size};
         const std::uint32_t n = iv.getU32("index core count");
         if (n != meta_.cores)
             fatal("mtrace '{}': index lists {} cores, meta lists {}",
@@ -485,9 +650,19 @@ MtraceReader::parse()
                       "byte 0",
                       path_, c);
         }
-        if (iv.pos != is.offset + is.size)
+        if (iv.pos() != is.offset + is.size)
             fatal("mtrace '{}': trailing bytes in 'index' at offset {}",
-                  path_, iv.pos);
+                  path_, iv.pos());
+    }
+
+    for (const CoreStream &st : cores_) {
+        for (std::size_t b = 0; b < st.blocks.size(); ++b) {
+            const std::uint64_t end = b + 1 < st.blocks.size()
+                                          ? st.blocks[b + 1].byteOffset
+                                          : st.size;
+            maxBlockBytes_ =
+                std::max(maxBlockBytes_, end - st.blocks[b].byteOffset);
+        }
     }
 }
 
@@ -516,8 +691,7 @@ MtraceReader::verifyAll() const
         for (std::uint64_t i = 0; i < count; ++i)
             (void)cur.next();
         // One more next() must wrap to record 0 without fault; it also
-        // proves the final record ended exactly at the payload end
-        // (decodeOne checks stream bounds on every byte).
+        // checks that the final record ended exactly at the payload end.
         (void)cur.next();
     }
 }
@@ -533,6 +707,9 @@ MtraceCursor::MtraceCursor(const MtraceReader &reader, unsigned core)
                "mtrace '{}': cursor core {} out of range ({} cores)",
                reader.path(), core, reader.coreCount());
     cs_ = &reader.cores_[core];
+    window_.resize(static_cast<std::size_t>(
+        std::min(reader.maxBlockBytes_, windowCapBytes)
+        + maxDecodeBytes));
     loadBlock(0);
 }
 
@@ -541,6 +718,16 @@ MtraceCursor::corrupt(std::uint64_t at, const std::string &what) const
 {
     fatal("mtrace '{}': core {}: {} at offset {}", reader_->path(),
           core_, what, cs_->fileOffset + at);
+}
+
+void
+MtraceCursor::fill(std::uint64_t at)
+{
+    const auto n = static_cast<std::size_t>(
+        std::min<std::uint64_t>(window_.size(), cs_->size - at));
+    reader_->readAt(cs_->fileOffset + at, window_.data(), n);
+    winStart_ = at;
+    winEnd_ = at + n;
 }
 
 void
@@ -554,19 +741,41 @@ MtraceCursor::loadBlock(std::uint64_t block)
     blockEnd_ = block + 1 < blocks.size() ? blocks[block + 1].firstRecord
                                           : cs_->count;
     prev_ = 0;
+    fill(pos_);
 }
 
+void
+MtraceCursor::checkBlockEnd() const
+{
+    const auto &blocks = cs_->blocks;
+    if (blockIdx_ + 1 == blocks.size()) {
+        if (pos_ != cs_->size)
+            corrupt(pos_, format("{} bytes after the last record",
+                                 cs_->size - pos_));
+        return;
+    }
+    const std::uint64_t expect = blocks[blockIdx_ + 1].byteOffset;
+    if (pos_ != expect)
+        corrupt(pos_, format("block {} ended at byte {} but the index "
+                             "places it at byte {}",
+                             blockIdx_, pos_, expect));
+}
+
+template <bool Checked>
 TraceRecord
-MtraceCursor::decodeOne()
+MtraceCursor::decode()
 {
     const std::uint64_t at = pos_;
-    const std::uint8_t *d = cs_->data;
-    const std::uint64_t size = cs_->size;
+    const std::uint8_t *const base = window_.data();
+    const std::uint8_t *const end = base + (winEnd_ - winStart_);
+    const std::uint8_t *p = base + (pos_ - winStart_);
 
     auto byte = [&]() -> std::uint8_t {
-        if (pos_ >= size)
-            corrupt(pos_, "truncated record stream");
-        return d[pos_++];
+        if constexpr (Checked) {
+            if (p == end)
+                corrupt(winEnd_, "truncated record stream");
+        }
+        return *p++;
     };
     auto varint = [&](const char *what) -> std::uint64_t {
         std::uint64_t v = 0;
@@ -596,6 +805,7 @@ MtraceCursor::decodeOne()
     if (nmi > 0xFFFF'FFFFULL)
         corrupt(at, format("nonMemInsts {} exceeds 32 bits", nmi));
     const std::uint64_t delta = varint("address delta");
+    pos_ = winStart_ + static_cast<std::uint64_t>(p - base);
 
     TraceRecord rec;
     rec.nonMemInsts = static_cast<std::uint32_t>(nmi);
@@ -608,19 +818,29 @@ MtraceCursor::decodeOne()
 }
 
 TraceRecord
+MtraceCursor::decodeOne()
+{
+    // The one bounds check: a record that cannot run past the window
+    // decodes unchecked.
+    if (winEnd_ - pos_ >= maxDecodeBytes)
+        return decode<false>();
+    // Near the window's end: slide it on to this record unless it
+    // already ends with the section. Either way no record can need a
+    // byte past the window that the section has, so the checked
+    // decoder's bound is in effect the section's end.
+    if (winEnd_ < cs_->size)
+        fill(pos_);
+    return decode<true>();
+}
+
+TraceRecord
 MtraceCursor::next()
 {
-    if (idx_ == cs_->count) {
-        // Wrap: replay loops forever over the stream.
-        loadBlock(0);
-    } else if (idx_ == blockEnd_) {
-        const std::uint64_t expect =
-            cs_->blocks[blockIdx_ + 1].byteOffset;
-        if (pos_ != expect)
-            corrupt(pos_, format("block {} ended at byte {} but the "
-                                 "index places it at byte {}",
-                                 blockIdx_, pos_, expect));
-        loadBlock(blockIdx_ + 1);
+    if (idx_ == blockEnd_) {
+        checkBlockEnd();
+        // After the last block, wrap: replay loops forever.
+        loadBlock(blockIdx_ + 1 < cs_->blocks.size() ? blockIdx_ + 1
+                                                     : 0);
     }
     const TraceRecord rec = decodeOne();
     ++idx_;
@@ -656,18 +876,15 @@ traceContentHash(const std::string &path)
     std::ifstream in(path, std::ios::binary);
     if (!in)
         fatal("cannot open trace file '{}' for hashing", path);
-    // Incremental FNV-1a with the same constants as ckpt::fnv1a, so
-    // hashing in chunks equals hashing the whole file at once.
-    std::uint64_t h = 14695981039346656037ULL;
-    std::vector<char> buf(1 << 20);
+    // Hashing in chunks equals hashing the whole file at once.
+    std::uint64_t h = ckpt::fnv1aBasis;
+    std::vector<char> buf(streamBufferBytes);
     while (in.read(buf.data(),
                    static_cast<std::streamsize>(buf.size()))
            || in.gcount() > 0) {
         const std::streamsize got = in.gcount();
-        for (std::streamsize i = 0; i < got; ++i) {
-            h ^= static_cast<unsigned char>(buf[i]);
-            h *= 1099511628211ULL;
-        }
+        h = ckpt::fnv1a(reinterpret_cast<const std::uint8_t *>(buf.data()),
+                        static_cast<std::size_t>(got), h);
         if (got < static_cast<std::streamsize>(buf.size()))
             break;
     }

@@ -37,8 +37,9 @@
  * Every decoder is bounds-checked and fatal()s -- catchable via
  * ScopedFatalCapture -- with the offending absolute file offset on any
  * defect: truncation, bad magic/version, checksum mismatch, malformed
- * varint, reserved flag bits, or an index that disagrees with the
- * streams. Malformed input is never undefined behaviour.
+ * varint, reserved flag bits, an index that disagrees with the streams,
+ * or bytes after a stream's last record. Malformed input is never
+ * undefined behaviour.
  *
  * Note the deliberate tag spelling: "tdc-trace-v1" already names the
  * Perfetto *event* trace schema (src/obs/trace_writer.hh); this
@@ -48,6 +49,7 @@
 #ifndef TDC_TRACE_MTRACE_HH
 #define TDC_TRACE_MTRACE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -85,14 +87,45 @@ struct BlockRef
     std::uint64_t firstRecord = 0; //!< stream index of its first record
 };
 
+/** Owns a POSIX file descriptor and closes it on destruction. */
+class FileHandle
+{
+  public:
+    FileHandle() = default;
+    ~FileHandle() { reset(); }
+
+    FileHandle(const FileHandle &) = delete;
+    FileHandle &operator=(const FileHandle &) = delete;
+
+    /** Closes the descriptor held, if any, and takes `fd`. */
+    void reset(int fd = -1);
+    int get() const { return fd_; }
+
+  private:
+    int fd_ = -1;
+};
+
 /**
- * Accumulates per-core record streams in memory and writes the whole
- * container on close() (write-to-temp + atomic rename). The in-memory
- * cost is the encoded size (~2-4 bytes/record), not TraceRecords.
+ * Streams per-core record streams to disk and publishes the container
+ * on close() (write-to-temp + atomic rename), in memory that does not
+ * grow with the trace.
+ *
+ * Each core encodes its records straight into one fixed buffer. A
+ * buffer that cannot take another record is appended to a spill file
+ * that lives next to the output and is unlinked as soon as it is
+ * created, so it never outlives the writer. close() copies each core's
+ * spilled chunks into its section, hashing them on the way, and
+ * patches the checksum into the section header. What stays in memory
+ * is the buffers (spillChunkBytes per core) plus 16 bytes of index per
+ * block and per spilled chunk.
  */
 class MtraceWriter
 {
   public:
+    /** Bytes of each core's encode buffer, and so at most of a spilled
+     *  chunk: one default block at the largest record encoding. */
+    static constexpr std::size_t spillChunkBytes = 64 << 10;
+
     MtraceWriter(std::string path, unsigned cores,
                  bool shared_page_table, std::string source,
                  std::uint64_t block_records = defaultBlockRecords);
@@ -113,34 +146,53 @@ class MtraceWriter
     bool closed() const { return closed_; }
 
   private:
+    /** One spilled buffer: `bytes` at `offset` in the spill file. */
+    struct Chunk
+    {
+        std::uint64_t offset = 0;
+        std::uint64_t bytes = 0;
+    };
+
     struct Stream
     {
-        std::vector<std::uint8_t> bytes;
+        std::vector<std::uint8_t> buf; //!< spillChunkBytes, encoded
+        std::size_t fill = 0;          //!< bytes of buf in use
+        std::uint64_t spilled = 0;     //!< payload bytes in chunks
+        std::vector<Chunk> chunks;
         std::vector<BlockRef> blocks;
         std::uint64_t count = 0;
+        std::uint64_t blockLeft = 0; //!< records until the next block
         Addr prev = 0;
     };
+
+    void spill(Stream &s);
+    /** Writes the container to `fd`; false on a failed read or write. */
+    bool writeContainer(int fd);
 
     std::string path_;
     bool sharedPt_;
     std::string source_;
     std::uint64_t blockRecords_;
     std::vector<Stream> streams_;
+    FileHandle spill_;
+    std::uint64_t spillBytes_ = 0;
     bool closed_ = false;
 };
 
 /**
- * An immutable, validated view of one trace file. The file is mapped
- * read-only (falling back to a heap copy where mmap is unavailable);
- * open validates the header, the meta and index sections and every
- * section checksum. Thread-safe once constructed: cursors carry all
- * mutable state.
+ * An immutable, validated view of one trace file. Open streams the
+ * whole file once through a fixed buffer, validating the header, the
+ * meta and index sections and every section checksum, and decodes the
+ * last block of every stream to check that it ends the section. After
+ * that the reader holds the open descriptor, the meta and the index;
+ * cursors read blocks with pread(), so nothing of the file stays
+ * resident. Thread-safe once constructed: cursors carry all mutable
+ * state.
  */
 class MtraceReader
 {
   public:
     explicit MtraceReader(const std::string &path);
-    ~MtraceReader();
 
     MtraceReader(const MtraceReader &) = delete;
     MtraceReader &operator=(const MtraceReader &) = delete;
@@ -177,21 +229,22 @@ class MtraceReader
 
     struct CoreStream
     {
-        const std::uint8_t *data = nullptr;
         std::uint64_t size = 0;
-        std::uint64_t fileOffset = 0; //!< for error messages
+        std::uint64_t fileOffset = 0; //!< payload start in the file
         std::uint64_t count = 0;
         std::vector<BlockRef> blocks;
     };
 
-    void mapFile();
     void parse();
 
+    /** pread()s exactly `n` bytes at file offset `at`; fatal() if the
+     *  file no longer has them. */
+    void readAt(std::uint64_t at, std::uint8_t *out, std::size_t n) const;
+
     std::string path_;
-    const std::uint8_t *data_ = nullptr;
+    FileHandle fd_;
     std::uint64_t size_ = 0;
-    bool mapped_ = false;
-    std::vector<std::uint8_t> fallback_;
+    std::uint64_t maxBlockBytes_ = 0; //!< over every core's blocks
 
     MtraceMeta meta_;
     std::vector<SectionInfo> sections_;
@@ -204,6 +257,13 @@ class MtraceReader
  * returned by the next next() call is position() % records. seek()
  * restores any position by jumping to the enclosing block and decoding
  * forward, so replay state save/restore is O(blockRecords).
+ *
+ * The cursor owns a window of its section: one pread() per block,
+ * sized once from the reader's largest block (up to windowCapBytes)
+ * plus the longest record a decoder may read, so a record decodes with
+ * one bounds check. Records within that many bytes of the window's end
+ * take the checked decoder, which slides the window on when the section
+ * goes on.
  */
 class MtraceCursor
 {
@@ -215,14 +275,25 @@ class MtraceCursor
     std::uint64_t position() const { return position_; }
 
   private:
+    friend class MtraceReader;
+
+    /** Blocks larger than this are read a window at a time. */
+    static constexpr std::uint64_t windowCapBytes = 1 << 20;
+
     TraceRecord decodeOne();
+    template <bool Checked> TraceRecord decode();
     void loadBlock(std::uint64_t block);
+    void fill(std::uint64_t at);
+    void checkBlockEnd() const;
     [[noreturn]] void corrupt(std::uint64_t at, const std::string &what)
         const;
 
     const MtraceReader *reader_;
     const MtraceReader::CoreStream *cs_;
     unsigned core_;
+    std::vector<std::uint8_t> window_; //!< section bytes [winStart_, winEnd_)
+    std::uint64_t winStart_ = 0;
+    std::uint64_t winEnd_ = 0;
     std::uint64_t pos_ = 0;      //!< byte position within the payload
     std::uint64_t idx_ = 0;      //!< record index within the stream
     std::uint64_t blockIdx_ = 0;

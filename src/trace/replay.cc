@@ -163,7 +163,7 @@ acquireReader(const std::string &path)
 
     // Keyed on *content*, not mtime: a same-size in-place rewrite
     // within the filesystem's mtime granularity must not serve the old
-    // mapped reader (the ckpt fingerprint and serve result-cache key
+    // reader (the ckpt fingerprint and serve result-cache key
     // would see the new content hash and recompute against stale
     // replayed data). The fingerprint hashes the verified header's
     // section table, so it is O(header), not O(file).

@@ -6,11 +6,15 @@
  *
  * One ReplayTraceSource replays one core's stream. The reader behind it
  * is shared: all cores of a multi-core replay (and all jobs of a sweep
- * replaying the same file) reference one mapped, validated MtraceReader
- * through acquireReader()'s process-wide cache, which re-opens a path
- * whenever the file's content changes (keyed on size plus a cheap
- * fingerprint of the verified header's section checksums, so even a
- * same-size in-place rewrite within mtime granularity is detected).
+ * replaying the same file) reference one validated MtraceReader through
+ * acquireReader()'s process-wide cache, which re-opens a path whenever
+ * the file's content changes (keyed on size plus a cheap fingerprint of
+ * the verified header's section checksums, so even a same-size in-place
+ * rewrite within mtime granularity is detected). A cached reader pins
+ * an open descriptor, the meta and the block index, not the file's
+ * bytes: each source's cursor pread()s the block it is decoding into
+ * its own buffer, so sweep workers share the descriptor and read-only
+ * tables, no mutable state.
  *
  * Checkpoint discipline: the replay cursor's entire warm state is its
  * monotonic absolute position, so saveState() is one u64 and

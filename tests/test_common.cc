@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -19,9 +20,11 @@
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
+#include "common/ring.hh"
 #include "common/stats.hh"
 #include "common/units.hh"
 #include "common/zeroed_array.hh"
+#include "test_util.hh"
 
 using namespace tdc;
 
@@ -374,28 +377,41 @@ TEST(Random, ZipfCoversDomain)
 
 // -------------------------------------------------------------- logging
 
-// ---------------------------------------------------------- ZeroedArray
+// ----------------------------------------------------------------- Ring
 
-namespace {
-
-/** This process's resident set in KiB, from /proc/self/status. */
-long
-residentKib()
+TEST(Ring, KeepsFifoOrderAcrossGrowthAndWrap)
 {
-    std::ifstream status("/proc/self/status");
-    std::string line;
-    while (std::getline(status, line)) {
-        if (line.rfind("VmRSS:", 0) == 0)
-            return std::stol(line.substr(6));
+    Ring<int> ring;
+    std::deque<int> want;
+    int next = 0;
+    for (int round = 0; round < 200; ++round) {
+        for (int i = 0; i <= round % 7; ++i) {
+            ring.push_back(next);
+            want.push_back(next++);
+        }
+        for (int i = 0; i < round % 5 && !want.empty(); ++i) {
+            EXPECT_EQ(ring.pop_front(), want.front());
+            want.pop_front();
+        }
+        ASSERT_EQ(ring.size(), want.size());
+        for (std::size_t i = 0; i < want.size(); ++i)
+            ASSERT_EQ(ring[i], want[i]) << "round " << round;
+        if (!want.empty()) {
+            EXPECT_EQ(ring.front(), want.front());
+            EXPECT_EQ(ring.back(), want.back());
+        }
     }
-    ADD_FAILURE() << "no VmRSS line";
-    return 0;
+    ring.clear();
+    EXPECT_TRUE(ring.empty());
+    ring.push_back(7);
+    EXPECT_EQ(ring.pop_front(), 7);
 }
 
-} // namespace
+// ---------------------------------------------------------- ZeroedArray
 
 TEST(ZeroedArray, PaysOnlyForTouchedPagesAndReturnsThem)
 {
+    using test::residentKib;
     constexpr std::size_t size = 256u << 20;
     constexpr std::size_t touched = 32u << 20;
     const long before = residentKib();

@@ -19,6 +19,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -28,6 +29,7 @@
 #include "runner/sweep_runner.hh"
 #include "sys/report.hh"
 #include "sys/system.hh"
+#include "test_util.hh"
 #include "trace/mtrace.hh"
 #include "trace/record.hh"
 #include "trace/replay.hh"
@@ -98,15 +100,16 @@ putLe64(std::vector<unsigned char> &b, std::size_t at, std::uint64_t v)
             static_cast<unsigned char>(v >> (8 * i));
 }
 
-/**
- * Walks the container's section table and patches one payload byte of
- * the named section, re-fixing its checksum so the corruption reaches
- * the record decoder instead of tripping the checksum gate.
- */
-std::vector<unsigned char>
-patchSection(std::vector<unsigned char> file, const std::string &name,
-             std::size_t payload_off,
-             unsigned char (*mutate)(unsigned char))
+/** Where one section sits in a container image. */
+struct SectionAt
+{
+    std::size_t sizeAt = 0;    //!< its u64 payload size; the sum follows
+    std::size_t payloadAt = 0;
+    std::uint64_t size = 0;
+};
+
+SectionAt
+findSection(const std::vector<unsigned char> &file, const std::string &name)
 {
     std::size_t off = 8 + 4;                // magic + version
     const std::uint32_t nsec = file[off] | (file[off + 1] << 8)
@@ -119,21 +122,51 @@ patchSection(std::vector<unsigned char> file, const std::string &name,
             reinterpret_cast<const char *>(file.data() + off + 8),
             nlen);
         off += 8 + nlen;
-        const std::uint64_t size = getLe64(file, off);
-        const std::size_t sum_at = off + 8;
-        const std::size_t payload_at = off + 16;
-        if (sname == name) {
-            EXPECT_LT(payload_off, size) << "patch offset past payload";
-            unsigned char &byte = file[payload_at + payload_off];
-            byte = mutate(byte);
-            putLe64(file, sum_at,
-                    ckpt::fnv1a(file.data() + payload_at, size));
-            return file;
-        }
-        off = payload_at + size;
+        const SectionAt at{off, off + 16, getLe64(file, off)};
+        if (sname == name)
+            return at;
+        off = at.payloadAt + at.size;
     }
     ADD_FAILURE() << "section '" << name << "' not found";
-    return file;
+    return {};
+}
+
+/**
+ * Rewrites the named section's payload with `edit` and re-fixes its
+ * size and checksum, so the corruption reaches the record decoder
+ * instead of tripping the checksum gate.
+ */
+template <typename Edit>
+std::vector<unsigned char>
+editSection(const std::vector<unsigned char> &file,
+            const std::string &name, Edit edit)
+{
+    const SectionAt at = findSection(file, name);
+    const auto begin = file.begin()
+                       + static_cast<std::ptrdiff_t>(at.payloadAt);
+    const auto end = begin + static_cast<std::ptrdiff_t>(at.size);
+    std::vector<unsigned char> payload(begin, end);
+    edit(payload);
+    std::vector<unsigned char> out(file.begin(), begin);
+    out.insert(out.end(), payload.begin(), payload.end());
+    out.insert(out.end(), end, file.end());
+    putLe64(out, at.sizeAt, payload.size());
+    putLe64(out, at.sizeAt + 8,
+            ckpt::fnv1a(payload.data(), payload.size()));
+    return out;
+}
+
+/** editSection() of one payload byte. */
+std::vector<unsigned char>
+patchSection(const std::vector<unsigned char> &file,
+             const std::string &name, std::size_t payload_off,
+             unsigned char (*mutate)(unsigned char))
+{
+    return editSection(file, name, [&](std::vector<unsigned char> &p) {
+        EXPECT_LT(payload_off, p.size()) << "patch offset past payload";
+        if (payload_off < p.size())
+            p[payload_off] = mutate(p[payload_off]);
+    });
 }
 
 /** A small deterministic two-core trace with hairy deltas. */
@@ -169,6 +202,35 @@ writeHairy(const std::string &leaf, std::uint64_t block_records)
     for (unsigned c = 0; c < 2; ++c)
         for (const TraceRecord &r : streams[c])
             w.append(c, r);
+    w.close();
+    return path;
+}
+
+/**
+ * Appends `n` records to each of cores [0, cores): pseudo-random
+ * addresses and gaps, so most records encode into about 10 bytes.
+ */
+void
+appendWide(mtrace::MtraceWriter &w, unsigned cores, std::uint64_t n)
+{
+    std::uint64_t x = 0x9e3779b97f4a7c15ULL;
+    for (std::uint64_t i = 0; i < n; ++i) {
+        for (unsigned c = 0; c < cores; ++c) {
+            x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+            w.append(c, rec(static_cast<AccessType>((x >> 62) % 3),
+                            x >> 16, static_cast<std::uint32_t>(x >> 50),
+                            (x & 1) != 0));
+        }
+    }
+}
+
+/** A four-core trace of at least 32 MiB. */
+std::string
+writeBig(const std::string &leaf)
+{
+    const std::string path = tmpFile(leaf);
+    mtrace::MtraceWriter w(path, 4, false, "test:big");
+    appendWide(w, 4, 1'000'000);
     w.close();
     return path;
 }
@@ -282,6 +344,137 @@ TEST(Mtrace, ContentHashTracksContent)
     EXPECT_NE(mtrace::traceContentHash(a), mtrace::traceContentHash(c));
 }
 
+TEST(Mtrace, BlocksLargerThanTheWindowDecode)
+{
+    // One block of ~3 MB: cursors read it a window at a time, and the
+    // checked decoder slides the window on at each window's tail.
+    const std::string path = tmpFile("big_block.mtrace");
+    {
+        mtrace::MtraceWriter w(path, 1, false, "test:big_block",
+                               1ULL << 40);
+        appendWide(w, 1, 300'000);
+        w.close();
+    }
+    mtrace::MtraceReader r(path);
+    r.verifyAll();
+    mtrace::MtraceCursor linear(r, 0);
+    std::vector<TraceRecord> want;
+    for (int i = 0; i < 300'000; ++i)
+        want.push_back(linear.next());
+    for (const std::uint64_t pos :
+         {std::uint64_t{0}, std::uint64_t{123'457}, std::uint64_t{299'999},
+          std::uint64_t{300'001}}) {
+        mtrace::MtraceCursor seeked(r, 0);
+        seeked.seek(pos);
+        EXPECT_TRUE(sameRecord(seeked.next(), want[pos % want.size()]))
+            << "position " << pos;
+    }
+    fs::remove(path);
+}
+
+TEST(Mtrace, V1BytesArePinned)
+{
+    // The container's bytes, pinned across writer rewrites: a stream
+    // that spills several chunks, one with edge values in one block,
+    // and one a block plus a record long with falling addresses.
+    const std::string path = tmpFile("pinned.mtrace");
+    const auto hairy = hairyStreams();
+    {
+        mtrace::MtraceWriter w(path, 3, true, "test:pinned", 1000);
+        appendWide(w, 1, 30'000);
+        for (const TraceRecord &r : hairy[0])
+            w.append(1, r);
+        for (std::uint32_t i = 0; i < 1001; ++i)
+            w.append(2, rec(AccessType::Store, 0x10000 - 64u * i, i % 7,
+                            i % 5 == 0));
+        w.close();
+    }
+    EXPECT_EQ(fs::file_size(path), 302'847u);
+    EXPECT_EQ(ckpt::hex16(mtrace::traceContentHash(path)),
+              "0aa0d5a957f06fba");
+}
+
+TEST(Mtrace, WriterHoldsOneBlockPerCore)
+{
+    const std::string path = tmpFile("big_writer.mtrace");
+    const long before = test::residentKib();
+    {
+        mtrace::MtraceWriter w(path, 4, false, "test:big");
+        appendWide(w, 4, 1'000'000);
+        EXPECT_LT(test::residentKib() - before, 2048)
+            << "records go to the spill, not to memory";
+        w.close();
+        EXPECT_LT(test::residentKib() - before, 2048)
+            << "close() copies through a fixed buffer";
+    }
+    EXPECT_GE(fs::file_size(path), 32u << 20);
+    fs::remove(path);
+}
+
+TEST(Mtrace, ReaderKeepsNoWholeFileResident)
+{
+    const std::string path = writeBig("big_reader.mtrace");
+    ASSERT_GE(fs::file_size(path), 32u << 20);
+    const long before = test::residentKib();
+    {
+        mtrace::MtraceReader r(path);
+        r.verifyAll();
+        std::uint64_t records = 0;
+        for (unsigned c = 0; c < r.coreCount(); ++c) {
+            mtrace::MtraceCursor cur(r, c);
+            for (std::uint64_t i = 0; i < r.records(c); ++i, ++records)
+                (void)cur.next();
+        }
+        EXPECT_EQ(records, 4'000'000u);
+        EXPECT_LT(test::residentKib() - before, 2048)
+            << "open, verifyAll() and cursors read through fixed buffers";
+    }
+    fs::remove(path);
+}
+
+TEST(Mtrace, LeavesNoSpillOrTempFile)
+{
+    const fs::path dir =
+        fs::path(::testing::TempDir()) / "tdc_mtrace_spill_dir";
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    using Names = std::set<std::string>;
+    auto names = [&] {
+        Names n;
+        for (const auto &e : fs::directory_iterator(dir))
+            n.insert(e.path().filename().string());
+        return n;
+    };
+
+    {
+        mtrace::MtraceWriter w((dir / "closed.mtrace").string(), 2, false,
+                               "test:spill");
+        appendWide(w, 2, 20'000); // several spilled chunks per core
+        EXPECT_EQ(names(), Names{}) << "the spill is unlinked at once";
+        w.close();
+        EXPECT_EQ(names(), Names{"closed.mtrace"});
+    }
+    {
+        ScopedFatalCapture capture;
+        mtrace::MtraceWriter w((dir / "failed.mtrace").string(), 2, false,
+                               "test:spill");
+        w.append(0, rec(AccessType::Load, 0x1000));
+        EXPECT_THROW(w.close(), FatalError);
+        EXPECT_EQ(names(), Names{"closed.mtrace"});
+    }
+    EXPECT_EQ(names(), Names{"closed.mtrace"})
+        << "the destructor's retry fails the same way";
+    {
+        mtrace::MtraceWriter w((dir / "dropped.mtrace").string(), 1, false,
+                               "test:spill");
+        appendWide(w, 1, 20'000);
+    }
+    EXPECT_EQ(names(), (Names{"closed.mtrace", "dropped.mtrace"}))
+        << "destruction without close() publishes";
+    mtrace::MtraceReader((dir / "dropped.mtrace").string()).verifyAll();
+    fs::remove_all(dir);
+}
+
 // ---------------------------------------------------------------------
 // Adversarial decoding: every defect is a catchable fatal(), never UB
 // ---------------------------------------------------------------------
@@ -387,6 +580,33 @@ TEST(MtraceAdversarial, RejectsCorruptIndexAndMeta)
                  return static_cast<unsigned char>('X');
              }));
     EXPECT_THROW(mtrace::MtraceReader r(mut), FatalError);
+}
+
+TEST(MtraceAdversarial, RejectsBytesAfterTheLastRecord)
+{
+    const std::string path = writeHairy("tail.mtrace", 4);
+    const auto orig = readAll(path);
+    const SectionAt core0 = findSection(orig, "core0");
+    const std::string mut = tmpFile("tail_mut.mtrace");
+    // Six zero bytes decode as two well-formed records, but the meta
+    // and the index say the stream has ended.
+    writeAll(mut, editSection(orig, "core0",
+                              [](std::vector<unsigned char> &p) {
+                                  p.insert(p.end(), 6, 0x00);
+                              }));
+    ScopedFatalCapture capture;
+    try {
+        mtrace::MtraceReader r(mut);
+        ADD_FAILURE() << "opened a stream with bytes after its last record";
+    } catch (const FatalError &e) {
+        const std::string want =
+            format("core 0: 6 bytes after the last record at offset {}",
+                   core0.payloadAt + core0.size);
+        EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+            << e.what();
+    }
+    // Replay opens through the same check.
+    EXPECT_THROW(mtrace::acquireReader(mut), FatalError);
 }
 
 // ---------------------------------------------------------------------

@@ -6,7 +6,11 @@
 #ifndef TDC_TESTS_TEST_UTIL_HH
 #define TDC_TESTS_TEST_UTIL_HH
 
+#include <gtest/gtest.h>
+
+#include <fstream>
 #include <memory>
+#include <string>
 
 #include "dram/dram_device.hh"
 #include "dram/dram_params.hh"
@@ -36,6 +40,20 @@ struct Machine
           pt("pt0", 0, phys)
     {}
 };
+
+/** This process's resident set in KiB, from /proc/self/status. */
+inline long
+residentKib()
+{
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    while (std::getline(status, line)) {
+        if (line.rfind("VmRSS:", 0) == 0)
+            return std::stol(line.substr(6));
+    }
+    ADD_FAILURE() << "no VmRSS line";
+    return 0;
+}
 
 } // namespace test
 } // namespace tdc

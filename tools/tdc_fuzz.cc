@@ -37,9 +37,13 @@
  * point writes a random trace (random core count, block size, record
  * mix) to --tmp, checks it round-trips (open, verifyAll, random
  * seek-vs-linear-decode agreement, wrap), then attacks it with random
- * truncations and byte flips. A mutated file must either still decode
- * cleanly or fail with a catchable fatal() -- never crash or read out
- * of bounds (pair with a sanitizer build for teeth).
+ * truncations, byte flips and bytes appended to a core section. Half
+ * of the mutations re-seal the mutated section's size and checksum, so
+ * they reach the meta, index and record decoders instead of stopping
+ * at the checksum. A mutated file must either still decode cleanly or
+ * fail with a catchable fatal() -- never crash or read out of bounds
+ * (pair with a sanitizer build for teeth) -- and a re-sealed append,
+ * which leaves bytes after a stream's last record, must fail.
  */
 
 #include <cstdio>
@@ -48,6 +52,7 @@
 #include <string>
 #include <vector>
 
+#include "ckpt/checkpoint.hh"
 #include "common/config.hh"
 #include "common/format.hh"
 #include "common/logging.hh"
@@ -350,17 +355,86 @@ randomRecord(Pcg32 &rng, Addr &walker)
     return rec;
 }
 
-/** A decoder attempt must end in success or FatalError, never UB. */
-void
-mustNotCrash(const std::string &path)
+/**
+ * Opens and fully decodes `path`: true when it is accepted, false on a
+ * clean, catchable rejection. Either is within the contract; a crash
+ * or an out-of-bounds read is what the fuzzer hunts.
+ */
+bool
+decodes(const std::string &path)
 {
     try {
         ScopedFatalCapture capture;
         mtrace::MtraceReader r(path);
         r.verifyAll();
+        return true;
     } catch (const FatalError &) {
-        // A clean, catchable rejection is exactly the contract.
+        return false;
     }
+}
+
+/** Where one section's size field and payload sit in a container. */
+struct SectionSpan
+{
+    std::size_t sizeAt; //!< its u64 payload size; the checksum follows
+    std::size_t payloadAt;
+    std::uint64_t size;
+};
+
+std::uint64_t
+getLe(const std::vector<unsigned char> &b, std::size_t at, int bytes)
+{
+    std::uint64_t v = 0;
+    for (int i = bytes - 1; i >= 0; --i)
+        v = (v << 8) | b[at + static_cast<std::size_t>(i)];
+    return v;
+}
+
+void
+putLe64(std::vector<unsigned char> &b, std::size_t at, std::uint64_t v)
+{
+    for (std::size_t i = 0; i < 8; ++i)
+        b[at + i] = static_cast<unsigned char>(v >> (8 * i));
+}
+
+/** The section table of a well-formed container, in file order. */
+std::vector<SectionSpan>
+sectionSpans(const std::vector<unsigned char> &file)
+{
+    std::vector<SectionSpan> spans;
+    std::size_t off = 8 + 4; // magic + version
+    const std::uint64_t nsec = getLe(file, off, 4);
+    off += 4;
+    for (std::uint64_t i = 0; i < nsec; ++i) {
+        off += 8 + getLe(file, off, 8); // the name
+        spans.push_back({off, off + 16, getLe(file, off, 8)});
+        off = spans.back().payloadAt + spans.back().size;
+    }
+    return spans;
+}
+
+/**
+ * `file` with section `s`'s payload replaced by `payload`. With
+ * `reseal`, the section's size and checksum are rewritten to match, as
+ * tests/test_mtrace.cc's editSection() does, so the change gets past
+ * the checksum to the decoders behind it.
+ */
+std::vector<unsigned char>
+withPayload(const std::vector<unsigned char> &file, const SectionSpan &s,
+            const std::vector<unsigned char> &payload, bool reseal)
+{
+    const auto begin =
+        file.begin() + static_cast<std::ptrdiff_t>(s.payloadAt);
+    std::vector<unsigned char> out(file.begin(), begin);
+    out.insert(out.end(), payload.begin(), payload.end());
+    out.insert(out.end(), begin + static_cast<std::ptrdiff_t>(s.size),
+               file.end());
+    if (reseal) {
+        putLe64(out, s.sizeAt, payload.size());
+        putLe64(out, s.sizeAt + 8,
+                ckpt::fnv1a(payload.data(), payload.size()));
+    }
+    return out;
 }
 
 void
@@ -416,22 +490,65 @@ runTracePoint(std::uint64_t seed, std::uint64_t index,
                   pos, c);
     }
 
-    // Adversarial mutations: random truncations and byte flips.
+    // Adversarial mutations: truncations, byte flips and bytes appended
+    // to a core section. Each is re-sealed half the time, so it reaches
+    // the decoders behind the checksum; unsealed, the checksum or the
+    // section table must stop it.
     const std::vector<unsigned char> orig = readAll(path);
+    const std::vector<SectionSpan> spans = sectionSpans(orig);
     const std::string mut = path + ".mut";
     for (int i = 0; i < 4; ++i) {
-        std::vector<unsigned char> t(
-            orig.begin(),
-            orig.begin()
-                + static_cast<std::ptrdiff_t>(rng.below64(orig.size())));
-        writeAll(mut, t);
-        mustNotCrash(mut);
+        const SectionSpan &s =
+            spans[rng.below(static_cast<std::uint32_t>(spans.size()))];
+        const auto first =
+            orig.begin() + static_cast<std::ptrdiff_t>(s.payloadAt);
+        const std::vector<unsigned char> payload(
+            first, first + static_cast<std::ptrdiff_t>(s.size));
 
-        std::vector<unsigned char> f = orig;
-        const std::uint64_t at = rng.below64(f.size());
-        f[at] ^= static_cast<unsigned char>(1 + rng.below(255));
-        writeAll(mut, f);
-        mustNotCrash(mut);
+        if (rng.chance(0.5)) {
+            writeAll(mut, std::vector<unsigned char>(
+                              orig.begin(),
+                              orig.begin()
+                                  + static_cast<std::ptrdiff_t>(
+                                      rng.below64(orig.size()))));
+        } else {
+            const auto cut =
+                static_cast<std::ptrdiff_t>(rng.below64(s.size));
+            writeAll(mut, withPayload(orig, s,
+                                      std::vector<unsigned char>(
+                                          payload.begin(),
+                                          payload.begin() + cut),
+                                      true));
+        }
+        decodes(mut);
+
+        const auto flip =
+            static_cast<unsigned char>(1 + rng.below(255));
+        if (rng.chance(0.5)) {
+            std::vector<unsigned char> f = orig;
+            f[rng.below64(f.size())] ^= flip;
+            writeAll(mut, f);
+        } else {
+            std::vector<unsigned char> p = payload;
+            p[rng.below64(p.size())] ^= flip;
+            writeAll(mut, withPayload(orig, s, p, true));
+        }
+        decodes(mut);
+
+        // Sections are meta, core0..core<cores-1>, index.
+        const SectionSpan &core = spans[1 + rng.below(cores)];
+        const auto core_first =
+            orig.begin() + static_cast<std::ptrdiff_t>(core.payloadAt);
+        std::vector<unsigned char> longer(
+            core_first, core_first + static_cast<std::ptrdiff_t>(core.size));
+        const std::uint32_t extra = 1 + rng.below(8);
+        for (std::uint32_t k = 0; k < extra; ++k)
+            longer.push_back(static_cast<unsigned char>(rng.below(256)));
+        const bool reseal = rng.chance(0.5);
+        writeAll(mut, withPayload(orig, core, longer, reseal));
+        if (decodes(mut) && reseal)
+            fatal("a stream with bytes after its last record was "
+                  "accepted");
     }
 
     if (verbose)

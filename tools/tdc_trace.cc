@@ -9,8 +9,9 @@
  *   --info    (default) print the header: format version, cores,
  *             per-core record counts, block size, provenance string,
  *             content hash and the section table
- *   --verify  decode every record of every stream and cross-check the
- *             seek index; prints one verdict line
+ *   --verify  decode every record of every stream, cross-check the
+ *             seek index and reject bytes after a stream's last record;
+ *             prints one verdict line
  *   --json    print the same information as one tdc-mtrace-info-v1
  *             JSON document
  *   --dump=N  decode and print the first N records (of --core=<i>,
@@ -242,8 +243,12 @@ main(int argc, char **argv)
     if (!info && !verify && !json_out && !args.has("dump"))
         info = true;
 
-    // The constructor validates the header, meta, index and every
-    // section checksum; any defect is a fatal (non-zero) exit.
+    // The constructor streams the file once to validate the header,
+    // meta, index and every section checksum, and decodes each
+    // stream's last block to check that it ends the section; any defect
+    // is a fatal (non-zero) exit. Afterwards the reader holds only the
+    // descriptor and the index, so --verify and --dump read the
+    // streams block by block in constant memory.
     const mtrace::MtraceReader reader(path);
 
     if (verify) {
