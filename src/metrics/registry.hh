@@ -24,8 +24,8 @@
  * produce byte-identical documents):
  *
  *   toJson(unix_ms)  -- a versioned `tdc-metrics-v1` document; the
- *                       sweep service atomically renames one into its
- *                       spool root every drain tick, and `tdc_top` /
+ *                       sweep service atomically publishes one into
+ *                       its spool root every drain tick, and `tdc_top` /
  *                       `tdc_obs_check --metrics` consume it.
  *   prometheusText() -- text exposition (HELP/TYPE lines, cumulative
  *                       histogram buckets) for scrape-based setups.

@@ -1,14 +1,20 @@
 #include "serve/cache_key.hh"
 
+#include <algorithm>
 #include <cstdio>
+#include <exception>
 #include <mutex>
+#include <system_error>
 #include <vector>
 
 #include "ckpt/checkpoint.hh"
 #include "common/format.hh"
 #include "common/logging.hh"
+#include "common/publish.hh"
 #include "trace/mtrace.hh"
 #include "trace/workloads.hh"
+
+namespace fs = std::filesystem;
 
 namespace tdc {
 namespace serve {
@@ -47,19 +53,127 @@ binaryHash()
                  "share one generation");
             return;
         }
-        std::uint64_t h = 14695981039346656037ULL;
-        std::vector<unsigned char> buf(1 << 20);
+        std::uint64_t h = ckpt::fnv1aBasis;
+        std::vector<std::uint8_t> buf(1 << 20);
         std::size_t got;
-        while ((got = std::fread(buf.data(), 1, buf.size(), f)) > 0) {
-            for (std::size_t i = 0; i < got; ++i) {
-                h ^= buf[i];
-                h *= 1099511628211ULL;
-            }
-        }
+        while ((got = std::fread(buf.data(), 1, buf.size(), f)) > 0)
+            h = ckpt::fnv1a(buf.data(), got, h);
         std::fclose(f);
         hash = h;
     });
     return hash;
+}
+
+std::vector<FileEntry>
+listFiles(const std::string &dir, std::string_view prefix,
+          std::string_view ext)
+{
+    std::vector<FileEntry> files;
+    std::error_code ec;
+    for (fs::directory_iterator it(dir, ec), end; !ec && it != end;
+         it.increment(ec)) {
+        std::string name = it->path().filename().string();
+        std::error_code stat_ec;
+        if (!name.starts_with(prefix) || !name.ends_with(ext)
+            || !it->is_regular_file(stat_ec))
+            continue;
+        FileEntry f{std::move(name), it->file_size(stat_ec), {}};
+        if (!stat_ec)
+            f.mtime = it->last_write_time(stat_ec);
+        if (!stat_ec)
+            files.push_back(std::move(f));
+    }
+    std::ranges::sort(files, {}, &FileEntry::name);
+    return files;
+}
+
+CacheStore::CacheStore(const std::string &root, const char *subdir,
+                       const char *prefix, const char *ext,
+                       const char *what, CacheMetrics &metrics)
+    : dir_((fs::path(root) / subdir).string()),
+      prefix_(std::string(prefix) + "-"), ext_(ext), what_(what),
+      metrics_(metrics)
+{
+    std::error_code ec;
+    fs::create_directories(dir_, ec);
+    if (ec)
+        fatal("{}: cannot create '{}': {}", what_, dir_, ec.message());
+}
+
+std::string
+CacheStore::entryPath(std::uint64_t key) const
+{
+    return (fs::path(dir_)
+            / format("{}{}-{}{}", prefix_, ckpt::hex16(key),
+                     ckpt::hex16(binaryHash()), ext_))
+        .string();
+}
+
+bool
+CacheStore::read(std::uint64_t key,
+                 const std::function<void(const std::string &)> &decode,
+                 bool count) const
+{
+    const std::string path = entryPath(key);
+    std::error_code ec;
+    bool hit = false;
+    if (fs::exists(path, ec)) {
+        try {
+            ScopedFatalCapture capture;
+            decode(path);
+            hit = true;
+        } catch (const std::exception &e) {
+            warn("{}: dropping corrupt entry '{}': {}", what_, path,
+                 e.what());
+            fs::remove(path, ec);
+            if (count)
+                metrics_.dropped.inc();
+        }
+    }
+    if (count)
+        (hit ? metrics_.hits : metrics_.misses).inc();
+    return hit;
+}
+
+void
+CacheStore::publish(
+    std::uint64_t key,
+    const std::function<void(const std::string &)> &write) const
+{
+    publishFile(entryPath(key), write);
+    metrics_.stores.inc();
+}
+
+json::Value
+CacheStore::statusJson(std::optional<std::uint64_t> capacityBytes) const
+{
+    auto v = json::Value::object();
+    v.set("dir", dir_);
+    if (capacityBytes)
+        v.set("capacity_bytes", *capacityBytes);
+    std::uint64_t total = 0;
+    auto entries = json::Value::array();
+    for (const FileEntry &e : scan()) {
+        total += e.bytes;
+        auto entry = json::Value::object();
+        entry.set("file", e.name);
+        entry.set("bytes", e.bytes);
+        entries.push(std::move(entry));
+    }
+    v.set("bytes", total);
+    v.set("entries", std::move(entries));
+    return v;
+}
+
+void
+CacheStore::updateGauges() const
+{
+    const auto entries = scan();
+    std::uint64_t total = 0;
+    for (const FileEntry &e : entries)
+        total += e.bytes;
+    metrics_.residentBytes.set(static_cast<std::int64_t>(total));
+    metrics_.entries.set(static_cast<std::int64_t>(entries.size()));
 }
 
 } // namespace serve

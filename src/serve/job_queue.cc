@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
 #include <system_error>
 
 #include "ckpt/checkpoint.hh"
 #include "common/format.hh"
 #include "common/logging.hh"
+#include "common/publish.hh"
 #include "metrics/registry.hh"
 #include "serve/cache_key.hh"
 
@@ -65,32 +65,17 @@ stateDir(const std::string &dir, const std::string &state)
     return fs::path(dir) / state;
 }
 
-/**
- * Publishes a document atomically: write + flush into tmp/, then a
- * same-filesystem rename to the destination. Readers (and a daemon
- * resuming after a crash) never observe a half-written job file.
- */
+/** Publishes a spool record into `state`, staged in tmp/ so no
+ *  state directory ever lists a half-written job file. */
 void
-atomicPublish(const std::string &dir, const std::string &file,
+publishRecord(const std::string &dir, const std::string &file,
               const json::Value &doc, const std::string &state)
 {
-    const fs::path tmp = fs::path(dir) / "tmp" / file;
-    {
-        std::ofstream out(tmp, std::ios::trunc);
-        if (!out)
-            fatal("job queue: cannot write '{}'", tmp.string());
-        doc.write(out);
-        out << "\n";
-        out.flush();
-        if (!out)
-            fatal("job queue: short write to '{}'", tmp.string());
-    }
-    const fs::path dest = stateDir(dir, state) / file;
-    std::error_code ec;
-    fs::rename(tmp, dest, ec);
-    if (ec)
-        fatal("job queue: cannot publish '{}' to {}: {}", file, state,
-              ec.message());
+    publishFile((stateDir(dir, state) / file).string(),
+                [&](const std::string &staging) {
+                    json::writeFile(doc, staging);
+                },
+                (fs::path(dir) / "tmp").string());
 }
 
 /** Sorted file names (not paths) in one state directory. */
@@ -98,13 +83,8 @@ std::vector<std::string>
 listState(const std::string &dir, const std::string &state)
 {
     std::vector<std::string> names;
-    std::error_code ec;
-    for (const auto &entry :
-         fs::directory_iterator(stateDir(dir, state), ec)) {
-        if (entry.is_regular_file())
-            names.push_back(entry.path().filename().string());
-    }
-    std::sort(names.begin(), names.end());
+    for (FileEntry &f : listFiles(stateDir(dir, state).string()))
+        names.push_back(std::move(f.name));
     return names;
 }
 
@@ -156,7 +136,7 @@ JobQueue::enqueue(const runner::SweepManifest &m)
         doc.set("manifest", m.name);
         doc.set("timeout_seconds", m.timeoutSeconds);
         doc.set("spec", spec.toJson());
-        atomicPublish(dir_, file, doc, "pending");
+        publishRecord(dir_, file, doc, "pending");
         ++spooled;
     }
     queueMetrics().enqueued.inc(spooled);
@@ -216,16 +196,19 @@ JobQueue::claim()
                     throw runner::ManifestError(
                         "job file has no 'spec'");
                 // Reuse the manifest parser for one explicit job.
+                // Its timeout goes through the same parser, which
+                // rejects a mistyped one with ManifestError.
                 auto wrapper = json::Value::object();
                 wrapper.set("schema", runner::sweepManifestSchema);
+                if (const json::Value *t =
+                        doc->find("timeout_seconds"))
+                    wrapper.set("timeout_seconds", *t);
                 auto jobs = json::Value::array();
                 jobs.push(*spec);
                 wrapper.set("jobs", std::move(jobs));
                 auto mini = runner::SweepManifest::fromJson(wrapper);
                 job.spec = mini.jobs.at(0);
-                if (const json::Value *t =
-                        doc->find("timeout_seconds"))
-                    job.timeoutSeconds = t->asDouble();
+                job.timeoutSeconds = mini.timeoutSeconds;
                 if (const json::Value *mn = doc->find("manifest");
                     mn != nullptr && mn->isString())
                     job.manifestName = mn->asString();
@@ -267,7 +250,7 @@ JobQueue::finish(const QueueJob &job, const json::Value &outcome,
         doc.set("label", job.spec.label);
     }
     doc.set("outcome", outcome);
-    atomicPublish(dir_, file, doc, state);
+    publishRecord(dir_, file, doc, state);
     std::error_code ec;
     fs::remove(claimed, ec);
 }
@@ -304,33 +287,16 @@ JobQueue::outcomeOf(const std::string &id) const
 unsigned
 JobQueue::gc(std::size_t keep)
 {
-    struct Record
-    {
-        fs::path path;
-        fs::file_time_type mtime;
-        std::string name;
-    };
     unsigned removed = 0;
     for (const char *state : {"done", "failed"}) {
-        std::vector<Record> records;
-        std::error_code ec;
-        for (const auto &entry :
-             fs::directory_iterator(stateDir(dir_, state), ec)) {
-            if (!entry.is_regular_file())
-                continue;
-            records.push_back(Record{entry.path(),
-                                     entry.last_write_time(),
-                                     entry.path().filename().string()});
-        }
-        // Newest first; a deterministic name tie-break so same-mtime
-        // records (coarse filesystems) prune reproducibly.
-        std::sort(records.begin(), records.end(),
-                  [](const Record &a, const Record &b) {
-                      return a.mtime != b.mtime ? a.mtime > b.mtime
-                                                : a.name < b.name;
-                  });
+        auto records = listFiles(stateDir(dir_, state).string());
+        // Newest first; listFiles()' name order breaks mtime ties, so
+        // same-mtime records (coarse filesystems) prune reproducibly.
+        std::ranges::stable_sort(records, std::ranges::greater{},
+                                 &FileEntry::mtime);
         for (std::size_t i = keep; i < records.size(); ++i) {
-            fs::remove(records[i].path, ec);
+            std::error_code ec;
+            fs::remove(stateDir(dir_, state) / records[i].name, ec);
             if (ec) {
                 warn("job queue: gc cannot remove '{}': {}",
                      records[i].name, ec.message());

@@ -14,10 +14,10 @@
  *                                  embedded)
  *     <queue>/tmp/                 staging for atomic publication
  *
- * Every transition is a single atomic rename on one filesystem:
- * enqueue writes to tmp/ and renames into pending/; claim renames
- * pending -> claimed; complete/fail write the outcome file to tmp/,
- * rename it into done|failed/, then unlink the claimed entry. A crash
+ * Every transition is atomic on one filesystem: enqueue publishes
+ * into pending/ through publishFile(), staged in tmp/; claim renames
+ * pending -> claimed; complete/fail publish the outcome file into
+ * done|failed/ the same way, then unlink the claimed entry. A crash
  * at any point leaves the spool recoverable: recover() moves orphaned
  * claimed/ entries back to pending/ (or drops them when their outcome
  * file already exists -- the crash happened between publishing the

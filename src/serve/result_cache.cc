@@ -1,18 +1,11 @@
 #include "serve/result_cache.hh"
 
-#include <algorithm>
-#include <filesystem>
-#include <system_error>
-#include <utility>
-#include <vector>
+#include <limits>
 
 #include "ckpt/checkpoint.hh"
-#include "common/format.hh"
 #include "common/logging.hh"
 #include "metrics/registry.hh"
 #include "serve/cache_key.hh"
-
-namespace fs = std::filesystem;
 
 namespace tdc {
 namespace serve {
@@ -20,21 +13,11 @@ namespace serve {
 namespace {
 
 /** Result-cache metrics (DESIGN.md 11 catalog). */
-struct ResultMetrics
-{
-    metrics::Counter &replays;
-    metrics::Counter &misses;
-    metrics::Counter &corrupt;
-    metrics::Counter &stores;
-    metrics::Gauge &residentBytes;
-    metrics::Gauge &entries;
-};
-
-ResultMetrics &
+CacheMetrics &
 resultMetrics()
 {
     auto &r = metrics::registry();
-    static ResultMetrics m{
+    static CacheMetrics m{
         r.counter("tdc_result_cache_replays_total",
                   "Finished cells replayed from the result cache"),
         r.counter("tdc_result_cache_misses_total",
@@ -53,99 +36,51 @@ resultMetrics()
 
 } // namespace
 
-ResultCache::ResultCache(const std::string &root)
-    : dir_((fs::path(root) / "results").string())
+std::optional<unsigned>
+attemptsOf(const json::Value &doc)
 {
-    std::error_code ec;
-    fs::create_directories(dir_, ec);
-    if (ec)
-        fatal("result cache: cannot create '{}': {}", dir_,
-              ec.message());
-}
-
-std::string
-ResultCache::entryPath(std::uint64_t config_hash) const
-{
-    return (fs::path(dir_)
-            / format("rc-{}-{}.json", ckpt::hex16(config_hash),
-                     ckpt::hex16(binaryHash())))
-        .string();
-}
-
-std::optional<CachedResult>
-ResultCache::read(std::uint64_t config_hash, bool &corrupt)
-{
-    corrupt = false;
-    const std::string path = entryPath(config_hash);
-    std::error_code ec;
-    if (!fs::exists(path, ec))
+    const json::Value *a = doc.find("attempts");
+    if (a == nullptr || !a->isUint()
+        || a->asUint() > std::numeric_limits<unsigned>::max())
         return std::nullopt;
+    return static_cast<unsigned>(a->asUint());
+}
 
-    std::string err;
-    auto doc = json::tryReadFile(path, &err);
-    if (doc && doc->isObject()) {
-        const json::Value *schema = doc->find("schema");
-        const json::Value *label = doc->find("label");
-        const json::Value *report = doc->find("report");
-        if (schema != nullptr && schema->isString()
-            && schema->asString() == resultCacheSchema
-            && label != nullptr && label->isString()
-            && report != nullptr && report->isObject()) {
-            CachedResult entry;
-            entry.label = label->asString();
-            if (const json::Value *a = doc->find("attempts");
-                a != nullptr && a->isNumber())
-                entry.attempts =
-                    static_cast<unsigned>(a->asDouble());
-            entry.report = *report;
-            return entry;
-        }
-        err = "missing or mistyped schema/label/report";
-    }
-    warn("result cache: dropping corrupt entry '{}': {}", path, err);
-    fs::remove(path, ec);
-    corrupt = true;
-    return std::nullopt;
+ResultCache::ResultCache(const std::string &root)
+    : store_(root, "results", "rc", ".json", "result cache",
+             resultMetrics())
+{
 }
 
 std::optional<CachedResult>
-ResultCache::lookup(std::uint64_t config_hash)
+ResultCache::read(std::uint64_t config_hash, bool count)
 {
-    bool corrupt = false;
-    auto entry = read(config_hash, corrupt);
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (entry) {
-            ++stats_.hits;
-        } else {
-            ++stats_.misses;
-            if (corrupt)
-                ++stats_.corruptDropped;
-        }
-    }
-    if (entry) {
-        resultMetrics().replays.inc();
-    } else {
-        resultMetrics().misses.inc();
-        if (corrupt)
-            resultMetrics().corrupt.inc();
-    }
+    std::optional<CachedResult> entry;
+    store_.read(
+        config_hash,
+        [&](const std::string &path) {
+            std::string err;
+            const auto doc = json::tryReadFile(path, &err);
+            if (!doc)
+                fatal("{}", err);
+            const json::Value *schema = doc->find("schema");
+            const json::Value *label = doc->find("label");
+            const json::Value *report = doc->find("report");
+            const auto attempts = attemptsOf(*doc);
+            if (schema == nullptr || !schema->isString()
+                || schema->asString() != resultCacheSchema
+                || label == nullptr || !label->isString()
+                || report == nullptr || !report->isObject() || !attempts)
+                fatal("missing or mistyped schema/label/attempts/report");
+            entry = CachedResult{label->asString(), *attempts, *report};
+        },
+        count);
     return entry;
-}
-
-std::optional<CachedResult>
-ResultCache::peek(std::uint64_t config_hash)
-{
-    bool corrupt = false;
-    return read(config_hash, corrupt);
 }
 
 void
 ResultCache::store(std::uint64_t config_hash, const CachedResult &entry)
 {
-    const std::string path = entryPath(config_hash);
-    const std::string tmp = path + ".tmp";
-
     auto doc = json::Value::object();
     doc.set("schema", resultCacheSchema);
     doc.set("config_hash", ckpt::hex16(config_hash));
@@ -153,64 +88,9 @@ ResultCache::store(std::uint64_t config_hash, const CachedResult &entry)
     doc.set("label", entry.label);
     doc.set("attempts", std::uint64_t{entry.attempts});
     doc.set("report", entry.report);
-
-    json::writeFile(doc, tmp);
-    std::error_code ec;
-    fs::rename(tmp, path, ec);
-    if (ec) {
-        warn("result cache: cannot publish '{}': {}", path,
-             ec.message());
-        fs::remove(tmp, ec);
-        return;
-    }
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.stored;
-    }
-    resultMetrics().stores.inc();
-}
-
-void
-ResultCache::updateGauges() const
-{
-    std::uint64_t total = 0, count = 0;
-    std::error_code ec;
-    for (const auto &e : fs::directory_iterator(dir_, ec)) {
-        if (!e.is_regular_file())
-            continue;
-        total += e.file_size();
-        ++count;
-    }
-    resultMetrics().residentBytes.set(
-        static_cast<std::int64_t>(total));
-    resultMetrics().entries.set(static_cast<std::int64_t>(count));
-}
-
-json::Value
-ResultCache::statusJson() const
-{
-    auto v = json::Value::object();
-    v.set("dir", dir_);
-    std::uint64_t total = 0;
-    std::vector<std::pair<std::string, std::uint64_t>> files;
-    std::error_code ec;
-    for (const auto &e : fs::directory_iterator(dir_, ec)) {
-        if (e.is_regular_file())
-            files.emplace_back(e.path().filename().string(),
-                               e.file_size());
-    }
-    std::sort(files.begin(), files.end());
-    auto entries = json::Value::array();
-    for (const auto &[name, bytes] : files) {
-        total += bytes;
-        auto entry = json::Value::object();
-        entry.set("file", name);
-        entry.set("bytes", bytes);
-        entries.push(std::move(entry));
-    }
-    v.set("bytes", total);
-    v.set("entries", std::move(entries));
-    return v;
+    store_.publish(config_hash, [&](const std::string &staging) {
+        json::writeFile(doc, staging);
+    });
 }
 
 } // namespace serve

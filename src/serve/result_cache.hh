@@ -2,7 +2,8 @@
  * @file
  * Incremental result cache (`tdc-result-cache-v1`).
  *
- * One JSON file per finished design point, content-addressed by
+ * One JSON file per finished design point in a CacheStore,
+ * content-addressed by
  *
  *     <root>/results/rc-<config-hash>-<binary-hash>.json
  *
@@ -14,20 +15,17 @@
  * aggregateReport() needs to reproduce the job's slot in a sweep
  * report byte-for-byte. Failures and timeouts are never cached --
  * they re-run on the next drain.
- *
- * Entries publish via write-to-temp + atomic rename; corrupt or
- * schema-mismatched entries are deleted on lookup and report a miss.
  */
 
 #ifndef TDC_SERVE_RESULT_CACHE_HH
 #define TDC_SERVE_RESULT_CACHE_HH
 
 #include <cstdint>
-#include <mutex>
 #include <optional>
 #include <string>
 
 #include "common/json.hh"
+#include "serve/cache_key.hh"
 
 namespace tdc {
 namespace serve {
@@ -43,68 +41,57 @@ struct CachedResult
     json::Value report; //!< tdc-run-report-v1, byte-preserved
 };
 
+/** The "attempts" member of a document read from disk: an unsigned
+ *  integer that fits, otherwise (absent included) nullopt. */
+std::optional<unsigned> attemptsOf(const json::Value &doc);
+
 class ResultCache
 {
   public:
-    struct Stats
-    {
-        std::uint64_t hits = 0;
-        std::uint64_t misses = 0;
-        std::uint64_t corruptDropped = 0;
-        std::uint64_t stored = 0;
-    };
-
     /** Opens (creating if needed) <root>/results. */
     explicit ResultCache(const std::string &root);
 
     /**
      * Lookup by job config hash (the binary hash is implicit -- this
      * process's). A hit requires a parseable entry with the expected
-     * schema and an embedded report; anything else deletes the file
-     * and reports a miss.
+     * schema, a label, an attempt count and an embedded report;
+     * anything else deletes the file and reports a miss.
      */
-    std::optional<CachedResult> lookup(std::uint64_t config_hash);
-
-    /**
-     * Same decode and integrity discipline as lookup(), but counts
-     * nothing -- neither Stats nor the tdc_result_cache_* metrics
-     * move. Report assembly replays finished cells through this so
-     * the drain's replay/simulate split stays the only thing the
-     * counters measure.
-     */
-    std::optional<CachedResult> peek(std::uint64_t config_hash);
-
-    /** Publishes one successful run's slot under its config hash. */
-    void store(std::uint64_t config_hash, const CachedResult &entry);
-
-    /** Snapshot of the hit/miss/store counters (thread-safe). */
-    Stats
-    stats() const
+    std::optional<CachedResult>
+    lookup(std::uint64_t config_hash)
     {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return stats_;
+        return read(config_hash, true);
     }
 
+    /**
+     * Same decode and integrity discipline as lookup(), but no
+     * tdc_result_cache_* metric moves. Report assembly replays
+     * finished cells through this so the drain's replay/simulate
+     * split stays the only thing the counters measure.
+     */
+    std::optional<CachedResult>
+    peek(std::uint64_t config_hash)
+    {
+        return read(config_hash, false);
+    }
+
+    /** Publishes one successful run's slot under its config hash; a
+     *  failed publish is fatal(), since the entry is the only copy. */
+    void store(std::uint64_t config_hash, const CachedResult &entry);
+
     /** Entry table (file, bytes) plus totals, for --status. */
-    json::Value statusJson() const;
+    json::Value statusJson() const { return store_.statusJson(); }
 
     /** Refreshes the tdc_result_cache_* residency gauges. */
-    void updateGauges() const;
+    void updateGauges() const { store_.updateGauges(); }
 
-    const std::string &dir() const { return dir_; }
+    const std::string &dir() const { return store_.dir(); }
 
   private:
-    std::string entryPath(std::uint64_t config_hash) const;
-
-    /** Shared decode behind lookup()/peek(); `corrupt` reports
-     *  whether a defective entry was dropped. */
     std::optional<CachedResult> read(std::uint64_t config_hash,
-                                     bool &corrupt);
+                                     bool count);
 
-    std::string dir_;
-
-    mutable std::mutex mutex_;
-    Stats stats_;
+    CacheStore store_;
 };
 
 } // namespace serve

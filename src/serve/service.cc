@@ -3,6 +3,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <map>
 #include <memory>
@@ -14,6 +15,7 @@
 #include "common/event_log.hh"
 #include "common/format.hh"
 #include "common/logging.hh"
+#include "common/publish.hh"
 #include "metrics/registry.hh"
 #include "runner/sweep_runner.hh"
 #include "serve/cache_key.hh"
@@ -53,6 +55,21 @@ progressLine(const std::string &line, bool enabled)
     if (!enabled)
         return;
     inform("{}", line);
+}
+
+/** Publishes a telemetry file; telemetry never perturbs what it
+ *  measures (DESIGN.md 11), so a failure warns and the service goes
+ *  on. */
+void
+publishTelemetry(const std::string &path,
+                 const std::function<void(const std::string &)> &write)
+{
+    try {
+        ScopedFatalCapture capture;
+        publishFile(path, write);
+    } catch (const FatalError &e) {
+        warn("{}", e.what());
+    }
 }
 
 /** Drain-loop metrics (DESIGN.md 11 catalog); per-job counts live
@@ -291,9 +308,10 @@ SweepService::drainOnce()
     runner::runPipeline(specs, cfg_.jobs, warm, measure);
 
     st.wallSeconds = secondsSince(t0);
-    json::writeFile(st.toJson(),
-                    (fs::path(cfg_.root) / "last-drain.json")
-                        .string());
+    publishTelemetry((fs::path(cfg_.root) / "last-drain.json").string(),
+                     [&](const std::string &staging) {
+                         json::writeFile(st.toJson(), staging);
+                     });
     publishMetrics();
     {
         auto fields = json::Value::object();
@@ -361,9 +379,8 @@ SweepService::reportFor(const runner::SweepManifest &m)
         r.error = "no stored result for this job";
         if (auto outcome = queue_.outcomeOf(JobQueue::jobId(spec));
             outcome && outcome->isObject()) {
-            if (const json::Value *a = outcome->find("attempts");
-                a != nullptr && a->isNumber())
-                r.attempts = static_cast<unsigned>(a->asDouble());
+            if (const auto attempts = attemptsOf(*outcome))
+                r.attempts = *attempts;
             if (const json::Value *e = outcome->find("error");
                 e != nullptr && e->isString())
                 r.error = e->asString();
@@ -390,35 +407,20 @@ SweepService::publishMetrics() const
             .count());
     const auto doc = metrics::registry().toJson(unix_ms);
 
-    // Write-to-temp + rename: a scraper polling metrics.json never
-    // reads a torn snapshot.
-    const fs::path path = fs::path(cfg_.root) / "metrics.json";
-    const fs::path tmp = fs::path(cfg_.root) / "metrics.json.tmp";
-    json::writeFile(doc, tmp.string());
-    std::error_code ec;
-    fs::rename(tmp, path, ec);
-    if (ec) {
-        warn("cannot publish '{}': {}", path.string(), ec.message());
-        fs::remove(tmp, ec);
-    }
-
+    // A scraper polling metrics.json never reads a torn snapshot.
+    publishTelemetry((fs::path(cfg_.root) / "metrics.json").string(),
+                     [&](const std::string &staging) {
+                         json::writeFile(doc, staging);
+                     });
     if (cfg_.metricsOut.empty())
         return;
-    const std::string ptmp = cfg_.metricsOut + ".tmp";
-    {
-        std::ofstream out(ptmp, std::ios::trunc);
+    publishTelemetry(cfg_.metricsOut, [](const std::string &staging) {
+        std::ofstream out(staging, std::ios::trunc);
         out << metrics::registry().prometheusText();
         out.flush();
-        if (!out) {
-            warn("cannot write metrics text to '{}'", ptmp);
-            return;
-        }
-    }
-    fs::rename(ptmp, cfg_.metricsOut, ec);
-    if (ec) {
-        warn("cannot publish '{}': {}", cfg_.metricsOut, ec.message());
-        fs::remove(ptmp, ec);
-    }
+        if (!out)
+            fatal("cannot write metrics text to '{}'", staging);
+    });
 }
 
 json::Value

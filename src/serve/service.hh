@@ -110,7 +110,7 @@ class SweepService
     /**
      * Recovers orphaned claims, then drains the queue to empty:
      * result-cache replay, then the warm->measure pipeline on worker
-     * threads. Writes <root>/last-drain.json and returns the
+     * threads. Publishes <root>/last-drain.json and returns the
      * pass's statistics. Safe to call with an empty queue.
      */
     DrainStats drainOnce();
@@ -136,11 +136,12 @@ class SweepService
 
     /**
      * Publishes one tdc-metrics-v1 snapshot: refreshes every gauge,
-     * writes <root>/metrics.json via write-to-temp + atomic rename
-     * (a concurrent reader never sees a torn file), and -- when
+     * publishes <root>/metrics.json through publishFile() (a
+     * concurrent reader never sees a torn file), and -- when
      * ServeConfig::metricsOut is set -- mirrors the registry as
-     * Prometheus text exposition to that path. Called at drain
-     * start/end, after every enqueue and on each watch poll tick.
+     * Prometheus text exposition to that path. A failed publish
+     * warns and the service goes on. Called at drain start/end,
+     * after every enqueue and on each watch poll tick.
      */
     void publishMetrics() const;
 

@@ -5,10 +5,8 @@
 #include <system_error>
 #include <vector>
 
-#include "common/format.hh"
 #include "common/logging.hh"
 #include "metrics/registry.hh"
-#include "serve/cache_key.hh"
 
 namespace fs = std::filesystem;
 
@@ -18,23 +16,11 @@ namespace serve {
 namespace {
 
 /** Warm-checkpoint-cache metrics (DESIGN.md 11 catalog). */
-struct WarmMetrics
-{
-    metrics::Counter &hits;
-    metrics::Counter &misses;
-    metrics::Counter &verifyFailures;
-    metrics::Counter &stores;
-    metrics::Counter &evictions;
-    metrics::Counter &evictedBytes;
-    metrics::Gauge &residentBytes;
-    metrics::Gauge &entries;
-};
-
-WarmMetrics &
+CacheMetrics &
 warmMetrics()
 {
     auto &r = metrics::registry();
-    static WarmMetrics m{
+    static CacheMetrics m{
         r.counter("tdc_warm_cache_hits_total",
                   "Warm checkpoints restored from the cache"),
         r.counter("tdc_warm_cache_misses_total",
@@ -43,10 +29,6 @@ warmMetrics()
                   "Entries dropped for failing integrity checks"),
         r.counter("tdc_warm_cache_stores_total",
                   "Warm checkpoints published to the cache"),
-        r.counter("tdc_warm_cache_evictions_total",
-                  "Entries evicted past the byte budget"),
-        r.counter("tdc_warm_cache_evicted_bytes_total",
-                  "Bytes reclaimed by warm-cache eviction"),
         r.gauge("tdc_warm_cache_resident_bytes",
                 "Bytes currently resident in the warm cache"),
         r.gauge("tdc_warm_cache_entries",
@@ -59,72 +41,40 @@ warmMetrics()
 
 WarmCache::WarmCache(const std::string &root,
                      std::uint64_t capacityBytes)
-    : dir_((fs::path(root) / "warm").string()),
-      capacityBytes_(capacityBytes)
+    : store_(root, "warm", "wc", ".ckpt", "warm cache", warmMetrics()),
+      capacityBytes_(capacityBytes),
+      evictions_(metrics::registry().counter(
+          "tdc_warm_cache_evictions_total",
+          "Entries evicted past the byte budget")),
+      evictedBytes_(metrics::registry().counter(
+          "tdc_warm_cache_evicted_bytes_total",
+          "Bytes reclaimed by warm-cache eviction"))
 {
-    std::error_code ec;
-    fs::create_directories(dir_, ec);
-    if (ec)
-        fatal("warm cache: cannot create '{}': {}", dir_,
-              ec.message());
-}
-
-std::string
-WarmCache::entryPath(std::uint64_t warm_fp) const
-{
-    return (fs::path(dir_)
-            / format("wc-{}-{}.ckpt", ckpt::hex16(warm_fp),
-                     ckpt::hex16(binaryHash())))
-        .string();
 }
 
 std::shared_ptr<const ckpt::Checkpoint>
 WarmCache::lookup(std::uint64_t warm_fp)
 {
-    const std::string path = entryPath(warm_fp);
-    std::error_code ec;
-    if (!fs::exists(path, ec)) {
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            ++stats_.misses;
-        }
-        warmMetrics().misses.inc();
-        return nullptr;
-    }
-    try {
-        // Full tdc_ckpt --verify-grade decode: magic, format version
-        // and every per-section checksum, plus the content address
-        // itself (a renamed or stale-keyed file must not hit).
-        ScopedFatalCapture capture;
-        auto ck = std::make_shared<ckpt::Checkpoint>(
+    std::shared_ptr<const ckpt::Checkpoint> ck;
+    // Full tdc_ckpt --verify-grade decode: magic, format version and
+    // every per-section checksum, plus the content address itself (a
+    // renamed or stale-keyed file must not hit).
+    const bool hit = store_.read(warm_fp, [&](const std::string &path) {
+        auto loaded = std::make_shared<ckpt::Checkpoint>(
             ckpt::Checkpoint::loadFile(path));
-        if (ck->fingerprint() != warm_fp)
+        if (loaded->fingerprint() != warm_fp)
             fatal("entry fingerprint {:#x} does not match its key "
                   "{:#x}",
-                  ck->fingerprint(), warm_fp);
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            ++stats_.hits;
-        }
-        warmMetrics().hits.inc();
+                  loaded->fingerprint(), warm_fp);
+        ck = std::move(loaded);
+    });
+    if (hit) {
         // Refresh the LRU clock so hot fingerprints survive eviction.
-        fs::last_write_time(path,
-                            std::filesystem::file_time_type::clock::now(),
-                            ec);
-        return ck;
-    } catch (const std::exception &e) {
-        warn("warm cache: dropping corrupt entry '{}': {}", path,
-             e.what());
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            ++stats_.corruptDropped;
-            ++stats_.misses;
-        }
-        warmMetrics().verifyFailures.inc();
-        warmMetrics().misses.inc();
-        fs::remove(path, ec);
-        return nullptr;
+        std::error_code ec;
+        fs::last_write_time(store_.entryPath(warm_fp),
+                            fs::file_time_type::clock::now(), ec);
     }
+    return ck;
 }
 
 void
@@ -132,105 +82,38 @@ WarmCache::store(const ckpt::Checkpoint &ck, std::uint64_t warm_fp)
 {
     tdc_assert(ck.fingerprint() == warm_fp,
                "warm cache store under a mismatched fingerprint");
-    const std::string path = entryPath(warm_fp);
-    const std::string tmp = path + ".tmp";
-    ck.writeFile(tmp);
-    std::error_code ec;
-    fs::rename(tmp, path, ec);
-    if (ec) {
-        warn("warm cache: cannot publish '{}': {}", path,
-             ec.message());
-        fs::remove(tmp, ec);
-        return;
-    }
-    warmMetrics().stores.inc();
+    store_.publish(warm_fp, [&](const std::string &staging) {
+        ck.writeFile(staging);
+    });
     evictOverCapacity();
 }
 
 void
-WarmCache::evictOverCapacity()
+WarmCache::evictOverCapacity() const
 {
-    struct Entry
-    {
-        fs::path path;
-        std::uint64_t bytes;
-        fs::file_time_type mtime;
-    };
-    std::vector<Entry> entries;
+    auto entries = store_.scan();
     std::uint64_t total = 0;
-    std::error_code ec;
-    for (const auto &e : fs::directory_iterator(dir_, ec)) {
-        if (!e.is_regular_file())
-            continue;
-        Entry entry{e.path(), e.file_size(), e.last_write_time()};
-        total += entry.bytes;
-        entries.push_back(std::move(entry));
-    }
+    for (const FileEntry &e : entries)
+        total += e.bytes;
     if (total <= capacityBytes_)
         return;
-    std::sort(entries.begin(), entries.end(),
-              [](const Entry &a, const Entry &b) {
-                  return a.mtime != b.mtime ? a.mtime < b.mtime
-                                            : a.path < b.path;
-              });
-    for (const Entry &victim : entries) {
+    // Oldest first; scan()'s name order breaks mtime ties.
+    std::ranges::stable_sort(entries, {}, &FileEntry::mtime);
+    for (const FileEntry &victim : entries) {
         if (total <= capacityBytes_)
             break;
-        fs::remove(victim.path, ec);
+        std::error_code ec;
+        const bool removed =
+            fs::remove(fs::path(store_.dir()) / victim.name, ec);
         if (ec)
             continue;
+        // Gone either way; only the worker that removed it counts it.
         total -= victim.bytes;
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            ++stats_.evicted;
+        if (removed) {
+            evictions_.inc();
+            evictedBytes_.inc(victim.bytes);
         }
-        warmMetrics().evictions.inc();
-        warmMetrics().evictedBytes.inc(victim.bytes);
     }
-}
-
-void
-WarmCache::updateGauges() const
-{
-    std::uint64_t total = 0, count = 0;
-    std::error_code ec;
-    for (const auto &e : fs::directory_iterator(dir_, ec)) {
-        if (!e.is_regular_file())
-            continue;
-        total += e.file_size();
-        ++count;
-    }
-    warmMetrics().residentBytes.set(
-        static_cast<std::int64_t>(total));
-    warmMetrics().entries.set(static_cast<std::int64_t>(count));
-}
-
-json::Value
-WarmCache::statusJson() const
-{
-    auto v = json::Value::object();
-    v.set("dir", dir_);
-    v.set("capacity_bytes", capacityBytes_);
-    std::uint64_t total = 0;
-    auto entries = json::Value::array();
-    std::vector<std::pair<std::string, std::uint64_t>> files;
-    std::error_code ec;
-    for (const auto &e : fs::directory_iterator(dir_, ec)) {
-        if (e.is_regular_file())
-            files.emplace_back(e.path().filename().string(),
-                               e.file_size());
-    }
-    std::sort(files.begin(), files.end());
-    for (const auto &[name, bytes] : files) {
-        total += bytes;
-        auto entry = json::Value::object();
-        entry.set("file", name);
-        entry.set("bytes", bytes);
-        entries.push(std::move(entry));
-    }
-    v.set("bytes", total);
-    v.set("entries", std::move(entries));
-    return v;
 }
 
 } // namespace serve

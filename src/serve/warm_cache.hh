@@ -2,9 +2,10 @@
  * @file
  * Cross-invocation warm-checkpoint cache.
  *
- * PR 4's --warm-once shares warm state *within* one invocation; this
- * cache makes it persistent. Entries are whole checkpoint container
- * files (src/ckpt format, unchanged) named by content address:
+ * --warm-once shares warm state *within* one invocation; this cache
+ * makes it persistent. Entries are whole checkpoint container files
+ * (src/ckpt format, unchanged) in a CacheStore, named by content
+ * address:
  *
  *     <root>/warm/wc-<warm-fingerprint>-<binary-hash>.ckpt
  *
@@ -12,8 +13,7 @@
  * every per-section checksum, the same validation `tdc_ckpt --verify`
  * performs -- and additionally requires the embedded fingerprint to
  * match the key; any defect deletes the file and reports a miss, so a
- * corrupt cache entry can never poison a run. Stores publish via
- * write-to-temp + atomic rename.
+ * corrupt cache entry can never poison a run.
  *
  * Capacity is a byte budget over the directory; after every store the
  * least-recently-used entries (filesystem mtime, refreshed on every
@@ -27,11 +27,11 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 
 #include "ckpt/checkpoint.hh"
 #include "common/json.hh"
+#include "serve/cache_key.hh"
 
 namespace tdc {
 namespace serve {
@@ -39,14 +39,6 @@ namespace serve {
 class WarmCache
 {
   public:
-    struct Stats
-    {
-        std::uint64_t hits = 0;
-        std::uint64_t misses = 0;
-        std::uint64_t corruptDropped = 0;
-        std::uint64_t evicted = 0;
-    };
-
     /** Opens (creating if needed) <root>/warm with a byte budget. */
     WarmCache(const std::string &root, std::uint64_t capacityBytes);
 
@@ -59,38 +51,32 @@ class WarmCache
     std::shared_ptr<const ckpt::Checkpoint>
     lookup(std::uint64_t warm_fp);
 
-    /** Publishes a checkpoint under its fingerprint, then enforces
-     *  the byte budget by LRU eviction. */
+    /**
+     * Publishes a checkpoint under its fingerprint, then enforces the
+     * byte budget by LRU eviction. A failed publish is fatal(); the
+     * entry is re-derivable, so a caller may capture it and go on.
+     */
     void store(const ckpt::Checkpoint &ck, std::uint64_t warm_fp);
 
-    /** Snapshot of the hit/miss/eviction counters (thread-safe). */
-    Stats
-    stats() const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return stats_;
-    }
-    std::uint64_t capacityBytes() const { return capacityBytes_; }
-
     /** Entry table (file, bytes) plus totals, for --status. */
-    json::Value statusJson() const;
+    json::Value
+    statusJson() const
+    {
+        return store_.statusJson(capacityBytes_);
+    }
 
     /** Refreshes the tdc_warm_cache_* residency gauges. */
-    void updateGauges() const;
+    void updateGauges() const { store_.updateGauges(); }
 
-    const std::string &dir() const { return dir_; }
+    const std::string &dir() const { return store_.dir(); }
 
   private:
-    std::string entryPath(std::uint64_t warm_fp) const;
-    void evictOverCapacity();
+    void evictOverCapacity() const;
 
-    std::string dir_;
+    CacheStore store_;
     std::uint64_t capacityBytes_;
-
-    /** Guards stats_ and eviction scans; a drain's warms call
-     *  lookup()/store() from several worker threads. */
-    mutable std::mutex mutex_;
-    Stats stats_;
+    metrics::Counter &evictions_;
+    metrics::Counter &evictedBytes_;
 };
 
 } // namespace serve

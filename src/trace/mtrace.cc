@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -16,6 +15,7 @@
 #include "common/format.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
+#include "common/publish.hh"
 
 namespace tdc {
 namespace mtrace {
@@ -219,25 +219,16 @@ MtraceWriter::close()
     for (Stream &s : streams_)
         spill(s);
 
-    const std::string tmp = path_ + ".tmp";
-    bool written;
-    {
+    publishFile(path_, [this](const std::string &staging) {
         FileHandle out;
-        out.reset(::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC
-                                          | O_CLOEXEC,
+        out.reset(::open(staging.c_str(), O_WRONLY | O_CREAT | O_TRUNC
+                                              | O_CLOEXEC,
                          0666));
         if (out.get() < 0)
-            fatal("cannot open '{}' for writing", tmp);
-        written = writeContainer(out.get());
-    }
-    if (!written) {
-        ::unlink(tmp.c_str());
-        fatal("error writing mtrace file '{}'", tmp);
-    }
-    if (std::rename(tmp.c_str(), path_.c_str()) != 0) {
-        ::unlink(tmp.c_str());
-        fatal("cannot publish mtrace file '{}'", path_);
-    }
+            fatal("cannot open '{}' for writing", staging);
+        if (!writeContainer(out.get()))
+            fatal("error writing mtrace file '{}'", staging);
+    });
     for (Stream &s : streams_) {
         s.buf = {};
         s.chunks = {};

@@ -107,7 +107,7 @@ class FileHandle
 
 /**
  * Streams per-core record streams to disk and publishes the container
- * on close() (write-to-temp + atomic rename), in memory that does not
+ * on close() (through publishFile()), in memory that does not
  * grow with the trace.
  *
  * Each core encodes its records straight into one fixed buffer. A

@@ -9,8 +9,10 @@
 #include <deque>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -19,6 +21,7 @@
 #include "common/event_log.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
+#include "common/publish.hh"
 #include "common/random.hh"
 #include "common/ring.hh"
 #include "common/stats.hh"
@@ -428,6 +431,88 @@ TEST(ZeroedArray, PaysOnlyForTouchedPagesAndReturnsThem)
 
     arr.reset();
     EXPECT_LT(residentKib() - before, 1024) << "destruction unmaps";
+}
+
+// ---------------------------------------------------------- publishFile
+
+namespace {
+
+namespace fs = std::filesystem;
+
+/** A fresh directory for one publishFile() test. */
+fs::path
+publishDir(const std::string &leaf)
+{
+    const fs::path dir = fs::path(::testing::TempDir()) / leaf;
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    return dir;
+}
+
+std::string
+slurp(const fs::path &p)
+{
+    std::ifstream in(p);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+/** A publishFile() writer that leaves `text` and then fails. */
+void
+halfWriteThenFatal(const std::string &staging)
+{
+    std::ofstream(staging) << "half";
+    fatal("disk full");
+}
+
+} // namespace
+
+TEST(PublishFile, ReplacesTheFileOrLeavesItAndNoStagingFile)
+{
+    const fs::path dir = publishDir("tdc_publish");
+    const std::string dest = (dir / "out.txt").string();
+    auto text = [](const char *t) {
+        return [t](const std::string &staging) {
+            std::ofstream(staging) << t;
+        };
+    };
+    publishFile(dest, text("one"));
+    EXPECT_EQ(slurp(dest), "one");
+
+    // A writer that fails by fatal() or by any throw, and a rename
+    // that fails: the old file stays and no staging file is left.
+    fs::create_directories(dir / "blocked" / "occupied");
+    {
+        ScopedFatalCapture capture;
+        EXPECT_THROW(publishFile(dest, halfWriteThenFatal), FatalError);
+        EXPECT_THROW(publishFile(dest,
+                                 [](const std::string &staging) {
+                                     std::ofstream(staging) << "half";
+                                     throw std::runtime_error("boom");
+                                 }),
+                     FatalError);
+        EXPECT_THROW(publishFile((dir / "blocked").string(), text("x")),
+                     FatalError);
+    }
+    EXPECT_EQ(slurp(dest), "one");
+    std::set<std::string> names;
+    for (const auto &e : fs::directory_iterator(dir))
+        names.insert(e.path().filename().string());
+    EXPECT_EQ(names, (std::set<std::string>{"blocked", "out.txt"}));
+
+    // Staged in another directory of the same filesystem.
+    fs::create_directories(dir / "staging");
+    publishFile(dest, text("two"), (dir / "staging").string());
+    EXPECT_EQ(slurp(dest), "two");
+    EXPECT_TRUE(fs::is_empty(dir / "staging"));
+}
+
+TEST(PublishFileDeathTest, UncapturedFatalStillRemovesTheStagingFile)
+{
+    const fs::path dir = publishDir("tdc_publish_death");
+    const std::string dest = (dir / "out.txt").string();
+    EXPECT_EXIT(publishFile(dest, halfWriteThenFatal),
+                ::testing::ExitedWithCode(1), "disk full");
+    EXPECT_TRUE(fs::is_empty(dir));
 }
 
 TEST(Logging, LogLevelParseAndNameRoundTrip)

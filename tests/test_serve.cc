@@ -18,6 +18,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/format.hh"
@@ -135,6 +136,30 @@ counterValue(const json::Value &snap, const std::string &name)
 {
     const json::Value *c = snap.find("counters")->find(name);
     return c ? c->asUint() : 0;
+}
+
+/** How far registry counters moved since this object was made. */
+class CounterDelta
+{
+  public:
+    std::uint64_t
+    operator()(const std::string &name) const
+    {
+        return counterValue(metrics::registry().toJson(0), name)
+               - counterValue(before_, name);
+    }
+
+  private:
+    json::Value before_ = metrics::registry().toJson(0);
+};
+
+/** The result-cache file of `config_hash` under this binary. */
+fs::path
+resultEntryPath(const ResultCache &cache, std::uint64_t config_hash)
+{
+    return fs::path(cache.dir())
+           / ("rc-" + ckpt::hex16(config_hash) + "-"
+              + ckpt::hex16(binaryHash()) + ".json");
 }
 
 } // namespace
@@ -296,17 +321,30 @@ TEST(JobQueue, CorruptJobFileFailsWithReasonAndDrainContinues)
     }
     const auto m = warmPairManifest();
     q.enqueue(m);
+    // A well-formed job file whose timeout is mistyped is corrupt too.
+    const fs::path pending = fs::path(q.dir()) / "pending";
+    auto mistyped = json::readFile(
+        (pending / (JobQueue::jobId(m.jobs[1]) + ".json")).string());
+    mistyped.set("timeout_seconds", "soon");
+    json::writeFile(mistyped, (pending / "aab-soon.json").string());
 
-    // The corrupt file sorts first; claim() must fail it and hand out
-    // the first real job instead of getting stuck.
+    // The corrupt files sort first; claim() must fail them and hand
+    // out the first real job instead of getting stuck.
     auto job = q.claim();
     ASSERT_TRUE(job.has_value());
     EXPECT_EQ(job->spec.label, "long"); // sorted spool order
-    EXPECT_EQ(q.failedCount(), 1u);
-    const auto outcome = q.outcomeOf("aaa-bogus");
-    ASSERT_TRUE(outcome.has_value());
-    EXPECT_NE(outcome->find("error")->asString().find(
-                  "corrupt job file"),
+    EXPECT_EQ(q.failedCount(), 2u);
+    EXPECT_EQ(q.claimedCount(), 1u);
+    for (const char *id : {"aaa-bogus", "aab-soon"}) {
+        const auto outcome = q.outcomeOf(id);
+        ASSERT_TRUE(outcome.has_value()) << id;
+        EXPECT_NE(outcome->find("error")->asString().find(
+                      "corrupt job file"),
+                  std::string::npos)
+            << id;
+    }
+    EXPECT_NE(q.outcomeOf("aab-soon")->find("error")->asString().find(
+                  "timeout_seconds"),
               std::string::npos);
 }
 
@@ -374,9 +412,10 @@ TEST(WarmCache, StoreLookupRoundTripAndLruTouch)
 {
     const auto root = freshRoot("warm_roundtrip");
     WarmCache cache(root, 64ULL << 20);
+    const CounterDelta delta;
 
     EXPECT_EQ(cache.lookup(0x1234), nullptr);
-    EXPECT_EQ(cache.stats().misses, 1u);
+    EXPECT_EQ(delta("tdc_warm_cache_misses_total"), 1u);
 
     const auto ck = fakeCheckpoint(0x1234);
     cache.store(ck, 0x1234);
@@ -385,7 +424,8 @@ TEST(WarmCache, StoreLookupRoundTripAndLruTouch)
     EXPECT_EQ(hit->fingerprint(), 0x1234u);
     EXPECT_EQ(hit->require("body").payload,
               ck.require("body").payload);
-    EXPECT_EQ(cache.stats().hits, 1u);
+    EXPECT_EQ(delta("tdc_warm_cache_hits_total"), 1u);
+    EXPECT_EQ(delta("tdc_warm_cache_stores_total"), 1u);
 }
 
 TEST(WarmCache, CorruptEntryIsDeletedAndMisses)
@@ -406,8 +446,10 @@ TEST(WarmCache, CorruptEntryIsDeletedAndMisses)
         f.put('\xff');
     }
 
+    const CounterDelta delta;
     EXPECT_EQ(cache.lookup(0xbeef), nullptr);
-    EXPECT_EQ(cache.stats().corruptDropped, 1u);
+    EXPECT_EQ(delta("tdc_warm_cache_verify_failures_total"), 1u);
+    EXPECT_EQ(delta("tdc_warm_cache_misses_total"), 1u);
     EXPECT_FALSE(fs::exists(entry));
 }
 
@@ -428,8 +470,9 @@ TEST(WarmCache, MismatchedFingerprintNeverHits)
     target.replace(target.find(from), from.size(), to);
     fs::rename(entry, target);
 
+    const CounterDelta delta;
     EXPECT_EQ(cache.lookup(0xb), nullptr);
-    EXPECT_EQ(cache.stats().corruptDropped, 1u);
+    EXPECT_EQ(delta("tdc_warm_cache_verify_failures_total"), 1u);
     EXPECT_FALSE(fs::exists(target));
 }
 
@@ -453,12 +496,42 @@ TEST(WarmCache, EvictsLeastRecentlyUsedPastByteBudget)
                 e.path(), fs::file_time_type::clock::now()
                               - std::chrono::hours(1));
     }
+    const CounterDelta delta;
     cache.store(fakeCheckpoint(3), 3);
 
-    EXPECT_EQ(cache.stats().evicted, 1u);
+    EXPECT_EQ(delta("tdc_warm_cache_evictions_total"), 1u);
     EXPECT_NE(cache.lookup(1), nullptr); // recently used: kept
     EXPECT_NE(cache.lookup(3), nullptr); // just stored: kept
     EXPECT_EQ(cache.lookup(2), nullptr); // LRU victim
+}
+
+TEST(WarmCache, ConcurrentStoresKeepTheByteBudget)
+{
+    // Two drain workers storing at once: each store's eviction scan
+    // races the other's publish and removals. No store may fail, and
+    // once both finish the directory fits the budget.
+    const auto root = freshRoot("warm_concurrent");
+    const std::uint64_t budget = fakeCheckpoint(1).encode().size() * 5 / 2;
+    WarmCache cache(root, budget);
+    auto worker = [&](std::uint64_t first) {
+        ScopedFatalCapture capture;
+        for (std::uint64_t fp = first; fp < first + 32; ++fp) {
+            try {
+                cache.store(fakeCheckpoint(fp), fp);
+            } catch (const std::exception &e) {
+                ADD_FAILURE() << "store " << fp << ": " << e.what();
+            }
+        }
+    };
+    {
+        std::jthread a(worker, 1), b(worker, 1001);
+    }
+
+    std::uint64_t bytes = 0;
+    for (const auto &e : fs::directory_iterator(cache.dir()))
+        bytes += e.file_size();
+    EXPECT_LE(bytes, budget);
+    EXPECT_EQ(cache.statusJson().find("bytes")->asUint(), bytes);
 }
 
 // ---------------------------------------------------------------------
@@ -469,6 +542,7 @@ TEST(ResultCache, RoundTripAndCorruptDrop)
 {
     const auto root = freshRoot("result_cache");
     ResultCache cache(root);
+    const CounterDelta counted;
 
     EXPECT_FALSE(cache.lookup(7).has_value());
 
@@ -484,22 +558,62 @@ TEST(ResultCache, RoundTripAndCorruptDrop)
     EXPECT_EQ(hit->label, "cell-a");
     EXPECT_EQ(hit->attempts, 2u);
     EXPECT_EQ(hit->report.dump(), entry.report.dump());
-    EXPECT_EQ(cache.stats().hits, 1u);
+    EXPECT_EQ(counted("tdc_result_cache_replays_total"), 1u);
+    EXPECT_EQ(counted("tdc_result_cache_misses_total"), 1u);
+    EXPECT_EQ(counted("tdc_result_cache_stores_total"), 1u);
 
     // A different config hash is a different cell.
     EXPECT_FALSE(cache.lookup(8).has_value());
 
-    // Corrupt the stored entry: dropped, not replayed.
-    fs::path file;
-    for (const auto &e : fs::directory_iterator(cache.dir()))
-        file = e.path();
-    {
-        std::ofstream f(file, std::ios::trunc);
-        f << "{\"schema\":\"wrong\"}";
+    // Corrupt the stored entry: dropped, not replayed. An attempt
+    // count that is not an unsigned integer fitting `unsigned` is a
+    // defect too; converting it would be undefined behaviour.
+    const fs::path file = resultEntryPath(cache, 7);
+    ASSERT_TRUE(fs::exists(file));
+    const json::Value good = json::readFile(file.string());
+    auto withAttempts = [&](const char *attempts) {
+        std::string text = good.dump(-1);
+        const std::string from = "\"attempts\":2";
+        text.replace(text.find(from), from.size(),
+                     std::string("\"attempts\":") + attempts);
+        return text;
+    };
+    for (const std::string &bad :
+         {std::string("{\"schema\":\"wrong\"}"), withAttempts("-1"),
+          withAttempts("1e30"), withAttempts("4294967296"),
+          withAttempts("\"2\"")}) {
+        {
+            std::ofstream f(file, std::ios::trunc);
+            f << bad;
+        }
+        const CounterDelta delta;
+        EXPECT_FALSE(cache.lookup(7).has_value()) << bad;
+        EXPECT_EQ(delta("tdc_result_cache_corrupt_total"), 1u) << bad;
+        EXPECT_EQ(delta("tdc_result_cache_misses_total"), 1u) << bad;
+        EXPECT_FALSE(fs::exists(file)) << bad;
     }
-    EXPECT_FALSE(cache.lookup(7).has_value());
-    EXPECT_EQ(cache.stats().corruptDropped, 1u);
-    EXPECT_FALSE(fs::exists(file));
+}
+
+TEST(ResultCache, FailedPublishIsFatalAndLeavesNoStagingFile)
+{
+    // The entry is the only copy of a finished cell, so a publish that
+    // cannot land must not be reported as stored.
+    const auto root = freshRoot("result_publish_fails");
+    ResultCache cache(root);
+    const fs::path blocker = resultEntryPath(cache, 7);
+    fs::create_directories(blocker / "occupied");
+
+    CachedResult entry;
+    entry.label = "cell-a";
+    entry.report = *json::Value::parse(R"({"schema":"x"})");
+    const CounterDelta delta;
+    {
+        ScopedFatalCapture capture;
+        EXPECT_THROW(cache.store(7, entry), FatalError);
+    }
+    EXPECT_EQ(delta("tdc_result_cache_stores_total"), 0u);
+    for (const auto &e : fs::directory_iterator(cache.dir()))
+        EXPECT_FALSE(e.path().string().ends_with(".tmp")) << e.path();
 }
 
 TEST(ResultCache, PeekDecodesWithoutCountingAReplay)
@@ -523,13 +637,53 @@ TEST(ResultCache, PeekDecodesWithoutCountingAReplay)
     // peek() feeds report reassembly, not the hit-rate telemetry: the
     // drain's replay/simulate split stays the only thing the counters
     // measure.
-    EXPECT_EQ(cache.stats().hits, 0u);
-    EXPECT_EQ(cache.stats().misses, 0u);
     const auto after = metrics::registry().toJson(0);
     EXPECT_EQ(counterValue(after, "tdc_result_cache_replays_total"),
               counterValue(before, "tdc_result_cache_replays_total"));
     EXPECT_EQ(counterValue(after, "tdc_result_cache_misses_total"),
               counterValue(before, "tdc_result_cache_misses_total"));
+}
+
+// ---------------------------------------------------------------------
+// Cache store
+// ---------------------------------------------------------------------
+
+TEST(CacheStore, StagingFilesAreNotEntries)
+{
+    // A crash mid-store leaves `<entry>.tmp` behind; it is no entry of
+    // either cache in --status, in the gauges or to eviction.
+    const auto root = freshRoot("store_staging");
+    WarmCache warm(root, 64ULL << 20);
+    ResultCache results(root);
+    warm.store(fakeCheckpoint(0x5), 0x5);
+    CachedResult entry;
+    entry.label = "cell-a";
+    entry.report = *json::Value::parse(R"({"schema":"x"})");
+    results.store(5, entry);
+
+    for (const std::string &dir : {warm.dir(), results.dir()}) {
+        const fs::path only = fs::directory_iterator(dir)->path();
+        fs::copy_file(only, only.string() + ".tmp");
+    }
+    warm.updateGauges();
+    results.updateGauges();
+    const auto gauges = *metrics::registry().toJson(0).find("gauges");
+    for (const auto &[status, family] :
+         {std::pair{warm.statusJson(), "warm"},
+          std::pair{results.statusJson(), "result"}}) {
+        const auto &entries = *status.find("entries");
+        ASSERT_EQ(entries.size(), 1u) << family;
+        const std::uint64_t bytes = entries.at(0).find("bytes")->asUint();
+        EXPECT_FALSE(entries.at(0).find("file")->asString().ends_with(
+            ".tmp"));
+        EXPECT_EQ(status.find("bytes")->asUint(), bytes) << family;
+        const std::string prefix = format("tdc_{}_cache_", family);
+        EXPECT_EQ(gauges.find(prefix + "entries")->asUint(), 1u)
+            << family;
+        EXPECT_EQ(gauges.find(prefix + "resident_bytes")->asUint(),
+                  bytes)
+            << family;
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -694,40 +848,57 @@ TEST(SweepService, PublishedSnapshotMatchesTheReplaySimulateSplit)
     const auto m = tinyManifest();
     const std::string snap_path =
         (fs::path(root) / "metrics.json").string();
-    SweepService svc(quietConfig(root));
+    auto drain = [&](bool useResultCache) {
+        auto cfg = quietConfig(root);
+        cfg.useResultCache = useResultCache;
+        SweepService svc(cfg);
+        svc.enqueue(m);
+        return svc.drainOnce();
+    };
+    // The registry is the only count of cache events. Counters are
+    // process-global; between two published snapshots they must move
+    // by exactly the drain's own replay/simulate split.
+    auto expectSplit = [](const json::Value &from, const json::Value &to,
+                          const DrainStats &st,
+                          std::uint64_t resultLookups) {
+        auto delta = [&](const char *name) {
+            return counterValue(to, name) - counterValue(from, name);
+        };
+        EXPECT_EQ(delta("tdc_drain_passes_total"), 1u);
+        EXPECT_EQ(delta("tdc_jobs_ok_total"), st.ok);
+        EXPECT_EQ(delta("tdc_jobs_failed_total"), st.failed);
+        EXPECT_EQ(delta("tdc_result_cache_replays_total"),
+                  st.resultCacheHits);
+        EXPECT_EQ(delta("tdc_result_cache_misses_total"),
+                  resultLookups - st.resultCacheHits);
+        EXPECT_EQ(delta("tdc_result_cache_stores_total"),
+                  st.ok - st.resultCacheHits);
+        EXPECT_EQ(delta("tdc_warm_cache_hits_total"), st.warmCacheHits);
+        EXPECT_EQ(delta("tdc_warm_cache_misses_total"),
+                  st.warmCacheMisses);
+        EXPECT_EQ(delta("tdc_warm_cache_stores_total"),
+                  st.warmCacheMisses);
+        EXPECT_EQ(delta("tdc_warmup_insts_simulated_total"),
+                  st.warmupInstsSimulated);
+        EXPECT_EQ(delta("tdc_measure_insts_simulated_total"),
+                  st.measureInstsSimulated);
+    };
 
+    // Cold drain: every cell warms and simulates.
     const auto before = metrics::registry().toJson(0);
-    svc.enqueue(m);
-    const auto st = svc.drainOnce();
-    ASSERT_EQ(st.ok, m.jobs.size());
-    EXPECT_EQ(st.resultCacheHits, 0u);
+    const auto cold = drain(true);
+    ASSERT_EQ(cold.ok, m.jobs.size());
+    EXPECT_EQ(cold.resultCacheHits, 0u);
+    EXPECT_EQ(cold.warmCacheHits, 0u);
 
-    // The drain publishes an atomically-renamed tdc-metrics-v1
-    // snapshot in the service root.
+    // The drain publishes a tdc-metrics-v1 snapshot in the service
+    // root through publishFile().
     std::string err;
     const auto snap = json::tryReadFile(snap_path, &err);
     ASSERT_TRUE(snap.has_value()) << err;
     EXPECT_EQ(snap->find("schema")->asString(),
               metrics::metricsSchema);
-
-    // Counters are process-global; against the pre-drain baseline the
-    // published values must equal this drain's actual replay/simulate
-    // split exactly.
-    auto delta = [&](const char *name) {
-        return counterValue(*snap, name) - counterValue(before, name);
-    };
-    EXPECT_EQ(delta("tdc_drain_passes_total"), 1u);
-    EXPECT_EQ(delta("tdc_jobs_ok_total"), st.ok);
-    EXPECT_EQ(delta("tdc_jobs_failed_total"), 0u);
-    EXPECT_EQ(delta("tdc_result_cache_replays_total"),
-              st.resultCacheHits);
-    EXPECT_EQ(delta("tdc_warm_cache_hits_total"), st.warmCacheHits);
-    EXPECT_EQ(delta("tdc_warm_cache_misses_total"),
-              st.warmCacheMisses);
-    EXPECT_EQ(delta("tdc_warmup_insts_simulated_total"),
-              st.warmupInstsSimulated);
-    EXPECT_EQ(delta("tdc_measure_insts_simulated_total"),
-              st.measureInstsSimulated);
+    expectSplit(before, *snap, cold, m.jobs.size());
 
     // Gauges reflect the spool state at publish time.
     EXPECT_EQ(snap->find("gauges")->find("tdc_queue_done")->asUint(),
@@ -740,23 +911,53 @@ TEST(SweepService, PublishedSnapshotMatchesTheReplaySimulateSplit)
                   ->asUint(),
               m.jobs.size());
 
-    // Second drain: every cell replays, so the snapshot moves by
-    // exactly the replay count and simulates nothing new.
-    svc.enqueue(m);
-    const auto st2 = svc.drainOnce();
-    EXPECT_EQ(st2.resultCacheHits, m.jobs.size());
+    // Warm-hit drain, result replay off: every group restores its
+    // persisted checkpoint and each cell re-measures.
+    const auto warm = drain(false);
+    EXPECT_EQ(warm.ok, m.jobs.size());
+    EXPECT_EQ(warm.warmCacheHits, cold.warmCacheMisses);
+    EXPECT_EQ(warm.warmCacheMisses, 0u);
+    EXPECT_EQ(warm.warmupInstsSimulated, 0u);
     const auto snap2 = json::tryReadFile(snap_path, &err);
     ASSERT_TRUE(snap2.has_value()) << err;
-    auto delta2 = [&](const char *name) {
-        return counterValue(*snap2, name)
-               - counterValue(*snap, name);
-    };
-    EXPECT_EQ(delta2("tdc_drain_passes_total"), 1u);
-    EXPECT_EQ(delta2("tdc_result_cache_replays_total"),
-              st2.resultCacheHits);
-    EXPECT_EQ(delta2("tdc_jobs_ok_total"), st2.ok);
-    EXPECT_EQ(delta2("tdc_warmup_insts_simulated_total"), 0u);
-    EXPECT_EQ(delta2("tdc_measure_insts_simulated_total"), 0u);
+    expectSplit(*snap, *snap2, warm, 0);
+
+    // Full-replay drain: every cell replays and nothing is simulated.
+    const auto replay = drain(true);
+    EXPECT_EQ(replay.resultCacheHits, m.jobs.size());
+    EXPECT_EQ(replay.ok, m.jobs.size());
+    EXPECT_EQ(replay.warmupInstsSimulated, 0u);
+    EXPECT_EQ(replay.measureInstsSimulated, 0u);
+    const auto snap3 = json::tryReadFile(snap_path, &err);
+    ASSERT_TRUE(snap3.has_value()) << err;
+    expectSplit(*snap2, *snap3, replay, m.jobs.size());
+}
+
+TEST(SweepServiceDeathTest, UnstorableResultLeavesTheJobClaimed)
+{
+    // A finished result that cannot be published must not be reported
+    // ok: the drain ends through fatal() with the job still claimed,
+    // and the next pass's recover() requeues it.
+    const auto root = freshRoot("svc_unstorable");
+    auto m = warmPairManifest();
+    m.jobs.pop_back();
+    fs::create_directories(
+        resultEntryPath(ResultCache(root), jobConfigHash(m.jobs[0]))
+        / "occupied");
+    auto cfg = quietConfig(root);
+    cfg.jobs = 1;
+    EXPECT_EXIT(
+        {
+            SweepService svc(cfg);
+            svc.enqueue(m);
+            svc.drainOnce();
+        },
+        ::testing::ExitedWithCode(1), "cannot publish");
+
+    JobQueue q(root);
+    EXPECT_EQ(q.claimedCount(), 1u);
+    EXPECT_EQ(q.doneCount(), 0u);
+    EXPECT_EQ(q.recover(), 1u);
 }
 
 // ---------------------------------------------------------------------
