@@ -12,8 +12,18 @@ AlloyCache::AlloyCache(std::string name, DramDevice &in_pkg,
       params_(params)
 {
     numSlots_ = params_.cacheBytes / params_.tadBytes;
-    linesP1_.reset(numSlots_);
-    state_.reset(numSlots_);
+    physLines_ = (phys.offPkgPages() + phys.inPkgPages())
+                 << (pageBits - cacheLineBits);
+    // The largest line's tag, (physLines_ - 1) / numSlots_ + 1, must
+    // fit in the slot word.
+    const std::uint64_t min_slots = (physLines_ - 1) / tagMask + 1;
+    if (numSlots_ < min_slots)
+        fatal("Alloy cache of {} bytes has {} slots; a 15-bit tag over "
+              "{} bytes of physical memory needs at least {} ({} bytes)",
+              params_.cacheBytes, numSlots_,
+              physLines_ << cacheLineBits, min_slots,
+              min_slots * params_.tadBytes);
+    slots_.reset(numSlots_);
     statGroup().addScalar("dirty_evictions", &dirtyEvictions_);
 }
 
@@ -24,6 +34,7 @@ AlloyCache::access(Addr addr, AccessType type, CoreId core, Tick when)
     tdc_assert(!isCaSpace(addr), "Alloy cache saw a cache address");
     const std::uint64_t line = lineOf(addr);
     const std::uint64_t slot = slotOf(line);
+    const std::uint16_t tag = tagOf(line);
     const bool write = isWrite(type);
 
     // One TAD burst reads tag and data together. Keep the burst within
@@ -36,9 +47,10 @@ AlloyCache::access(Addr addr, AccessType type, CoreId core, Tick when)
         inPkg_.access(dev, burst, false, when).completionTick;
 
     L3Result res;
-    if ((state_[slot] & stValid) && linesP1_[slot] == line + 1) {
+    std::uint16_t &word = slots_[slot];
+    if ((word & tagMask) == tag) {
         if (write) {
-            state_[slot] |= stDirty;
+            word |= dirtyBit;
             inPkg_.postedWrite(dev, cacheLineBytes, probe);
         }
         res.completionTick = probe;
@@ -46,8 +58,8 @@ AlloyCache::access(Addr addr, AccessType type, CoreId core, Tick when)
         res.l3Hit = true;
     } else {
         // Conflict miss: fetch the block off-package, evicting the slot.
-        if ((state_[slot] & (stValid | stDirty)) == (stValid | stDirty)) {
-            const std::uint64_t old = linesP1_[slot] - 1;
+        if (word & dirtyBit) {
+            const std::uint64_t old = lineAt(slot, word & tagMask);
             offPkgBlockAccess(old >> (pageBits - cacheLineBits),
                               (old << cacheLineBits) & mask(pageBits),
                               true, probe);
@@ -56,8 +68,7 @@ AlloyCache::access(Addr addr, AccessType type, CoreId core, Tick when)
         const Tick fetched = offPkgBlockAccess(
             frameNumOf(addr), pageOffset(addr), false, probe);
         inPkg_.postedWrite(dev, burst, fetched); // background install
-        linesP1_[slot] = line + 1;
-        state_[slot] = write ? (stValid | stDirty) : stValid;
+        word = write ? (tag | dirtyBit) : tag;
         res.completionTick = fetched;
         res.servicedInPackage = false;
         res.l3Hit = false;
@@ -72,8 +83,8 @@ AlloyCache::writebackLine(Addr addr, CoreId core, Tick when)
     (void)core;
     const std::uint64_t line = lineOf(addr);
     const std::uint64_t slot = slotOf(line);
-    if ((state_[slot] & stValid) && linesP1_[slot] == line + 1) {
-        state_[slot] |= stDirty;
+    if ((slots_[slot] & tagMask) == tagOf(line)) {
+        slots_[slot] |= dirtyBit;
         inPkg_.postedWrite(slotAddr(slot), cacheLineBytes, when);
     } else {
         offPkgBlockAccess(frameNumOf(addr), pageOffset(addr), true, when);
@@ -85,11 +96,10 @@ AlloyCache::saveOrgState(ckpt::Serializer &out) const
 {
     out.putU64(numSlots_);
     ckpt::putSparse(
-        out, numSlots_,
-        [this](std::uint64_t i) { return (state_[i] & stValid) != 0; },
+        out, numSlots_, [this](std::uint64_t i) { return slots_[i] != 0; },
         [&](std::uint64_t i) {
-            out.putU64(linesP1_[i] - 1);
-            out.putBool((state_[i] & stDirty) != 0);
+            out.putU64(lineAt(i, slots_[i] & tagMask));
+            out.putBool((slots_[i] & dirtyBit) != 0);
         });
     ckpt::save(out, dirtyEvictions_);
 }
@@ -98,11 +108,22 @@ void
 AlloyCache::loadOrgState(ckpt::Deserializer &in)
 {
     const std::uint64_t n = in.getU64();
-    tdc_assert(n == numSlots_,
-               "Alloy cache geometry mismatch on checkpoint restore");
+    if (n != numSlots_)
+        fatal("checkpoint: Alloy slot count {} does not match the "
+              "cache's {}",
+              n, numSlots_);
     ckpt::getSparse(in, "Alloy slot", n, [&](std::uint64_t i) {
-        linesP1_[i] = in.getU64() + 1;
-        state_[i] = in.getBool() ? (stValid | stDirty) : stValid;
+        const std::uint64_t line = in.getU64();
+        const bool dirty = in.getBool();
+        if (line >= physLines_)
+            fatal("checkpoint: Alloy slot {} holds line {}, past the {} "
+                  "lines of physical memory",
+                  i, line, physLines_);
+        if (slotOf(line) != i)
+            fatal("checkpoint: Alloy slot {} holds line {}, which maps "
+                  "to slot {}",
+                  i, line, slotOf(line));
+        slots_[i] = tagOf(line) | (dirty ? dirtyBit : 0);
     });
     ckpt::load(in, dirtyEvictions_);
 }

@@ -10,6 +10,14 @@
  * block fetch. Tag storage consumes in-package capacity: 12.5% of the
  * device is unusable for data, and there is no spatial-locality
  * amortization of row activations for streaming workloads.
+ *
+ * The simulator keeps one 16-bit word per slot in a lazily zeroed
+ * array, so a run pays two bytes for each slot it fills. The low 15
+ * bits hold the line's tag, `line / slots + 1` (0 is an empty slot),
+ * and bit 15 is the dirty bit; the line is `(tag - 1) * slots + slot`.
+ * The largest tag of the physical address space must fit in 15 bits,
+ * which with an 8 GiB off-package device needs a cache of about
+ * 288 KiB or more.
  */
 
 #ifndef TDC_DRAMCACHE_ALLOY_CACHE_HH
@@ -51,9 +59,28 @@ class AlloyCache final : public DramCacheOrg
     void loadOrgState(ckpt::Deserializer &in) override;
 
   private:
+    static constexpr std::uint16_t tagMask = 0x7fff;
+    static constexpr std::uint16_t dirtyBit = 0x8000;
+
     std::uint64_t slotOf(std::uint64_t line) const
     {
         return line % numSlots_;
+    }
+
+    /** The tag of `line` in its slot; never 0. */
+    std::uint16_t
+    tagOf(std::uint64_t line) const
+    {
+        tdc_assert(line < physLines_,
+                   "Alloy cache saw line {} past memory", line);
+        return static_cast<std::uint16_t>(line / numSlots_ + 1);
+    }
+
+    /** The line whose tag is `tag` in `slot`. */
+    std::uint64_t
+    lineAt(std::uint64_t slot, std::uint16_t tag) const
+    {
+        return (std::uint64_t{tag} - 1) * numSlots_ + slot;
     }
 
     /** In-package device byte address of a TAD slot. */
@@ -63,17 +90,12 @@ class AlloyCache final : public DramCacheOrg
         return slot * params_.tadBytes;
     }
 
-    static constexpr std::uint8_t stValid = 1;
-    static constexpr std::uint8_t stDirty = 2;
-
     AlloyCacheParams params_;
     std::uint64_t numSlots_ = 0;
-    // Tag store as lazily zeroed arrays: a 1 GiB cache has ~15M slots,
-    // and a run touches the few it fills. Lines are stored biased by +1
-    // so the all-zero fresh state means "empty" (0 == no line); a
-    // checkpoint lists only the valid slots, with unbiased lines.
-    ZeroedArray<std::uint64_t> linesP1_;
-    ZeroedArray<std::uint8_t> state_; //!< stValid | stDirty
+    std::uint64_t physLines_ = 0; //!< lines of the physical space
+    // One word per slot: tag (tagMask) | dirtyBit. A checkpoint lists
+    // only the filled slots, each with its line and dirty bit.
+    ZeroedArray<std::uint16_t> slots_;
 
     stats::Scalar dirtyEvictions_;
 };

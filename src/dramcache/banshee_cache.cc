@@ -178,15 +178,11 @@ BansheeCache::writebackLine(Addr addr, CoreId core, Tick when)
 void
 BansheeCache::saveOrgState(ckpt::Serializer &out) const
 {
-    const auto &ways = sets_.ways();
-    out.putU64(ways.size());
-    ckpt::putSparse(
-        out, ways.size(), [&](std::uint64_t i) { return ways[i].valid; },
-        [&](std::uint64_t i) {
-            out.putU64(ways[i].ppn);
-            out.putBool(ways[i].dirty);
-            out.putU32(ways[i].count);
-        });
+    sets_.save(out, [&](const Way &w) {
+        out.putU64(w.ppn);
+        out.putBool(w.dirty);
+        out.putU32(w.count);
+    });
     ckpt::putSparse(
         out, cands_.size(),
         [this](std::uint64_t s) { return cands_[s].ppnP1 != 0; },
@@ -206,13 +202,7 @@ BansheeCache::saveOrgState(ckpt::Serializer &out) const
 void
 BansheeCache::loadOrgState(ckpt::Deserializer &in)
 {
-    auto &ways = sets_.ways();
-    const std::uint64_t n = in.getU64();
-    tdc_assert(n == ways.size(),
-               "Banshee cache geometry mismatch on checkpoint restore");
-    ckpt::getSparse(in, "Banshee way", n, [&](std::uint64_t i) {
-        Way &w = ways[i];
-        w.valid = true;
+    sets_.restore(in, "Banshee way", [&](Way &w) {
         w.ppn = in.getU64();
         w.dirty = in.getBool();
         w.count = in.getU32();

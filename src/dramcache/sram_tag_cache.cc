@@ -134,16 +134,12 @@ SramTagCache::writebackLine(Addr addr, CoreId core, Tick when)
 void
 SramTagCache::saveOrgState(ckpt::Serializer &out) const
 {
-    const auto &ways = sets_.ways();
-    out.putU64(ways.size());
-    ckpt::putSparse(
-        out, ways.size(), [&](std::uint64_t i) { return ways[i].valid; },
-        [&](std::uint64_t i) {
-            out.putU64(ways[i].ppn);
-            out.putBool(ways[i].dirty);
-            out.putU64(ways[i].lastUse);
-            out.putU64(ways[i].fillTime);
-        });
+    sets_.save(out, [&](const Way &w) {
+        out.putU64(w.ppn);
+        out.putBool(w.dirty);
+        out.putU64(w.lastUse);
+        out.putU64(w.fillTime);
+    });
     out.putU64(useClock_);
     ckpt::save(out, tagProbes_);
     ckpt::save(out, wbMissOffPkg_);
@@ -152,13 +148,7 @@ SramTagCache::saveOrgState(ckpt::Serializer &out) const
 void
 SramTagCache::loadOrgState(ckpt::Deserializer &in)
 {
-    auto &ways = sets_.ways();
-    const std::uint64_t n = in.getU64();
-    tdc_assert(n == ways.size(),
-               "SRAM-tag cache geometry mismatch on checkpoint restore");
-    ckpt::getSparse(in, "SRAM-tag way", n, [&](std::uint64_t i) {
-        Way &w = ways[i];
-        w.valid = true;
+    sets_.restore(in, "SRAM-tag way", [&](Way &w) {
         w.ppn = in.getU64();
         w.dirty = in.getBool();
         w.lastUse = in.getU64();

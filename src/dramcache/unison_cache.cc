@@ -284,19 +284,14 @@ UnisonCache::validBitsOf(PageNum ppn) const
 void
 UnisonCache::saveOrgState(ckpt::Serializer &out) const
 {
-    const auto &ways = sets_.ways();
-    out.putU64(ways.size());
-    ckpt::putSparse(
-        out, ways.size(), [&](std::uint64_t i) { return ways[i].valid; },
-        [&](std::uint64_t i) {
-            const Way &w = ways[i];
-            out.putU64(w.ppn);
-            out.putU64(w.validBits);
-            out.putU64(w.dirtyBits);
-            out.putU64(w.refBits);
-            out.putU64(w.predKey);
-            out.putU64(w.lastUse);
-        });
+    sets_.save(out, [&](const Way &w) {
+        out.putU64(w.ppn);
+        out.putU64(w.validBits);
+        out.putU64(w.dirtyBits);
+        out.putU64(w.refBits);
+        out.putU64(w.predKey);
+        out.putU64(w.lastUse);
+    });
     out.putU64(predictor_.size());
     for (const PredEntry &e : predictor_) {
         out.putBool(e.valid);
@@ -316,13 +311,7 @@ UnisonCache::saveOrgState(ckpt::Serializer &out) const
 void
 UnisonCache::loadOrgState(ckpt::Deserializer &in)
 {
-    auto &ways = sets_.ways();
-    std::uint64_t n = in.getU64();
-    tdc_assert(n == ways.size(),
-               "Unison cache geometry mismatch on checkpoint restore");
-    ckpt::getSparse(in, "Unison way", n, [&](std::uint64_t i) {
-        Way &w = ways[i];
-        w.valid = true;
+    sets_.restore(in, "Unison way", [&](Way &w) {
         w.ppn = in.getU64();
         w.validBits = in.getU64();
         w.dirtyBits = in.getU64();
@@ -330,9 +319,11 @@ UnisonCache::loadOrgState(ckpt::Deserializer &in)
         w.predKey = in.getU64();
         w.lastUse = in.getU64();
     });
-    n = in.getU64();
-    tdc_assert(n == predictor_.size(),
-               "Unison predictor mismatch on checkpoint restore");
+    const std::uint64_t n = in.getU64();
+    if (n != predictor_.size())
+        fatal("checkpoint: Unison predictor size {} does not match the "
+              "cache's {}",
+              n, predictor_.size());
     for (PredEntry &e : predictor_) {
         e.valid = in.getBool();
         e.key = in.getU64();

@@ -117,17 +117,25 @@ CacheStore::read(std::uint64_t key,
     const std::string path = entryPath(key);
     std::error_code ec;
     bool hit = false;
-    if (fs::exists(path, ec)) {
+    // Only a regular file is an entry, as in listFiles(): anything else
+    // at the path can be neither decoded nor dropped, so it is a miss.
+    if (fs::is_regular_file(path, ec)) {
         try {
             ScopedFatalCapture capture;
             decode(path);
             hit = true;
         } catch (const std::exception &e) {
-            warn("{}: dropping corrupt entry '{}': {}", what_, path,
-                 e.what());
-            fs::remove(path, ec);
-            if (count)
-                metrics_.dropped.inc();
+            const bool removed = fs::remove(path, ec);
+            if (ec) {
+                warn("{}: cannot drop corrupt entry '{}' ({}): {}", what_,
+                     path, e.what(), ec.message());
+            } else {
+                warn("{}: dropping corrupt entry '{}': {}", what_, path,
+                     e.what());
+                // Only the reader that removed it counts it.
+                if (count && removed)
+                    metrics_.dropped.inc();
+            }
         }
     }
     if (count)

@@ -113,9 +113,11 @@ class CacheStore
 
     /**
      * Hands the entry for `key` to `decode`, which rejects it by
-     * fatal() or a throw. Returns false on a miss: no entry, or a
+     * fatal() or a throw. Returns false on a miss: no entry (nothing,
+     * or something other than a regular file, at its path), or a
      * rejected one, which is warned about, removed and counted as
-     * dropped. Counts nothing when `count` is false.
+     * dropped; one that cannot be removed is warned about with the
+     * error and not counted. Counts nothing when `count` is false.
      */
     bool read(std::uint64_t key,
               const std::function<void(const std::string &path)> &decode,

@@ -225,8 +225,12 @@ SweepService::drainOnce()
     // run the measurement leg through runner::runJob, the contract
     // SweepRunner runs too. Fresh results always go to the result
     // cache (disabling the cache only disables replay, not capture).
-    // A throw out of runPipeline is a service bug; job failures live
-    // in outcomes.
+    // Job failures live in outcomes. A result or outcome the service
+    // cannot publish is a fatal() captured on its worker: runPipeline
+    // lets every other job finish, so their cells are stored and done,
+    // and rethrows it here, where it ends the drain with that job
+    // still claimed. Any other throw out of runPipeline is a service
+    // bug.
     std::vector<runner::JobSpec> specs;
     specs.reserve(toRun.size());
     for (const QueueJob &job : toRun)
@@ -267,6 +271,7 @@ SweepService::drainOnce()
         return std::move(ws.ckpt);
     };
     const auto measure = [&](std::size_t i, const ckpt::Checkpoint *ck) {
+        ScopedFatalCapture capture;
         const QueueJob &job = toRun[i];
         const runner::JobResult r =
             runner::runJob(job.spec, job.timeoutSeconds, ck);
@@ -305,7 +310,11 @@ SweepService::drainOnce()
             line += format("  {}", r.error);
         progressLine(line, cfg_.progress);
     };
-    runner::runPipeline(specs, cfg_.jobs, warm, measure);
+    try {
+        runner::runPipeline(specs, cfg_.jobs, warm, measure);
+    } catch (const FatalError &e) {
+        fatal("{}", e.what());
+    }
 
     st.wallSeconds = secondsSince(t0);
     publishTelemetry((fs::path(cfg_.root) / "last-drain.json").string(),

@@ -685,6 +685,132 @@ TEST(CkptSparse, RestoreNamesAnEntryOutOfRangeRepeatedOrOutOfOrder)
     }
 }
 
+TEST(CkptSparse, RestoreRejectsARecordTheCacheCouldNeverHold)
+{
+    // A way holds a page of its own set, and no page twice in one set;
+    // an Alloy slot holds a line that maps to it; Unison's predictor
+    // table has the cache's size. Each way or slot case rebuilds
+    // the first sparse list of a real section from two entries, an
+    // index and a record whose first u64 is the page or line and whose
+    // other bytes are zero. The control pair restores.
+    struct Case
+    {
+        OrgKind org;
+        std::string what;
+        std::size_t record;
+        unsigned assoc; //!< 0 for Alloy
+    };
+    const Case cases[] = {
+        {OrgKind::SramTag, "SRAM-tag way", 8 + 1 + 8 + 8, 16},
+        {OrgKind::Banshee, "Banshee way", 8 + 1 + 4, 4},
+        {OrgKind::Unison, "Unison way", 6 * 8, 4},
+        {OrgKind::Alloy, "Alloy slot", 8 + 1, 0},
+    };
+    const std::size_t shared = warmedCheckpoint(quickConfig(
+        OrgKind::NoL3, {"mcf"})).require("org").payload.size();
+
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.what);
+        const auto cfg = quickConfig(c.org, {"mcf"});
+        const ckpt::Checkpoint ck = warmedCheckpoint(cfg);
+        const std::vector<std::uint8_t> &good = ck.require("org").payload;
+        const std::size_t list_end =
+            shared + 16 + u64At(good, shared + 8) * (8 + c.record);
+        using Entry = std::pair<std::uint64_t, std::uint64_t>;
+        auto section = [&](Entry a, Entry b) {
+            ckpt::Serializer s;
+            s.putBytes(good.data(), shared + 8);
+            s.putU64(2);
+            for (const auto &[index, key] : {a, b}) {
+                s.putU64(index);
+                s.putU64(key);
+                for (std::size_t k = 8; k < c.record; ++k)
+                    s.putU8(0);
+            }
+            s.putBytes(good.data() + list_end, good.size() - list_end);
+            return s.bytes();
+        };
+        auto restore = [&](Entry a, Entry b) {
+            System sys(cfg);
+            sys.restoreCheckpoint(withOrgSection(ck, section(a, b)));
+        };
+        auto expectFatal = [&](Entry a, Entry b, const std::string &msg) {
+            ScopedFatalCapture capture;
+            try {
+                restore(a, b);
+                ADD_FAILURE() << "restore accepted: " << msg;
+            } catch (const FatalError &e) {
+                EXPECT_NE(std::string(e.what()).find(msg),
+                          std::string::npos)
+                    << e.what();
+            }
+        };
+
+        if (c.assoc == 0) {
+            // Slots 5 and 6; line 7 maps to slot 7.
+            const std::uint64_t slots = (1ULL << 30) / 72;
+            restore({5, 5}, {6, 6 + 2 * slots});
+            expectFatal({5, 5}, {6, 7}, "Alloy slot 6 holds line 7");
+            const std::uint64_t far = 6 + (1ULL << 20) * slots;
+            expectFatal({5, 5}, {6, far},
+                        format("Alloy slot 6 holds line {}", far));
+        } else {
+            // Ways 0, 1 and 2 of set 3.
+            const std::uint64_t sets = (1ULL << 30) / pageBytes / c.assoc;
+            const std::uint64_t w0 = 3 * c.assoc;
+            restore({w0, 3}, {w0 + 1, 3 + sets});
+            expectFatal({w0, 3}, {w0 + 1, 4},
+                        format("{} {} holds page 4", c.what, w0 + 1));
+            expectFatal({w0, 3}, {w0 + 2, 3},
+                        format("{} {} holds page 3", c.what, w0 + 2));
+        }
+        if (c.org == OrgKind::Unison) {
+            // The predictor table's size follows the way list.
+            const std::uint64_t n = u64At(good, list_end);
+            std::vector<std::uint8_t> bad = good;
+            putU64At(bad, list_end, n - 1);
+            ScopedFatalCapture capture;
+            System sys(cfg);
+            try {
+                sys.restoreCheckpoint(withOrgSection(ck, bad));
+                ADD_FAILURE() << "restore accepted a short predictor";
+            } catch (const FatalError &e) {
+                EXPECT_NE(std::string(e.what()).find(format(
+                              "Unison predictor size {} does not match "
+                              "the cache's {}",
+                              n - 1, n)),
+                          std::string::npos)
+                    << e.what();
+            }
+        }
+    }
+}
+
+TEST(CkptSparse, TaggedOrgSectionBytesArePinned)
+{
+    // The tagged organizations' records, their list order and encoding
+    // stay the same whatever layout the caches keep them in. An 8 MiB
+    // L3 under mcf fills several ways per set and evicts dirty pages
+    // and lines.
+    const std::pair<OrgKind, const char *> cases[] = {
+        {OrgKind::SramTag, "9c852887d6741919"},
+        {OrgKind::Banshee, "fb218a4842ece99e"},
+        {OrgKind::Unison, "fb82048cf4e56b8f"},
+        {OrgKind::Alloy, "f6b24065aa01d6a9"},
+    };
+    for (const auto &[org, want] : cases) {
+        SCOPED_TRACE(std::string(cliName(org)));
+        auto cfg = quickConfig(org, {"mcf"}, 1000, 200'000);
+        cfg.l3SizeBytes = 8ULL << 20;
+        const ckpt::Checkpoint ck = warmedCheckpoint(cfg);
+        const std::vector<std::uint8_t> &org_bytes =
+            ck.require("org").payload;
+        EXPECT_EQ(ckpt::hex16(ckpt::fnv1a(org_bytes.data(),
+                                          org_bytes.size())),
+                  want);
+    }
+}
+
 TEST(CkptSparse, DirtyEvictionsFollowPageWritebacksAcrossRestore)
 {
     // Every dirty eviction of these orgs is one page write-back, so the

@@ -686,6 +686,42 @@ TEST(CacheStore, StagingFilesAreNotEntries)
     }
 }
 
+TEST(CacheStore, NonRegularEntryIsAMissAndIsLeftInPlace)
+{
+    // Only a regular file at an entry path is an entry, as in
+    // listFiles(). Anything else cannot be decoded or dropped, so it
+    // is a plain miss every time and nothing counts it as dropped.
+    const auto root = freshRoot("store_non_regular");
+    WarmCache warm(root, 64ULL << 20);
+    ResultCache results(root);
+    const fs::path warm_path =
+        fs::path(warm.dir())
+        / ("wc-" + ckpt::hex16(0x5) + "-" + ckpt::hex16(binaryHash())
+           + ".ckpt");
+    const fs::path result_path = resultEntryPath(results, 5);
+    for (const fs::path &p : {warm_path, result_path})
+        fs::create_directories(p / "occupied");
+
+    const CounterDelta delta;
+    EXPECT_EQ(warm.lookup(0x5), nullptr);
+    EXPECT_FALSE(results.lookup(5).has_value());
+    EXPECT_EQ(delta("tdc_warm_cache_misses_total"), 1u);
+    EXPECT_EQ(delta("tdc_result_cache_misses_total"), 1u);
+    EXPECT_EQ(delta("tdc_warm_cache_verify_failures_total"), 0u);
+    EXPECT_EQ(delta("tdc_result_cache_corrupt_total"), 0u);
+    EXPECT_TRUE(fs::is_directory(warm_path / "occupied"));
+    EXPECT_TRUE(fs::is_directory(result_path / "occupied"));
+
+    // A corrupt regular entry is still dropped, and counted once.
+    fs::remove_all(result_path);
+    std::ofstream(result_path) << "{\"schema\":\"wrong\"}";
+    EXPECT_FALSE(results.lookup(5).has_value());
+    EXPECT_FALSE(results.lookup(5).has_value());
+    EXPECT_EQ(delta("tdc_result_cache_corrupt_total"), 1u);
+    EXPECT_EQ(delta("tdc_result_cache_misses_total"), 3u);
+    EXPECT_FALSE(fs::exists(result_path));
+}
+
 // ---------------------------------------------------------------------
 // Service
 // ---------------------------------------------------------------------
@@ -958,6 +994,35 @@ TEST(SweepServiceDeathTest, UnstorableResultLeavesTheJobClaimed)
     EXPECT_EQ(q.claimedCount(), 1u);
     EXPECT_EQ(q.doneCount(), 0u);
     EXPECT_EQ(q.recover(), 1u);
+}
+
+TEST(SweepService, FailedPublishLetsTheOtherCellsFinish)
+{
+    // A result that cannot be published ends the drain through fatal(),
+    // but only once the pass is over: the other workers' cells are
+    // stored and done, and the failed job stays claimed.
+    const auto root = freshRoot("svc_publish_fails");
+    const auto m = SweepManifest::load(std::string(TDC_SOURCE_DIR)
+                                       + "/bench/manifests/smoke.json");
+    ASSERT_EQ(m.jobs.size(), 4u);
+    fs::create_directories(
+        resultEntryPath(ResultCache(root), jobConfigHash(m.jobs[0]))
+        / "occupied");
+    EXPECT_EXIT(
+        {
+            SweepService svc(quietConfig(root));
+            svc.enqueue(m);
+            svc.drainOnce();
+        },
+        ::testing::ExitedWithCode(1), "cannot publish");
+
+    JobQueue q(root);
+    EXPECT_EQ(q.claimedCount(), 1u);
+    EXPECT_EQ(q.doneCount(), 3u);
+    ResultCache results(root);
+    for (std::size_t i = 1; i < m.jobs.size(); ++i)
+        EXPECT_TRUE(results.peek(jobConfigHash(m.jobs[i])).has_value())
+            << m.jobs[i].label;
 }
 
 // ---------------------------------------------------------------------

@@ -125,6 +125,45 @@ TEST(Alloy, CapacityLostToTags)
     EXPECT_EQ(org.dataBlocks(), (1ULL << 30) / 72);
 }
 
+TEST(Alloy, SlotWordMustHoldTheLargestTag)
+{
+    // 8 GiB of physical memory is 2^27 lines; 15-bit tags cover them
+    // with 4,097 slots (295 KB of TAD) or more.
+    Machine m(64ULL << 20, 1ULL << 21);
+    AlloyCacheParams p;
+    p.cacheBytes = 4097 * 72;
+    EXPECT_EQ(
+        AlloyCache("alloy", m.inPkg, m.offPkg, m.phys, m.cpuClk, p)
+            .dataBlocks(),
+        4097u);
+    p.cacheBytes = 4096 * 72;
+    ScopedFatalCapture capture;
+    EXPECT_THROW(
+        AlloyCache("alloy", m.inPkg, m.offPkg, m.phys, m.cpuClk, p),
+        FatalError);
+}
+
+TEST(Alloy, TagStorePaysTwoBytesPerFilledSlot)
+{
+    // 1.3M consecutive lines fill 1.3M consecutive slots of a 1 GiB
+    // cache: 2.5 MiB of 16-bit slot words, where a u64 line and a u8
+    // state per slot took 11.2 MiB.
+    Machine m(1ULL << 30);
+    AlloyCacheParams p;
+    AlloyCache org("alloy", m.inPkg, m.offPkg, m.phys, m.cpuClk, p);
+    constexpr std::uint64_t lines = 1'300'000;
+    const long before = test::residentKib();
+    Tick t = 0;
+    for (std::uint64_t line = 0; line < lines; ++line)
+        t = org.access(line * cacheLineBytes, AccessType::Load, 0, t)
+                .completionTick;
+    EXPECT_LT(test::residentKib() - before, 3 * 1024);
+    EXPECT_TRUE(org.access(0, AccessType::Load, 0, t).l3Hit);
+    EXPECT_TRUE(
+        org.access((lines - 1) * cacheLineBytes, AccessType::Load, 0, t)
+            .l3Hit);
+}
+
 TEST(OrgFactory, ParsesAllKinds)
 {
     EXPECT_EQ(orgKindFromString("nol3"), OrgKind::NoL3);

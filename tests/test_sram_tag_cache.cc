@@ -220,3 +220,66 @@ TEST(PageSets, VictimIsTheFirstInvalidWayElseTheSmallestKey)
     s.at(0, 2).key = 9;
     EXPECT_EQ(s.victim(0, key), 3u);
 }
+
+TEST(PageSets, StorageIsFrameIndexed)
+{
+    PageSets<TestWay> s(16, 4);
+    for (std::uint64_t set = 0; set < s.numSets(); ++set) {
+        for (unsigned w = 0; w < 4; ++w) {
+            EXPECT_EQ(&s.at(set, w) - &s.at(0, 0),
+                      static_cast<std::ptrdiff_t>(s.frameOf(set, w)))
+                << "set " << set << " way " << w;
+        }
+    }
+}
+
+TEST(PageSets, OnePagePerSetPaysForOneWayStripe)
+{
+    // A 1 GiB, 16-way cache holding one page in every set: the pages
+    // share way 0's stripe, a sixteenth of the array. Stored set-major,
+    // the same pages wrote every page of it (6 MiB).
+    const long before = test::residentKib();
+    auto s = std::make_unique<PageSets<TestWay>>((1ULL << 30) / pageBytes,
+                                                 16);
+    auto key = [](const TestWay &w) { return w.key; };
+    for (std::uint64_t set = 0; set < s->numSets(); ++set)
+        s->at(set, s->victim(set, key)) = TestWay{.ppn = set, .valid = true};
+    EXPECT_LT(test::residentKib() - before, 1024);
+    EXPECT_TRUE(s->contains(s->numSets() - 1));
+}
+
+TEST(PageSets, CheckpointListsWaysInSetMajorOrder)
+{
+    // Index set * assoc + way, whatever the storage order.
+    PageSets<TestWay> s(16, 4);
+    s.at(3, 0) = TestWay{.ppn = 3, .valid = true, .key = 30};
+    s.at(0, 2) = TestWay{.ppn = 4, .valid = true, .key = 2};
+    s.at(1, 1) = TestWay{.ppn = 5, .valid = true, .key = 11};
+    s.at(1, 3) = TestWay{.ppn = 9, .valid = false, .key = 13};
+    ckpt::Serializer out;
+    s.save(out, [&](const TestWay &w) { out.putU64(w.key); });
+
+    ckpt::Deserializer in(out.bytes());
+    EXPECT_EQ(in.getU64(), 16u);
+    EXPECT_EQ(in.getU64(), 3u) << "valid ways only";
+    for (const auto &[index, key] :
+         {std::pair{2u, 2u}, std::pair{5u, 11u}, std::pair{12u, 30u}}) {
+        EXPECT_EQ(in.getU64(), index);
+        EXPECT_EQ(in.getU64(), key);
+    }
+    EXPECT_TRUE(in.done());
+
+    // restore() puts each record back at its (set, way).
+    PageSets<TestWay> back(16, 4);
+    ckpt::Deserializer again(out.bytes());
+    back.restore(again, "test way", [&](TestWay &w) {
+        w.key = again.getU64();
+        w.ppn = w.key / 10;
+    });
+    EXPECT_TRUE(again.done());
+    EXPECT_TRUE(back.at(3, 0).valid);
+    EXPECT_EQ(back.at(3, 0).key, 30u);
+    EXPECT_EQ(back.at(0, 2).key, 2u);
+    EXPECT_EQ(back.at(1, 1).key, 11u);
+    EXPECT_FALSE(back.at(1, 3).valid);
+}
