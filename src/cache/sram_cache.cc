@@ -1,12 +1,13 @@
 #include "cache/sram_cache.hh"
 
+#include "cache/replacement.hh"
 #include "ckpt/stats_io.hh"
 #include "common/bitops.hh"
 
 namespace tdc {
 
 SramCache::SramCache(std::string name, const SramCacheParams &params)
-    : SimObject(std::move(name)), params_(params), rng_(0x5eedcafeULL)
+    : SimObject(std::move(name)), params_(params)
 {
     tdc_assert(isPowerOf2(params_.lineBytes), "line size must be 2^n");
     tdc_assert(params_.associativity > 0, "zero associativity");
@@ -20,7 +21,6 @@ SramCache::SramCache(std::string name, const SramCacheParams &params)
     tags_.assign(num_lines, invalidAddr);
     state_.assign(num_lines, 0);
     lastUse_.assign(num_lines, 0);
-    fillTime_.assign(num_lines, 0);
 
     auto &sg = statGroup();
     sg.addScalar("hits", &hits_);
@@ -31,32 +31,12 @@ SramCache::SramCache(std::string name, const SramCacheParams &params)
 // Precondition: every way in the set is valid (the access scan hands
 // over the lowest invalid way itself when one exists).
 std::size_t
-SramCache::selectVictim(std::uint64_t set)
+SramCache::selectVictim(std::uint64_t set) const
 {
     const std::size_t base = set * params_.associativity;
-    switch (params_.policy) {
-      case ReplPolicy::LRU:
-      case ReplPolicy::FIFO: {
-        // First minimum wins, replicating std::min_element's tie-break.
-        // The least key rides in a register and both selects are
-        // conditional moves, not a reload and a branch per way.
-        const std::uint64_t *key = params_.policy == ReplPolicy::LRU
-                                       ? lastUse_.data()
-                                       : fillTime_.data();
-        std::size_t best = base;
-        std::uint64_t least = key[base];
-        for (unsigned w = 1; w < params_.associativity; ++w) {
-            const std::uint64_t k = key[base + w];
-            const bool less = k < least;
-            best = less ? base + w : best;
-            least = less ? k : least;
-        }
-        return best;
-      }
-      case ReplPolicy::Random:
-        return base + rng_.below(params_.associativity);
-    }
-    tdc_panic("unreachable");
+    const std::uint64_t *use = lastUse_.data() + base;
+    return base + leastKey(params_.associativity,
+                           [use](unsigned w) { return use[w]; });
 }
 
 CacheAccessOutcome
@@ -87,7 +67,7 @@ SramCache::access(Addr addr, bool is_write)
     }
 
     ++misses_;
-    // Fill the lowest invalid way if any; otherwise evict by policy.
+    // Fill the lowest invalid way if any; otherwise evict the LRU way.
     const std::size_t v = first_invalid != tags_.size()
                               ? first_invalid
                               : selectVictim(set);
@@ -98,7 +78,6 @@ SramCache::access(Addr addr, bool is_write)
     tags_[v] = tag;
     state_[v] = is_write ? (stValid | stDirty) : stValid;
     lastUse_[v] = useClock_;
-    fillTime_[v] = useClock_;
     return out;
 }
 
@@ -144,10 +123,8 @@ SramCache::saveState(ckpt::Serializer &out) const
         out.putBool((state_[i] & stValid) != 0);
         out.putBool((state_[i] & stDirty) != 0);
         out.putU64(lastUse_[i]);
-        out.putU64(fillTime_[i]);
     }
     out.putU64(useClock_);
-    ckpt::save(out, rng_);
     ckpt::save(out, hits_);
     ckpt::save(out, misses_);
     ckpt::save(out, writebacks_);
@@ -157,19 +134,17 @@ void
 SramCache::loadState(ckpt::Deserializer &in)
 {
     const std::uint64_t n = in.getU64();
-    tdc_assert(n == tags_.size(),
-               "SRAM cache geometry mismatch on checkpoint restore "
-               "({} vs {} lines)", n, tags_.size());
+    if (n != tags_.size())
+        fatal("checkpoint: {} lines for {}, which has {}", n, name(),
+              tags_.size());
     for (std::size_t i = 0; i < tags_.size(); ++i) {
         tags_[i] = in.getU64();
         const bool valid = in.getBool();
         const bool dirty = in.getBool();
         state_[i] = (valid ? stValid : 0) | (dirty ? stDirty : 0);
         lastUse_[i] = in.getU64();
-        fillTime_[i] = in.getU64();
     }
     useClock_ = in.getU64();
-    ckpt::load(in, rng_);
     ckpt::load(in, hits_);
     ckpt::load(in, misses_);
     ckpt::load(in, writebacks_);

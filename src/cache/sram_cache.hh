@@ -1,6 +1,6 @@
 /**
  * @file
- * Functional set-associative SRAM cache model (L1I/L1D/L2).
+ * Functional set-associative LRU SRAM cache model (L1I/L1D/L2).
  *
  * The cache tracks tags, valid and dirty bits; data contents are not
  * modeled. Timing is owned by the caller (the per-core MemorySystem),
@@ -19,9 +19,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "cache/replacement.hh"
 #include "ckpt/checkpointable.hh"
-#include "common/random.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "sim/sim_object.hh"
@@ -42,7 +40,6 @@ struct SramCacheParams
     unsigned associativity = 4;
     unsigned lineBytes = cacheLineBytes;
     Cycles hitLatency = 2;
-    ReplPolicy policy = ReplPolicy::LRU;
 };
 
 class SramCache : public SimObject, public ckpt::Checkpointable
@@ -79,7 +76,7 @@ class SramCache : public SimObject, public ckpt::Checkpointable
         return total ? static_cast<double>(misses_.value()) / total : 0.0;
     }
 
-    /** Checkpointing: every line, the use clock, the RNG and stats. */
+    /** Checkpointing: every line, the use clock and the stats. */
     void saveState(ckpt::Serializer &out) const override;
     void loadState(ckpt::Deserializer &in) override;
 
@@ -106,7 +103,8 @@ class SramCache : public SimObject, public ckpt::Checkpointable
         return (tag << (lineBits_ + setBits_)) | (set << lineBits_);
     }
 
-    std::size_t selectVictim(std::uint64_t set);
+    /** The least recently used way of a full set. */
+    std::size_t selectVictim(std::uint64_t set) const;
 
     SramCacheParams params_;
     unsigned numSets_;
@@ -114,10 +112,8 @@ class SramCache : public SimObject, public ckpt::Checkpointable
     unsigned setBits_;
     std::vector<Addr> tags_;
     std::vector<std::uint8_t> state_; //!< stValid | stDirty
-    std::vector<std::uint64_t> lastUse_;  //!< for LRU
-    std::vector<std::uint64_t> fillTime_; //!< for FIFO
+    std::vector<std::uint64_t> lastUse_;
     std::uint64_t useClock_ = 0;
-    Pcg32 rng_;
 
     stats::Scalar hits_;
     stats::Scalar misses_;

@@ -187,18 +187,36 @@ InvariantAuditor::observeDram(obs::ProbePoint<obs::DramAccessEvent> &p)
 /**
  * Invariant (b), frame side: a mapped frame's PTE holds VC=1, not NC,
  * and points back at this frame (superpages: at the 512-aligned base,
- * with pinned frames and contiguous PPNs); every mapped non-pinned
- * frame is reachable by the FIFO victim scan. A frame is free exactly
- * when it is unmapped, so the free side is verifyFreeQueue()'s.
+ * with pinned frames and contiguous PPNs); the victim order links
+ * every mapped non-pinned frame exactly once and nothing else. A frame
+ * is free exactly when it is unmapped, so the free side is
+ * verifyFreeQueue()'s.
  */
 void
 InvariantAuditor::verifyFrameTable() const
 {
     const Gipt &gipt = tagless_->gipt();
-    const Ring<std::uint64_t> &order = tagless_->allocOrder();
-    std::unordered_set<std::uint64_t> fifo;
-    for (std::size_t i = 0; i < order.size(); ++i)
-        fifo.insert(order[i]);
+    std::unordered_set<std::uint64_t> order;
+    std::uint64_t prev = invalidPage;
+    for (std::uint64_t f = tagless_->orderFront(); f != invalidPage;
+         prev = f, f = tagless_->orderNext(f)) {
+        if (order.size() == tagless_->orderSize())
+            fatal("invariant violation [victim order]: more than {} "
+                  "frames linked", tagless_->orderSize());
+        if (f >= gipt.frames() || !gipt.at(f).valid()
+            || tagless_->framePinned(f))
+            fatal("invariant violation [victim order]: frame {} is "
+                  "linked but not a mapped unpinned frame", f);
+        if (!order.insert(f).second)
+            fatal("invariant violation [victim order]: frame {} "
+                  "linked twice", f);
+        if (tagless_->orderPrev(f) != prev)
+            fatal("invariant violation [victim order]: frame {} links "
+                  "back to {}, not {}", f, tagless_->orderPrev(f), prev);
+    }
+    if (order.size() != tagless_->orderSize())
+        fatal("invariant violation [victim order]: {} frames linked, "
+              "{} counted", order.size(), tagless_->orderSize());
 
     for (std::uint64_t f = 0; f < gipt.frames(); ++f) {
         const Gipt::Entry &g = gipt.at(f);
@@ -226,8 +244,8 @@ InvariantAuditor::verifyFrameTable() const
                 fatal("invariant violation [bijection]: frame {} "
                       "GIPT-mapped but its PTE points at {}", f,
                       pte.frame);
-            if (!tagless_->framePinned(f) && fifo.count(f) == 0)
-                fatal("invariant violation [fifo order]: mapped frame "
+            if (!tagless_->framePinned(f) && order.count(f) == 0)
+                fatal("invariant violation [victim order]: mapped frame "
                       "{} unreachable by the victim scan", f);
         }
     }

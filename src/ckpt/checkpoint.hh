@@ -45,7 +45,7 @@ namespace ckpt {
 
 inline constexpr char checkpointMagic[8] =
     {'T', 'D', 'C', 'C', 'K', 'P', 'T', '\0'};
-inline constexpr std::uint32_t checkpointFormatVersion = 3;
+inline constexpr std::uint32_t checkpointFormatVersion = 4;
 
 /** The FNV-1a offset basis: the hash of no bytes. */
 inline constexpr std::uint64_t fnv1aBasis = 14695981039346656037ULL;
@@ -114,7 +114,7 @@ std::string hex16(std::uint64_t v);
  * format shared by `tdc_ckpt --json` and the sweep service's
  * warm-cache integrity/status paths, so scripts parse a single shape:
  *
- *   { "schema": "tdc-ckpt-info-v1", "path": ..., "format_version": 3,
+ *   { "schema": "tdc-ckpt-info-v1", "path": ..., "format_version": 4,
  *     "fingerprint": "<hex16>", "payload_bytes": N,
  *     "sections": [ { "name", "bytes", "checksum": "<hex16>" }, ... ],
  *     "meta": { ... } }

@@ -10,7 +10,6 @@
 #define TDC_CKPT_STATS_IO_HH
 
 #include <cstdint>
-#include <vector>
 
 #include "ckpt/serializer.hh"
 #include "common/random.hh"
@@ -48,32 +47,6 @@ load(Deserializer &in, stats::Average &a)
     const double min = in.getDouble();
     const double max = in.getDouble();
     a.restore(sum, count, min, max);
-}
-
-inline void
-save(Serializer &out, const stats::Histogram &h)
-{
-    out.putDouble(h.sum());
-    out.putU64(h.count());
-    out.putDouble(h.minimum());
-    out.putDouble(h.maximum());
-    // buckets() regular buckets plus the overflow bucket.
-    out.putU64(h.buckets() + 1);
-    for (std::size_t i = 0; i <= h.buckets(); ++i)
-        out.putU64(h.bucket(i));
-}
-
-inline void
-load(Deserializer &in, stats::Histogram &h)
-{
-    const double sum = in.getDouble();
-    const std::uint64_t count = in.getU64();
-    const double min = in.getDouble();
-    const double max = in.getDouble();
-    std::vector<std::uint64_t> counts(in.getU64());
-    for (auto &c : counts)
-        c = in.getU64();
-    h.restore(sum, count, min, max, counts);
 }
 
 inline void

@@ -5,7 +5,7 @@
  * Unlike std::deque, which allocates a block every few dozen pushes
  * as its front moves on, a queue that churns one element in and one
  * out allocates nothing once the ring has reached its peak size. The
- * tagless cache keeps its free-queue runs and its fill order in one.
+ * tagless cache keeps its free-queue runs in one.
  */
 
 #ifndef TDC_COMMON_RING_HH

@@ -170,22 +170,6 @@ class Histogram
             c = 0;
     }
 
-    /**
-     * Checkpoint restore: accumulator plus every raw bucket count
-     * (including the trailing overflow bucket). The bucket layout is
-     * config-derived, so a shape mismatch is an internal error.
-     */
-    void
-    restore(double sum, std::uint64_t count, double min, double max,
-            const std::vector<std::uint64_t> &counts)
-    {
-        tdc_assert(counts.size() == counts_.size(),
-                   "histogram restore shape mismatch ({} vs {})",
-                   counts.size(), counts_.size());
-        stat_.restore(sum, count, min, max);
-        counts_ = counts;
-    }
-
     double mean() const { return stat_.mean(); }
     double sum() const { return stat_.sum(); }
     std::uint64_t count() const { return stat_.count(); }

@@ -35,11 +35,10 @@ struct CoreParams
     /** Conventional page-table walk latency (PTEs hit on-die caches). */
     Cycles pageWalkCycles = 40;
 
-    // On-die caches.
-    SramCacheParams l1i{32 * 1024, 4, cacheLineBytes, 2, ReplPolicy::LRU};
-    SramCacheParams l1d{32 * 1024, 4, cacheLineBytes, 2, ReplPolicy::LRU};
-    SramCacheParams l2{2 * 1024 * 1024, 16, cacheLineBytes, 6,
-                       ReplPolicy::LRU};
+    // On-die caches (LRU).
+    SramCacheParams l1i{32 * 1024, 4, cacheLineBytes, 2};
+    SramCacheParams l1d{32 * 1024, 4, cacheLineBytes, 2};
+    SramCacheParams l2{2 * 1024 * 1024, 16, cacheLineBytes, 6};
 };
 
 } // namespace tdc

@@ -116,9 +116,9 @@ OooCore::loadState(ckpt::Deserializer &in)
     carryInsts_ = in.getU64();
     outstanding_.clear();
     const std::uint64_t n = in.getU64();
-    tdc_assert(n <= outstanding_.capacity(),
-               "outstanding-miss window too large on restore "
-               "({} vs capacity {})", n, outstanding_.capacity());
+    if (n > outstanding_.capacity())
+        fatal("checkpoint: {} outstanding misses for {}, over its "
+              "capacity {}", n, name(), outstanding_.capacity());
     for (std::uint64_t i = 0; i < n; ++i) {
         const Tick completion = in.getU64();
         const std::uint64_t inst_no = in.getU64();

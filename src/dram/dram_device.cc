@@ -191,12 +191,14 @@ void
 DramDevice::loadState(ckpt::Deserializer &in)
 {
     const std::uint64_t channels = in.getU64();
-    tdc_assert(channels == banks_.size(),
-               "DRAM channel count mismatch on checkpoint restore");
+    if (channels != banks_.size())
+        fatal("checkpoint: {} channels for DRAM device {}, which has {}",
+              channels, name(), banks_.size());
     for (auto &channel : banks_) {
         const std::uint64_t nbanks = in.getU64();
-        tdc_assert(nbanks == channel.size(),
-                   "DRAM bank count mismatch on checkpoint restore");
+        if (nbanks != channel.size())
+            fatal("checkpoint: {} banks a channel for DRAM device {}, "
+                  "which has {}", nbanks, name(), channel.size());
         for (Bank &b : channel) {
             b.openRow = in.getU64();
             b.nextActivate = in.getU64();
@@ -205,8 +207,9 @@ DramDevice::loadState(ckpt::Deserializer &in)
         }
     }
     const std::uint64_t nbus = in.getU64();
-    tdc_assert(nbus == busFree_.size(),
-               "DRAM bus count mismatch on checkpoint restore");
+    if (nbus != busFree_.size())
+        fatal("checkpoint: {} buses for DRAM device {}, which has {}",
+              nbus, name(), busFree_.size());
     for (Tick &t : busFree_)
         t = in.getU64();
     const double act_pre = in.getDouble();

@@ -73,7 +73,7 @@ AlloyCache::access(Addr addr, AccessType type, CoreId core, Tick when)
         res.servicedInPackage = false;
         res.l3Hit = false;
     }
-    recordAccess(when, res);
+    recordAccess(res);
     return res;
 }
 

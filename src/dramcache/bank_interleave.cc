@@ -23,7 +23,7 @@ BankInterleave::access(Addr addr, AccessType type, CoreId core, Tick when)
         res.servicedInPackage = true;
         res.l3Hit = true;
     }
-    recordAccess(when, res);
+    recordAccess(res);
     return res;
 }
 

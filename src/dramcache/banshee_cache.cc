@@ -152,7 +152,7 @@ BansheeCache::access(Addr addr, AccessType type, CoreId core, Tick when)
             ++bypassedMisses_;
         }
     }
-    recordAccess(when, res);
+    recordAccess(res);
     return res;
 }
 

@@ -62,7 +62,6 @@ DramCacheOrg::saveState(ckpt::Serializer &out) const
     ckpt::save(out, pageFills_);
     ckpt::save(out, pageWritebacks_);
     ckpt::save(out, victimHits_);
-    ckpt::save(out, l3Latency_);
     saveOrgState(out);
 }
 
@@ -75,7 +74,6 @@ DramCacheOrg::loadState(ckpt::Deserializer &in)
     ckpt::load(in, pageFills_);
     ckpt::load(in, pageWritebacks_);
     ckpt::load(in, victimHits_);
-    ckpt::load(in, l3Latency_);
     loadOrgState(in);
 }
 

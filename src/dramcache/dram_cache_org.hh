@@ -192,15 +192,13 @@ class DramCacheOrg : public SimObject,
     Tick writeBackPage(std::uint64_t frame, PageNum ppn, Tick when);
 
     void
-    recordAccess(Tick start, const L3Result &res)
+    recordAccess(const L3Result &res)
     {
         ++accesses_;
         if (res.servicedInPackage)
             ++hitsInPkg_;
         else
             ++missesOffPkg_;
-        l3Latency_.sample(
-            static_cast<double>(res.completionTick - start));
     }
 
     DramDevice &inPkg_;
@@ -217,7 +215,6 @@ class DramCacheOrg : public SimObject,
     stats::Scalar pageFills_;
     stats::Scalar pageWritebacks_;
     stats::Scalar victimHits_;
-    stats::Average l3Latency_;
 };
 
 } // namespace tdc

@@ -22,7 +22,7 @@ IdealCache::access(Addr addr, AccessType type, CoreId core, Tick when)
                   .completionTick;
     res.servicedInPackage = true;
     res.l3Hit = true;
-    recordAccess(when, res);
+    recordAccess(res);
     return res;
 }
 

@@ -13,7 +13,7 @@ NoL3::access(Addr addr, AccessType type, CoreId core, Tick when)
                                            isWrite(type), when);
     res.servicedInPackage = false;
     res.l3Hit = false;
-    recordAccess(when, res);
+    recordAccess(res);
     return res;
 }
 

@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <string_view>
 
+#include "cache/replacement.hh"
 #include "ckpt/serializer.hh"
 #include "common/bitops.hh"
 #include "common/logging.hh"
@@ -96,17 +97,8 @@ class PageSets
             if (!at(set, w).valid)
                 return w;
         }
-        // The least key rides in a register and both selects are
-        // conditional moves, not a branch per way.
-        unsigned best = 0;
-        auto least = key(at(set, 0));
-        for (unsigned w = 1; w < assoc_; ++w) {
-            const auto k = key(at(set, w));
-            const bool less = k < least;
-            best = less ? w : best;
-            least = less ? k : least;
-        }
-        return best;
+        return leastKey(assoc_,
+                        [&](unsigned w) { return key(at(set, w)); });
     }
 
     /**

@@ -45,9 +45,7 @@ SramTagCache::fillPage(PageNum ppn, Tick when, bool dirty)
 {
     const std::uint64_t set = sets_.setOf(ppn);
     const unsigned w =
-        params_.policy == ReplPolicy::FIFO
-            ? sets_.victim(set, [](const Way &v) { return v.fillTime; })
-            : sets_.victim(set, [](const Way &v) { return v.lastUse; });
+        sets_.victim(set, [](const Way &v) { return v.stamp; });
     Way &way = sets_.at(set, w);
     const std::uint64_t frame = sets_.frameOf(set, w);
 
@@ -60,8 +58,7 @@ SramTagCache::fillPage(PageNum ppn, Tick when, bool dirty)
     way.valid = true;
     way.ppn = ppn;
     way.dirty = dirty;
-    way.lastUse = ++useClock_;
-    way.fillTime = useClock_;
+    way.stamp = ++useClock_;
     ++pageFills_;
     return frame;
 }
@@ -85,7 +82,7 @@ SramTagCache::access(Addr addr, AccessType type, CoreId core, Tick when)
     L3Result res;
     if (w >= 0) {
         Way &way = sets_.at(set, w);
-        way.lastUse = ++useClock_;
+        touch(way);
         way.dirty |= write;
         res.completionTick =
             inPkgBlockAccess(sets_.frameOf(set, static_cast<unsigned>(w)),
@@ -103,7 +100,7 @@ SramTagCache::access(Addr addr, AccessType type, CoreId core, Tick when)
         res.servicedInPackage = false;
         res.l3Hit = false;
     }
-    recordAccess(when, res);
+    recordAccess(res);
     return res;
 }
 
@@ -121,7 +118,7 @@ SramTagCache::writebackLine(Addr addr, CoreId core, Tick when)
     if (w >= 0) {
         Way &way = sets_.at(set, w);
         way.dirty = true;
-        way.lastUse = ++useClock_;
+        touch(way);
         inPkgBlockAccess(sets_.frameOf(set, static_cast<unsigned>(w)),
                          offset, true, t);
     } else {
@@ -137,8 +134,7 @@ SramTagCache::saveOrgState(ckpt::Serializer &out) const
     sets_.save(out, [&](const Way &w) {
         out.putU64(w.ppn);
         out.putBool(w.dirty);
-        out.putU64(w.lastUse);
-        out.putU64(w.fillTime);
+        out.putU64(w.stamp);
     });
     out.putU64(useClock_);
     ckpt::save(out, tagProbes_);
@@ -151,8 +147,7 @@ SramTagCache::loadOrgState(ckpt::Deserializer &in)
     sets_.restore(in, "SRAM-tag way", [&](Way &w) {
         w.ppn = in.getU64();
         w.dirty = in.getBool();
-        w.lastUse = in.getU64();
-        w.fillTime = in.getU64();
+        w.stamp = in.getU64();
     });
     useClock_ = in.getU64();
     ckpt::load(in, tagProbes_);

@@ -85,12 +85,22 @@ class SramTagCache final : public DramCacheOrg
         PageNum ppn = 0;
         bool valid = false;
         bool dirty = false;
-        std::uint64_t lastUse = 0;
-        std::uint64_t fillTime = 0;
+        /** The victim key: the use clock at fill, and under LRU at
+         *  every hit and L2 write-back since. Unique within a set. */
+        std::uint64_t stamp = 0;
     };
 
     /** Fills ppn into its set, evicting as needed; returns the frame. */
     std::uint64_t fillPage(PageNum ppn, Tick when, bool dirty);
+
+    /** A hit or write-back: under LRU the way becomes its set's most
+     *  recent; FIFO keeps the fill order. */
+    void
+    touch(Way &way)
+    {
+        if (params_.policy == ReplPolicy::LRU)
+            way.stamp = ++useClock_;
+    }
 
     SramTagCacheParams params_;
     PageSets<Way> sets_;

@@ -1,7 +1,6 @@
 #include "dramcache/tagless_cache.hh"
 
 #include <algorithm>
-#include <functional>
 #include <vector>
 
 #include "ckpt/stats_io.hh"
@@ -17,6 +16,9 @@ TaglessCache::TaglessCache(std::string name, DramDevice &in_pkg,
       frames_(params.cacheBytes / pageBytes)
 {
     tdc_assert(params_.alphaFreeBlocks >= 1, "alpha must be >= 1");
+    tdc_assert(frames_.size() < (std::uint64_t{1} << 32),
+               "{} frames: the victim order links frames in 32 bits",
+               frames_.size());
 
     // Initially the whole cache is free; the header pointer starts at
     // frame 0 and walks the frames in order.
@@ -48,22 +50,45 @@ TaglessCache::TaglessCache(std::string name, DramDevice &in_pkg,
 }
 
 void
+TaglessCache::linkBack(std::uint64_t frame)
+{
+    FrameMeta &m = frames_[frame];
+    const auto p1 = static_cast<std::uint32_t>(frame + 1);
+    m.prevP1 = tailP1_;
+    m.nextP1 = 0;
+    if (tailP1_ != 0)
+        frames_[tailP1_ - 1].nextP1 = p1;
+    else
+        headP1_ = p1;
+    tailP1_ = p1;
+    ++listed_;
+}
+
+void
+TaglessCache::unlink(std::uint64_t frame)
+{
+    FrameMeta &m = frames_[frame];
+    if (m.prevP1 != 0)
+        frames_[m.prevP1 - 1].nextP1 = m.nextP1;
+    else
+        headP1_ = m.nextP1;
+    if (m.nextP1 != 0)
+        frames_[m.nextP1 - 1].prevP1 = m.prevP1;
+    else
+        tailP1_ = m.prevP1;
+    m.prevP1 = 0;
+    m.nextP1 = 0;
+    --listed_;
+}
+
+void
 TaglessCache::touch(std::uint64_t frame)
 {
-    frames_[frame].lastTouch = ++touchClock_;
-    if (params_.policy != ReplPolicy::LRU)
+    if (params_.policy != ReplPolicy::LRU || frames_[frame].pinned
+        || tailP1_ == frame + 1)
         return;
-    lruHeap_.emplace_back(touchClock_, frame);
-    std::push_heap(lruHeap_.begin(), lruHeap_.end(), std::greater<>{});
-    // A mapped frame has at most one live entry, so once the heap holds
-    // more than twice the mapped frames, most entries are stale. Drop
-    // them: pickVictimLru() skips them without side effects, so no
-    // victim changes, and the heap stays within that bound.
-    if (lruHeap_.size() > 2 * (frames_.size() - freeQueue_.size())) {
-        std::erase_if(lruHeap_,
-                      [this](const LruKey &k) { return lruStale(k); });
-        std::make_heap(lruHeap_.begin(), lruHeap_.end(), std::greater<>{});
-    }
+    unlink(frame);
+    linkBack(frame);
 }
 
 TlbMissResult
@@ -255,8 +280,7 @@ TaglessCache::handleTlbMiss(PageTable &pt, PageNum vpn, CoreId core,
     pte.vc = true;
     gipt_.at(frame).fillDone = t;
     frames_[frame] = FrameMeta{};
-    touch(frame);
-    allocOrder_.push_back(frame);
+    linkBack(frame);
 
     // Keep at least alpha free blocks available for the next fill.
     while (freeQueue_.size() < params_.alphaFreeBlocks)
@@ -366,65 +390,33 @@ TaglessCache::releaseSuperpage(PageTable &pt, PageNum base_vpn,
 }
 
 std::uint64_t
-TaglessCache::pickVictimFifo()
+TaglessCache::pickVictim()
 {
-    tdc_assert(!allocOrder_.empty(), "no victim candidates");
-    const std::size_t limit = allocOrder_.size();
-    for (std::size_t i = 0; i < limit; ++i) {
-        const std::uint64_t f = allocOrder_.pop_front();
-        if (!gipt_.at(f).valid())
-            continue; // stale entry (frame freed by another path)
-        if (evictionBlocked(f)) {
-            // Hot within the TLB reach: rotate to the back and keep
-            // scanning (the paper only evicts non-resident blocks).
-            allocOrder_.push_back(f);
-            ++residentSkips_;
-            continue;
-        }
-        return f;
+    tdc_assert(listed_ != 0, "no victim candidates");
+    // One pass from the front. A blocked frame -- hot within the TLB
+    // reach, mid-fill or pinned -- moves to the back and the scan goes
+    // on (the paper only evicts non-resident blocks).
+    for (std::uint64_t i = 0, n = listed_; i < n; ++i) {
+        const std::uint64_t f = orderFront();
+        unlink(f);
+        if (!evictionBlocked(f))
+            return f;
+        linkBack(f);
+        ++residentSkips_;
     }
     // Everything is TLB-resident (tiny cache / huge TLB reach): evict
-    // the oldest anyway, after shooting its translation down. Frames
-    // mid-fill (PU set) stay protected even here.
-    const std::size_t fallback_limit = allocOrder_.size();
-    for (std::size_t i = 0; i < fallback_limit; ++i) {
-        const std::uint64_t f = allocOrder_.pop_front();
-        if (!gipt_.at(f).valid())
-            continue;
-        if (gipt_.at(f).ptep->pu) {
-            allocOrder_.push_back(f);
-            continue;
+    // the frontmost frame anyway, after shooting its translation down.
+    // Frames mid-fill (PU set) stay protected even here.
+    for (std::uint64_t i = 0, n = listed_; i < n; ++i) {
+        const std::uint64_t f = orderFront();
+        unlink(f);
+        if (!gipt_.at(f).ptep->pu) {
+            forceShootdown(f);
+            return f;
         }
-        forceShootdown(f);
-        return f;
+        linkBack(f);
     }
     tdc_panic("no evictable frame in tagless cache");
-}
-
-std::uint64_t
-TaglessCache::pickVictimLru()
-{
-    // Bound the scan: a blocked frame is re-pushed with a fresh stamp,
-    // so without a limit an all-resident cache would loop forever.
-    std::size_t blocked_skips = 0;
-    while (!lruHeap_.empty() && blocked_skips <= frames_.size()) {
-        std::pop_heap(lruHeap_.begin(), lruHeap_.end(), std::greater<>{});
-        const LruKey top = lruHeap_.back();
-        lruHeap_.pop_back();
-        if (lruStale(top))
-            continue;
-        const std::uint64_t f = top.second;
-        if (evictionBlocked(f)) {
-            // Second chance: pretend it was just used.
-            touch(f);
-            ++residentSkips_;
-            ++blocked_skips;
-            continue;
-        }
-        return f;
-    }
-    // Everything blocked; fall back to FIFO order + shootdown.
-    return pickVictimFifo();
 }
 
 void
@@ -464,9 +456,7 @@ void
 TaglessCache::evictOne(Tick when)
 {
     lastVictimForced_ = false;
-    const std::uint64_t frame = params_.policy == ReplPolicy::LRU
-                                    ? pickVictimLru()
-                                    : pickVictimFifo();
+    const std::uint64_t frame = pickVictim();
     Gipt::Entry &g = gipt_.at(frame);
     tdc_assert(g.valid(), "evicting unoccupied frame {}", frame);
 
@@ -555,7 +545,7 @@ TaglessCache::access(Addr addr, AccessType type, CoreId core, Tick when)
         res.servicedInPackage = false;
         res.l3Hit = false;
     }
-    recordAccess(when, res);
+    recordAccess(res);
     return res;
 }
 
@@ -613,7 +603,6 @@ TaglessCache::saveOrgState(ckpt::Serializer &out) const
             const FrameMeta &m = frames_[f];
             out.putBool(m.dirty);
             out.putBool(m.pinned);
-            out.putU64(m.lastTouch);
         });
 
     out.putU64(freeQueue_.runCount());
@@ -624,9 +613,9 @@ TaglessCache::saveOrgState(ckpt::Serializer &out) const
         out.putU64(r.readyTick);
     }
 
-    out.putU64(allocOrder_.size());
-    for (std::size_t i = 0; i < allocOrder_.size(); ++i)
-        out.putU64(allocOrder_[i]);
+    out.putU64(listed_);
+    for (std::uint64_t f = orderFront(); f != invalidPage; f = orderNext(f))
+        out.putU64(f);
 
     // The format fixes the filter counts in key order.
     std::vector<std::pair<AsidVpn, std::uint32_t>> counts(
@@ -638,7 +627,6 @@ TaglessCache::saveOrgState(ckpt::Serializer &out) const
         out.putU32(count);
     }
 
-    out.putU64(touchClock_);
     out.putBool(lastVictimForced_);
 
     ckpt::save(out, ncBypasses_);
@@ -660,13 +648,13 @@ TaglessCache::loadOrgState(ckpt::Deserializer &in)
     tdc_assert(pteResolver_,
                "tagless cache restore requires a PTE resolver");
     const std::uint64_t nframes = in.getU64();
-    tdc_assert(nframes == frames_.size(),
-               "tagless cache geometry mismatch on checkpoint restore "
-               "({} vs {} frames)", nframes, frames_.size());
+    if (nframes != frames_.size())
+        fatal("checkpoint: {} frames for {}, which has {}", nframes,
+              name(), frames_.size());
 
     // A freshly built cache has every frame unmapped with all of its
     // state zero, so only the listed frames are written.
-    tdc_assert(allocOrder_.empty() && freeQueue_.size() == nframes,
+    tdc_assert(listed_ == 0 && freeQueue_.size() == nframes,
                "tagless cache restore needs a freshly built cache");
     freeQueue_ = FreeQueue{};
     std::vector<std::uint64_t> mapped;
@@ -695,7 +683,6 @@ TaglessCache::loadOrgState(ckpt::Deserializer &in)
         FrameMeta &m = frames_[f];
         m.dirty = in.getBool();
         m.pinned = in.getBool();
-        m.lastTouch = in.getU64();
         // The access masks are not checkpointed: until the frame turns
         // over, any core and any line may hold a copy.
         m.cores = 0xff;
@@ -739,14 +726,25 @@ TaglessCache::loadOrgState(ckpt::Deserializer &in)
         fatal("checkpoint: tagless cache has {} mapped and {} free of "
               "{} frames", mapped.size(), freeQueue_.size(), nframes);
 
-    const std::uint64_t nalloc = in.getU64();
-    for (std::uint64_t i = 0; i < nalloc; ++i) {
+    // The victim order: every mapped, unpinned frame exactly once.
+    const std::uint64_t nlisted = in.getU64();
+    for (std::uint64_t i = 0; i < nlisted; ++i) {
         const std::uint64_t f = in.getU64();
         if (f >= nframes)
-            fatal("checkpoint: tagless fill-order frame {} out of range "
-                  "({} frames)", f, nframes);
-        allocOrder_.push_back(f);
+            fatal("checkpoint: tagless victim-order frame {} out of "
+                  "range ({} frames)", f, nframes);
+        if (!gipt_.at(f).valid() || frames_[f].pinned)
+            fatal("checkpoint: tagless victim-order frame {} is {}", f,
+                  frames_[f].pinned ? "pinned" : "unmapped");
+        if (listed(f))
+            fatal("checkpoint: tagless victim-order frame {} listed "
+                  "twice", f);
+        linkBack(f);
     }
+    if (listed_ != mapped.size() - pinnedCount_)
+        fatal("checkpoint: tagless victim order lists {} of the {} "
+              "mapped unpinned frames", listed_,
+              mapped.size() - pinnedCount_);
 
     const std::uint64_t ncounts = in.getU64();
     for (std::uint64_t i = 0; i < ncounts; ++i) {
@@ -754,7 +752,6 @@ TaglessCache::loadOrgState(ckpt::Deserializer &in)
         filterCounts_[key] = in.getU32();
     }
 
-    touchClock_ = in.getU64();
     lastVictimForced_ = in.getBool();
 
     ckpt::load(in, ncBypasses_);
@@ -768,15 +765,6 @@ TaglessCache::loadOrgState(ckpt::Deserializer &in)
     ckpt::load(in, superpageFills_);
     ckpt::load(in, superpageNcFallbacks_);
     ckpt::load(in, filterRejects_);
-
-    // Rebuild the LRU heap from the live (lastTouch, frame) pairs.
-    if (params_.policy == ReplPolicy::LRU) {
-        for (std::uint64_t f : mapped) {
-            if (frames_[f].lastTouch != 0)
-                lruHeap_.emplace_back(frames_[f].lastTouch, f);
-        }
-        std::make_heap(lruHeap_.begin(), lruHeap_.end(), std::greater<>{});
-    }
 }
 
 } // namespace tdc

@@ -30,10 +30,8 @@
 
 #include <cstdint>
 #include <unordered_map>
-#include <vector>
 
 #include "cache/replacement.hh"
-#include "common/ring.hh"
 #include "common/zeroed_array.hh"
 #include "dramcache/dram_cache_org.hh"
 #include "dramcache/free_queue.hh"
@@ -116,15 +114,30 @@ class TaglessCache final : public DramCacheOrg
     /**
      * Read-only structural views for the invariant auditor
      * (src/check/): the free queue with its readyTicks, the per-frame
-     * pinned flags and the FIFO fill order. A frame is free exactly
-     * when its GIPT entry is unmapped.
+     * pinned flags and the victim order. A frame is free exactly when
+     * its GIPT entry is unmapped.
      */
     const FreeQueue &freeQueue() const { return freeQueue_; }
     bool framePinned(std::uint64_t frame) const { return frames_[frame].pinned; }
-    const Ring<std::uint64_t> &allocOrder() const { return allocOrder_; }
 
-    /** Entries in the LRU heap, live and stale (for tests). */
-    std::size_t lruHeapSize() const { return lruHeap_.size(); }
+    /**
+     * The victim order holds every mapped, unpinned frame once, least
+     * recent first: a fill appends, and under LRU every use moves the
+     * frame to the back. Front, neighbours and size; invalidPage past
+     * either end.
+     */
+    std::uint64_t orderSize() const { return listed_; }
+    std::uint64_t orderFront() const { return fromP1(headP1_); }
+    std::uint64_t
+    orderNext(std::uint64_t frame) const
+    {
+        return fromP1(frames_[frame].nextP1);
+    }
+    std::uint64_t
+    orderPrev(std::uint64_t frame) const
+    {
+        return fromP1(frames_[frame].prevP1);
+    }
 
     /** Installed by System; resolves serialized GIPT PTEP identities. */
     void
@@ -138,13 +151,10 @@ class TaglessCache final : public DramCacheOrg
      * Checkpointing of the full cache-management state (DESIGN.md 8):
      * one record per mapped frame (GIPT entry with the PTEP as a
      * (proc, type, vpn) identity, fill tick and frame metadata), the
-     * free-queue runs, the fill order, filter counts and the
+     * free-queue runs, the victim order, filter counts and the
      * tagless-specific stats. An unmapped frame's GIPT entry and
      * metadata are all zero, so they are not written and a restore
-     * touches only the listed frames. The LRU heap is not serialized:
-     * a restore rebuilds it from the live (lastTouch, frame) pairs,
-     * which is behaviour-identical because pickVictimLru() skips stale
-     * entries without side effects.
+     * touches only the listed frames.
      */
     void saveOrgState(ckpt::Serializer &out) const override;
     void loadOrgState(ckpt::Deserializer &in) override;
@@ -161,14 +171,37 @@ class TaglessCache final : public DramCacheOrg
     struct FrameMeta
     {
         bool dirty = false;
-        /** Part of a cached superpage: excluded from victim selection
+        /** Part of a cached superpage: never in the victim order
          *  (reclaimed only via releaseSuperpage). */
         bool pinned = false;
         std::uint8_t cores = 0; //!< bit i: core i accessed the frame
-        std::uint64_t lastTouch = 0;
+        /** Victim-order neighbours as frame + 1; 0 = none. */
+        std::uint32_t prevP1 = 0;
+        std::uint32_t nextP1 = 0;
         std::uint64_t lines = 0; //!< bit i: line i was accessed
     };
     static_assert(Gipt::maxCores <= 8, "FrameMeta::cores is 8 bits");
+    static_assert(sizeof(FrameMeta) == 24, "FrameMeta grew");
+
+    static std::uint64_t
+    fromP1(std::uint32_t p1)
+    {
+        return p1 ? std::uint64_t{p1} - 1 : invalidPage;
+    }
+
+    /** True while `frame` is in the victim order (the front has no
+     *  predecessor, every other entry has one). */
+    bool
+    listed(std::uint64_t frame) const
+    {
+        return frames_[frame].prevP1 != 0 || headP1_ == frame + 1;
+    }
+
+    /** Appends `frame` at the back (most recent end) of the order. */
+    void linkBack(std::uint64_t frame);
+
+    /** Takes `frame` out of the victim order. */
+    void unlink(std::uint64_t frame);
 
     /**
      * Finds a 512-aligned run of free frames and removes it from the
@@ -178,21 +211,11 @@ class TaglessCache final : public DramCacheOrg
     std::uint64_t reserveSuperpageRun();
 
     /**
-     * Marks a frame recently used (LRU bookkeeping). In LRU mode it
-     * pushes a heap entry and drops the stale ones once the heap holds
-     * more than twice as many entries as there are mapped frames.
+     * A use of a mapped frame (a CA access or a victim hit): under LRU
+     * an unpinned frame moves to the back of the victim order; FIFO
+     * keeps the fill order.
      */
     void touch(std::uint64_t frame);
-
-    using LruKey = std::pair<std::uint64_t, std::uint64_t>;
-
-    /** True if the frame was evicted or touched again since `k`. */
-    bool
-    lruStale(const LruKey &k) const
-    {
-        return !gipt_.at(k.second).valid()
-               || frames_[k.second].lastTouch != k.first;
-    }
 
     /** Picks and evicts one victim; free frame enqueued with its
      *  eviction-traffic completion tick. */
@@ -206,11 +229,13 @@ class TaglessCache final : public DramCacheOrg
      */
     Tick flushOnDie(std::uint64_t frame, Tick when);
 
-    /** FIFO victim: oldest fill that is not TLB-resident / mid-fill. */
-    std::uint64_t pickVictimFifo();
-
-    /** LRU victim via a lazily invalidated min-heap. */
-    std::uint64_t pickVictimLru();
+    /**
+     * Takes the victim out of the order: the frontmost frame that is
+     * not blocked, in one pass that moves each blocked frame to the
+     * back; if every frame is blocked, the frontmost one not mid-fill,
+     * after a forced shootdown.
+     */
+    std::uint64_t pickVictim();
 
     bool
     evictionBlocked(std::uint64_t frame) const
@@ -235,12 +260,10 @@ class TaglessCache final : public DramCacheOrg
     FreeQueue freeQueue_;
     ZeroedArray<FrameMeta> frames_;
 
-    /** Frames in fill order (FIFO replacement candidates). */
-    Ring<std::uint64_t> allocOrder_;
-
-    /** Lazily invalidated (lastTouch, frame) min-heap for LRU mode
-     *  (std::push_heap/pop_heap with std::greater). */
-    std::vector<LruKey> lruHeap_;
+    /** The victim order's ends as frame + 1 (0 = empty), and its size. */
+    std::uint32_t headP1_ = 0;
+    std::uint32_t tailP1_ = 0;
+    std::uint64_t listed_ = 0;
 
     /** Online filter: TLB-miss counts of uncached pages. */
     std::unordered_map<AsidVpn, std::uint32_t> filterCounts_;
@@ -250,8 +273,6 @@ class TaglessCache final : public DramCacheOrg
 
     /** Off-package byte address of the GIPT storage region. */
     Addr giptBase_;
-
-    std::uint64_t touchClock_ = 0;
 
     /** Set while the current eviction's victim needed a shootdown. */
     bool lastVictimForced_ = false;

@@ -238,7 +238,7 @@ UnisonCache::access(Addr addr, AccessType type, CoreId core, Tick when)
         res.servicedInPackage = false;
         res.l3Hit = false;
     }
-    recordAccess(when, res);
+    recordAccess(res);
     return res;
 }
 

@@ -73,9 +73,15 @@ System::System(const SystemConfig &cfg) : cfg_(cfg)
                                             : 0;
     phys_ = std::make_unique<PhysMem>("phys", off_pages, in_pages);
 
+    // The org, the in-package device and the report all take the L3
+    // size from one field; a raw key may only repeat it.
     Config raw = cfg_.raw;
     if (!raw.has("l3.size_bytes"))
         raw.set("l3.size_bytes", cfg_.l3SizeBytes);
+    else if (const std::uint64_t b = raw.getU64("l3.size_bytes", 0);
+             b != cfg_.l3SizeBytes)
+        fatal("l3.size_bytes={} disagrees with the configured L3 size "
+              "{} (l3_size_bytes)", b, cfg_.l3SizeBytes);
     org_ = makeDramCacheOrg(cfg_.org, raw, *inPkg_, *offPkg_, *phys_,
                             *cpuClk_);
 

@@ -50,9 +50,8 @@ warmFingerprint(const SystemConfig &cfg)
                 cp.l1ItlbEntries, cp.l1DtlbEntries, cp.l2TlbEntries,
                 cp.l2TlbHitPenalty, cp.pageWalkCycles);
     for (const SramCacheParams *c : {&cp.l1i, &cp.l1d, &cp.l2}) {
-        s += format("sram={},{},{},{},{};", c->sizeBytes,
-                    c->associativity, c->lineBytes, c->hitLatency,
-                    static_cast<unsigned>(c->policy));
+        s += format("sram={},{},{},{};", c->sizeBytes, c->associativity,
+                    c->lineBytes, c->hitLatency);
     }
 
     // Dotted raw keys are component overrides (l3.policy, l3.alpha,
@@ -182,17 +181,17 @@ System::restoreCheckpoint(const ckpt::Checkpoint &ck)
         const ckpt::Section &sec = ck.require(name);
         ckpt::Deserializer d(sec.payload.data(), sec.payload.size());
         fn(d);
-        tdc_assert(d.done(),
-                   "checkpoint: section '{}' has {} trailing bytes",
-                   name, d.remaining());
+        if (!d.done())
+            fatal("checkpoint: section '{}' has {} trailing bytes", name,
+                  d.remaining());
     };
 
     load("phys", [&](ckpt::Deserializer &d) { phys_->loadState(d); });
     load("page_tables", [&](ckpt::Deserializer &d) {
         const std::uint64_t n = d.getU64();
-        tdc_assert(n == pageTables_.size(),
-                   "checkpoint has {} page tables, system has {}", n,
-                   pageTables_.size());
+        if (n != pageTables_.size())
+            fatal("checkpoint has {} page tables, system has {}", n,
+                  pageTables_.size());
         for (auto &pt : pageTables_)
             pt->loadState(d);
     });
@@ -203,25 +202,25 @@ System::restoreCheckpoint(const ckpt::Checkpoint &ck)
          [&](ckpt::Deserializer &d) { offPkg_->loadState(d); });
     load("mem_systems", [&](ckpt::Deserializer &d) {
         const std::uint64_t n = d.getU64();
-        tdc_assert(n == memSystems_.size(),
-                   "checkpoint has {} memory systems, system has {}", n,
-                   memSystems_.size());
+        if (n != memSystems_.size())
+            fatal("checkpoint has {} memory systems, system has {}", n,
+                  memSystems_.size());
         for (auto &ms : memSystems_)
             ms->loadState(d);
     });
     load("cores", [&](ckpt::Deserializer &d) {
         const std::uint64_t n = d.getU64();
-        tdc_assert(n == cores_.size(),
-                   "checkpoint has {} cores, system has {}", n,
-                   cores_.size());
+        if (n != cores_.size())
+            fatal("checkpoint has {} cores, system has {}", n,
+                  cores_.size());
         for (auto &c : cores_)
             c->loadState(d);
     });
     load("traces", [&](ckpt::Deserializer &d) {
         const std::uint64_t n = d.getU64();
-        tdc_assert(n == traces_.size(),
-                   "checkpoint has {} traces, system has {}", n,
-                   traces_.size());
+        if (n != traces_.size())
+            fatal("checkpoint has {} traces, system has {}", n,
+                  traces_.size());
         for (auto &t : traces_)
             t->loadState(d);
     });

@@ -92,8 +92,10 @@ PhysMem::loadState(ckpt::Deserializer &in)
 {
     const std::uint64_t off = in.getU64();
     const std::uint64_t in_pkg = in.getU64();
-    tdc_assert(off == offPkgPages_ && in_pkg == inPkgPages_,
-               "phys-mem geometry mismatch on checkpoint restore");
+    if (off != offPkgPages_ || in_pkg != inPkgPages_)
+        fatal("checkpoint: physical memory has {} off- and {} "
+              "in-package pages, this system {} and {}", off, in_pkg,
+              offPkgPages_, inPkgPages_);
     nextOff_ = in.getU64();
     nextIn_ = in.getU64();
     allocCounter_ = in.getU64();

@@ -222,7 +222,9 @@ Tlb::loadState(ckpt::Deserializer &in)
 {
     resetStorage();
     const std::uint64_t n = in.getU64();
-    tdc_assert(n <= capacity_, "TLB restore overflows capacity");
+    if (n > capacity_)
+        fatal("checkpoint: {} entries for {}, over its capacity {}", n,
+              name(), capacity_);
     for (std::uint64_t i = 0; i < n; ++i) {
         TlbEntry e;
         e.key = in.getU64();

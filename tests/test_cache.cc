@@ -9,14 +9,13 @@ using namespace tdc;
 namespace {
 
 SramCacheParams
-smallParams(ReplPolicy policy = ReplPolicy::LRU, unsigned assoc = 2)
+smallParams(unsigned assoc = 2)
 {
     SramCacheParams p;
     p.sizeBytes = 1024; // 16 lines
     p.associativity = assoc;
     p.lineBytes = 64;
     p.hitLatency = 2;
-    p.policy = policy;
     return p;
 }
 
@@ -46,19 +45,6 @@ TEST(SramCache, LruEvictsLeastRecentlyUsed)
     c.access(x, false); // evicts b
     EXPECT_TRUE(c.contains(a));
     EXPECT_FALSE(c.contains(b));
-    EXPECT_TRUE(c.contains(x));
-}
-
-TEST(SramCache, FifoEvictsOldestFill)
-{
-    SramCache c("c", smallParams(ReplPolicy::FIFO));
-    const Addr a = 0, b = a + setStride, x = a + 2 * setStride;
-    c.access(a, false);
-    c.access(b, false);
-    c.access(a, false); // recency must NOT matter
-    c.access(x, false); // evicts a (oldest fill)
-    EXPECT_FALSE(c.contains(a));
-    EXPECT_TRUE(c.contains(b));
     EXPECT_TRUE(c.contains(x));
 }
 
@@ -152,7 +138,7 @@ class SramCacheAssoc : public ::testing::TestWithParam<unsigned>
 TEST_P(SramCacheAssoc, SetCapacityRespected)
 {
     const unsigned assoc = GetParam();
-    SramCache c("c", smallParams(ReplPolicy::LRU, assoc));
+    SramCache c("c", smallParams(assoc));
     const unsigned sets = 16 / assoc;
     const Addr stride = Addr{sets} * 64;
     // Fill the set with exactly `assoc` lines: all must be resident.
@@ -171,21 +157,12 @@ TEST_P(SramCacheAssoc, SetCapacityRespected)
 INSTANTIATE_TEST_SUITE_P(Assocs, SramCacheAssoc,
                          ::testing::Values(1u, 2u, 4u, 8u, 16u));
 
-/** Replacement-policy sweep: basic workload sanity for all policies. */
-class SramCachePolicy : public ::testing::TestWithParam<ReplPolicy>
-{};
-
-TEST_P(SramCachePolicy, HitsAfterFill)
+TEST(SramCache, HitsAfterFill)
 {
-    SramCache c("c", smallParams(GetParam(), 4));
+    SramCache c("c", smallParams(4));
     for (Addr a = 0; a < 1024; a += 64)
         c.access(a, false);
     // Cache is exactly full: everything must still be resident.
     for (Addr a = 0; a < 1024; a += 64)
         EXPECT_TRUE(c.contains(a)) << a;
 }
-
-INSTANTIATE_TEST_SUITE_P(Policies, SramCachePolicy,
-                         ::testing::Values(ReplPolicy::LRU,
-                                           ReplPolicy::FIFO,
-                                           ReplPolicy::Random));

@@ -21,14 +21,18 @@
 #include <string>
 #include <vector>
 
+#include "cache/sram_cache.hh"
 #include "ckpt/checkpoint.hh"
 #include "ckpt/serializer.hh"
 #include "common/logging.hh"
 #include "dramcache/org_factory.hh"
+#include "dramcache/tagless_cache.hh"
 #include "runner/sweep.hh"
 #include "runner/sweep_runner.hh"
 #include "sys/report.hh"
 #include "sys/system.hh"
+#include "test_util.hh"
+#include "vm/tlb.hh"
 
 using namespace tdc;
 
@@ -64,15 +68,15 @@ warmedCheckpoint(const SystemConfig &cfg)
     return sys.makeCheckpoint();
 }
 
-/** `ck` with its `org` section replaced by `org`. */
+/** `ck` with the payload of its section `name` replaced by `bytes`. */
 ckpt::Checkpoint
-withOrgSection(const ckpt::Checkpoint &ck,
-               const std::vector<std::uint8_t> &org)
+withSection(const ckpt::Checkpoint &ck, std::string_view name,
+            const std::vector<std::uint8_t> &payload)
 {
     ckpt::Checkpoint out;
     out.setFingerprint(ck.fingerprint());
     for (const ckpt::Section &sec : ck.sections()) {
-        const auto &bytes = sec.name == "org" ? org : sec.payload;
+        const auto &bytes = sec.name == name ? payload : sec.payload;
         ckpt::Serializer s;
         s.putBytes(bytes.data(), bytes.size());
         out.addSection(sec.name, std::move(s));
@@ -326,16 +330,16 @@ TEST(CkptContainer, RejectsTruncation)
     }
 }
 
-TEST(CkptContainer, V3BytesArePinned)
+TEST(CkptContainer, V4BytesArePinned)
 {
-    // The version-3 byte image, field by field. The round-trip tests
+    // The version-4 byte image, field by field. The round-trip tests
     // only show that encode() and decode() agree with each other; this
     // pins what both must agree with.
     const std::vector<std::uint8_t> tiny = {
         // magic "TDCCKPT\0"
         'T', 'D', 'C', 'C', 'K', 'P', 'T', 0,
-        // u32 format version 3
-        3, 0, 0, 0,
+        // u32 format version 4
+        4, 0, 0, 0,
         // u64 fingerprint
         0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11,
         // u32 section count 2
@@ -360,17 +364,17 @@ TEST(CkptContainer, V3BytesArePinned)
         'b', 'e', 't', 'a', ' ', 'p', 'a', 'y', 'l', 'o', 'a', 'd'};
     EXPECT_EQ(tinyCheckpoint().encode(), tiny);
 
-    // A version-2 image is refused, not migrated.
-    std::vector<std::uint8_t> v2 = tiny;
-    v2[8] = 2;
+    // A version-3 image is refused, not migrated.
+    std::vector<std::uint8_t> v3 = tiny;
+    v3[8] = 3;
     {
         ScopedFatalCapture capture;
         try {
-            ckpt::Checkpoint::decode(v2);
-            ADD_FAILURE() << "decode accepted a version-2 image";
+            ckpt::Checkpoint::decode(v3);
+            ADD_FAILURE() << "decode accepted a version-3 image";
         } catch (const FatalError &e) {
             EXPECT_NE(std::string(e.what()).find(
-                          "format version 2 unsupported"),
+                          "format version 3 unsupported"),
                       std::string::npos)
                 << e.what();
         }
@@ -383,7 +387,7 @@ TEST(CkptContainer, V3BytesArePinned)
     System sys(cfg);
     sys.warmup();
     const auto bytes = sys.makeCheckpoint().encode();
-    EXPECT_EQ(ckpt::fnv1a(bytes.data(), bytes.size()), 0x23f9d56a8da41157ULL);
+    EXPECT_EQ(ckpt::fnv1a(bytes.data(), bytes.size()), 0x3e495fa693ceef2dULL);
 }
 
 TEST(CkptContainer, FileRoundTrip)
@@ -596,7 +600,7 @@ TEST(CkptRoundTrip, FingerprintMismatchIsFatal)
 }
 
 // ---------------------------------------------------------------------
-// Sparse organization sections (format version 3)
+// Sparse organization sections (format version 3 on)
 // ---------------------------------------------------------------------
 
 TEST(CkptSparse, OrgSectionDoesNotGrowWithCapacity)
@@ -630,8 +634,8 @@ TEST(CkptSparse, RestoreNamesAnEntryOutOfRangeRepeatedOrOutOfOrder)
         std::size_t record;
     };
     const Case cases[] = {
-        {OrgKind::Tagless, "tagless frame", 8 + 16 + 4 + 1 + 8 + 8 + 2 + 8},
-        {OrgKind::SramTag, "SRAM-tag way", 8 + 1 + 8 + 8},
+        {OrgKind::Tagless, "tagless frame", 8 + 16 + 4 + 1 + 8 + 8 + 2},
+        {OrgKind::SramTag, "SRAM-tag way", 8 + 1 + 8},
         {OrgKind::Banshee, "Banshee way", 8 + 1 + 4},
         {OrgKind::Unison, "Unison way", 6 * 8},
         {OrgKind::Alloy, "Alloy slot", 8 + 1},
@@ -654,7 +658,7 @@ TEST(CkptSparse, RestoreNamesAnEntryOutOfRangeRepeatedOrOutOfOrder)
         ASSERT_LT(i1, limit);
         {
             System sys(cfg);
-            sys.restoreCheckpoint(withOrgSection(ck, good));
+            sys.restoreCheckpoint(withSection(ck, "org", good));
         }
 
         auto expectFatal = [&](const std::vector<std::uint8_t> &org,
@@ -662,7 +666,7 @@ TEST(CkptSparse, RestoreNamesAnEntryOutOfRangeRepeatedOrOutOfOrder)
             ScopedFatalCapture capture;
             System sys(cfg);
             try {
-                sys.restoreCheckpoint(withOrgSection(ck, org));
+                sys.restoreCheckpoint(withSection(ck, "org", org));
                 ADD_FAILURE() << "restore accepted: " << msg;
             } catch (const FatalError &e) {
                 EXPECT_NE(std::string(e.what()).find(msg),
@@ -701,7 +705,7 @@ TEST(CkptSparse, RestoreRejectsARecordTheCacheCouldNeverHold)
         unsigned assoc; //!< 0 for Alloy
     };
     const Case cases[] = {
-        {OrgKind::SramTag, "SRAM-tag way", 8 + 1 + 8 + 8, 16},
+        {OrgKind::SramTag, "SRAM-tag way", 8 + 1 + 8, 16},
         {OrgKind::Banshee, "Banshee way", 8 + 1 + 4, 4},
         {OrgKind::Unison, "Unison way", 6 * 8, 4},
         {OrgKind::Alloy, "Alloy slot", 8 + 1, 0},
@@ -732,7 +736,7 @@ TEST(CkptSparse, RestoreRejectsARecordTheCacheCouldNeverHold)
         };
         auto restore = [&](Entry a, Entry b) {
             System sys(cfg);
-            sys.restoreCheckpoint(withOrgSection(ck, section(a, b)));
+            sys.restoreCheckpoint(withSection(ck, "org", section(a, b)));
         };
         auto expectFatal = [&](Entry a, Entry b, const std::string &msg) {
             ScopedFatalCapture capture;
@@ -772,7 +776,7 @@ TEST(CkptSparse, RestoreRejectsARecordTheCacheCouldNeverHold)
             ScopedFatalCapture capture;
             System sys(cfg);
             try {
-                sys.restoreCheckpoint(withOrgSection(ck, bad));
+                sys.restoreCheckpoint(withSection(ck, "org", bad));
                 ADD_FAILURE() << "restore accepted a short predictor";
             } catch (const FatalError &e) {
                 EXPECT_NE(std::string(e.what()).find(format(
@@ -793,10 +797,10 @@ TEST(CkptSparse, TaggedOrgSectionBytesArePinned)
     // L3 under mcf fills several ways per set and evicts dirty pages
     // and lines.
     const std::pair<OrgKind, const char *> cases[] = {
-        {OrgKind::SramTag, "9c852887d6741919"},
-        {OrgKind::Banshee, "fb218a4842ece99e"},
-        {OrgKind::Unison, "fb82048cf4e56b8f"},
-        {OrgKind::Alloy, "f6b24065aa01d6a9"},
+        {OrgKind::SramTag, "f5d8578044d8ba5c"},
+        {OrgKind::Banshee, "8b7c181a4be9dc23"},
+        {OrgKind::Unison, "d50036cbdff26bbc"},
+        {OrgKind::Alloy, "9e7250e5313a8924"},
     };
     for (const auto &[org, want] : cases) {
         SCOPED_TRACE(std::string(cliName(org)));
@@ -840,6 +844,131 @@ TEST(CkptSparse, DirtyEvictionsFollowPageWritebacksAcrossRestore)
         EXPECT_EQ(l3->find("page_writebacks")->asUint(), writebacks);
         EXPECT_EQ(l3->find("dirty_evictions")->asUint(), writebacks);
     }
+}
+
+// ---------------------------------------------------------------------
+// Restore-time count checks
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** Expects `fn` to fail with a fatal() whose message holds `what`. */
+template <typename Fn>
+void
+expectFatal(Fn fn, const std::string &what)
+{
+    ScopedFatalCapture capture;
+    try {
+        fn();
+        ADD_FAILURE() << "accepted: " << what;
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+            << e.what();
+    }
+}
+
+/** Restores what `from` saved into `into`, expecting a fatal(). */
+template <typename From, typename Into>
+void
+expectRestoreFatal(const From &from, Into &into, const std::string &what)
+{
+    ckpt::Serializer s;
+    from.saveState(s);
+    expectFatal(
+        [&] {
+            ckpt::Deserializer d(s.bytes());
+            into.loadState(d);
+        },
+        what);
+}
+
+} // namespace
+
+TEST(CkptRestoreCounts, ComponentsRefuseAnotherGeometry)
+{
+    // A checkpoint restored into a component of another size fails
+    // cleanly, so one bad file cannot take a whole service down.
+    SramCacheParams sp;
+    sp.sizeBytes = 1024;
+    sp.associativity = 2;
+    const SramCache small("l1", sp);
+    sp.sizeBytes = 2048;
+    SramCache big("l1", sp);
+    expectRestoreFatal(small, big, "16 lines for l1, which has 32");
+
+    const PhysMem phys_a("phys", 100, 0);
+    PhysMem phys_b("phys", 200, 0);
+    expectRestoreFatal(phys_a, phys_b,
+                       "physical memory has 100 off- and 0 in-package "
+                       "pages, this system 200 and 0");
+
+    Tlb tlb_a("dtlb", 8);
+    for (PageNum vpn = 0; vpn < 8; ++vpn)
+        tlb_a.insert(TlbEntry{makeAsidVpn(0, vpn), vpn});
+    Tlb tlb_b("dtlb", 4);
+    expectRestoreFatal(tlb_a, tlb_b,
+                       "8 entries for dtlb, over its capacity 4");
+
+    const DramDevice in_pkg("in_pkg", inPackageTiming(64ULL << 20),
+                            inPackageEnergy());
+    DramTimingParams two = inPackageTiming(64ULL << 20);
+    two.channels = 2;
+    DramDevice two_ch("in_pkg", two, inPackageEnergy());
+    expectRestoreFatal(in_pkg, two_ch,
+                       "1 channels for DRAM device in_pkg, which has 2");
+    DramDevice off_pkg("off_pkg", offPackageTiming(1ULL << 30),
+                       offPackageEnergy());
+    expectRestoreFatal(in_pkg, off_pkg,
+                       "32 banks a channel for DRAM device off_pkg, which "
+                       "has 128");
+
+    test::Machine m;
+    TaglessCacheParams tp;
+    tp.cacheBytes = 16 * pageBytes;
+    const TaglessCache ctlb16("ctlb", m.inPkg, m.offPkg, m.phys,
+                              m.cpuClk, tp);
+    tp.cacheBytes = 32 * pageBytes;
+    TaglessCache ctlb32("ctlb", m.inPkg, m.offPkg, m.phys, m.cpuClk, tp);
+    ctlb32.setPteResolver(
+        [](ProcId, PageType, PageNum) -> Pte * { return nullptr; });
+    expectRestoreFatal(ctlb16, ctlb32,
+                       "16 frames for ctlb, which has 32");
+}
+
+TEST(CkptRestoreCounts, SystemRefusesABadSectionCount)
+{
+    const auto cfg = quickConfig(OrgKind::Tagless, {"mcf"}, 1000, 20'000);
+    const ckpt::Checkpoint ck = warmedCheckpoint(cfg);
+    auto restore = [&](std::string_view name,
+                       const std::vector<std::uint8_t> &payload) {
+        return [&, name] {
+            System sys(cfg);
+            sys.restoreCheckpoint(withSection(ck, name, payload));
+        };
+    };
+    // Every list section opens with its u64 entry count.
+    for (const auto &[name, what] :
+         {std::pair{"page_tables", "page tables"},
+          std::pair{"mem_systems", "memory systems"},
+          std::pair{"cores", "cores"}, std::pair{"traces", "traces"}}) {
+        SCOPED_TRACE(name);
+        auto bad = ck.require(name).payload;
+        ASSERT_EQ(u64At(bad, 0), 1u);
+        putU64At(bad, 0, 2);
+        expectFatal(restore(name, bad),
+                    format("checkpoint has 2 {}, system has 1", what));
+    }
+
+    // The core's outstanding misses follow its time cursor and carry.
+    auto cores = ck.require("cores").payload;
+    putU64At(cores, 8 + 16, 1000);
+    expectFatal(restore("cores", cores),
+                "1000 outstanding misses for core0, over its capacity");
+
+    auto phys = ck.require("phys").payload;
+    phys.push_back(0);
+    expectFatal(restore("phys", phys),
+                "section 'phys' has 1 trailing bytes");
 }
 
 // ---------------------------------------------------------------------

@@ -296,6 +296,43 @@ TEST(SweepRunner, CapturesPerJobFailureWithoutKillingTheSweep)
     EXPECT_EQ(results[1].status, JobResult::Status::Ok);
 }
 
+TEST(SweepRunner, RawL3SizeMayOnlyRepeatTheJobsL3Size)
+{
+    // The org, the in-package device and the report take the L3 size
+    // from one field: a raw key that repeats it runs and reports that
+    // size, and one that contradicts it fails the job naming both.
+    SweepManifest m;
+    m.name = "l3-size";
+    JobSpec same;
+    same.label = "same";
+    same.workloads = {"mcf"};
+    same.instsPerCore = 20000;
+    same.warmupInsts = 5000;
+    same.l3SizeBytes = 8ULL << 20;
+    same.raw.set("l3.size_bytes", std::uint64_t{8} << 20);
+    JobSpec other = same;
+    other.label = "other";
+    other.raw.set("l3.size_bytes", std::uint64_t{1} << 30);
+    m.jobs = {same, other};
+
+    SweepOptions opt;
+    opt.jobs = 2;
+    opt.progress = false;
+    const auto results = SweepRunner(opt).run(m);
+    ASSERT_EQ(results.size(), 2u);
+    ASSERT_EQ(results[0].status, JobResult::Status::Ok)
+        << results[0].error;
+    EXPECT_EQ(results[0].report.find("meta")->find("l3_size_bytes")
+                  ->asUint(),
+              8ULL << 20);
+    EXPECT_EQ(results[1].status, JobResult::Status::Failed);
+    EXPECT_NE(results[1].error.find("l3.size_bytes=1073741824 disagrees "
+                                    "with the configured L3 size "
+                                    "8388608"),
+              std::string::npos)
+        << results[1].error;
+}
+
 TEST(SweepRunner, ReportsTimedOutJobs)
 {
     auto m = tinyManifest();

@@ -304,12 +304,12 @@ TEST_F(TaglessTest, RestoreRejectsASectionThatContradictsTheGipt)
 
     // The section opens with the shared stats (the whole section of a
     // stateless org) and the frame count. Then come the mapped frames,
-    // each a u64 index and a 55-byte record (PPN, residence, PTE id,
-    // fill tick, dirty, pinned, lastTouch), then the free-queue runs.
+    // each a u64 index and a 47-byte record (PPN, residence, PTE id,
+    // fill tick, dirty, pinned), then the free-queue runs.
     ckpt::Serializer shared;
     NoL3("nol3", m.inPkg, m.offPkg, m.phys, m.cpuClk).saveState(shared);
     const std::size_t frames_at = shared.bytes().size() + 8;
-    const std::size_t record = 8 + 55;
+    const std::size_t record = 8 + 47;
     const std::size_t runs_at = frames_at + 8 + 2 * record;
     auto u64At = [](const std::vector<std::uint8_t> &b, std::size_t at) {
         std::uint64_t v;
@@ -363,6 +363,73 @@ TEST_F(TaglessTest, RestoreRejectsASectionThatContradictsTheGipt)
                two_runs.bytes().end());
     bad.insert(bad.end(), good.begin() + runs_at + 32, good.end());
     expectRestoreFatal(bad, "runs [2, 10) and [9, 16) overlap");
+}
+
+TEST_F(TaglessTest, RestoreRejectsACorruptVictimOrder)
+{
+    // A cached superpage pins frames [0, 512); pages 1 and 2 fill
+    // frames 512 and 513, which make up the victim order.
+    build(1024);
+    constexpr PageNum sp = 4096;
+    m.pt.installSuperpage(sp);
+    ASSERT_FALSE(miss(sp).entry.nc);
+    ASSERT_EQ(miss(1).entry.frame, 512u);
+    ASSERT_EQ(miss(2).entry.frame, 513u);
+    const std::vector<std::uint8_t> good = orgBytes();
+    {
+        Machine m2;
+        ScopedFatalCapture capture;
+        EXPECT_NE(restoreInto(m2, good), nullptr);
+    }
+
+    // After the shared stats and the frame count: the mapped frames
+    // (u64 count, then a u64 index and a 47-byte record each), the
+    // free-queue runs (u64 count, 24 bytes each), then the victim
+    // order (u64 count, a u64 frame each).
+    ckpt::Serializer shared;
+    NoL3("nol3", m.inPkg, m.offPkg, m.phys, m.cpuClk).saveState(shared);
+    const std::size_t frames_at = shared.bytes().size() + 8;
+    auto u64At = [&](std::size_t at) {
+        std::uint64_t v;
+        std::memcpy(&v, good.data() + at, sizeof(v));
+        return v;
+    };
+    ASSERT_EQ(u64At(frames_at), 514u);
+    const std::size_t runs_at = frames_at + 8 + 514 * (8 + 47);
+    const std::size_t order_at = runs_at + 8 + u64At(runs_at) * 24;
+    ASSERT_EQ(u64At(order_at), 2u);
+    ASSERT_EQ(u64At(order_at + 8), 512u);
+    ASSERT_EQ(u64At(order_at + 16), 513u);
+
+    auto withOrder = [&](std::vector<std::uint64_t> order) {
+        ckpt::Serializer s;
+        s.putBytes(good.data(), order_at);
+        s.putU64(order.size());
+        for (std::uint64_t f : order)
+            s.putU64(f);
+        s.putBytes(good.data() + order_at + 24,
+                   good.size() - order_at - 24);
+        return s.bytes();
+    };
+    {
+        // Any order of the right frames restores as written.
+        Machine m2;
+        const auto other = restoreInto(m2, withOrder({513, 512}));
+        EXPECT_EQ(other->orderFront(), 513u);
+        EXPECT_EQ(other->orderNext(513), 512u);
+        EXPECT_EQ(other->orderNext(512), invalidPage);
+    }
+    expectRestoreFatal(withOrder({512, 512}),
+                       "victim-order frame 512 listed twice");
+    expectRestoreFatal(withOrder({512, 600}),
+                       "victim-order frame 600 is unmapped");
+    expectRestoreFatal(withOrder({512, 7}),
+                       "victim-order frame 7 is pinned");
+    expectRestoreFatal(withOrder({512, 1024}),
+                       "victim-order frame 1024 out of range");
+    expectRestoreFatal(withOrder({513}),
+                       "victim order lists 1 of the 2 mapped unpinned "
+                       "frames");
 }
 
 TEST_F(TaglessTest, FifoEvictionRecyclesOldestFrame)
@@ -555,13 +622,41 @@ TEST_F(TaglessTest, LruEvictsLeastRecentlyTouched)
     EXPECT_TRUE(m.pt.find(3)->vc);
 }
 
-TEST_F(TaglessTest, LruHeapStaysBoundedAndEvictsLikeAnLruList)
+TEST_F(TaglessTest, LruFallbackEvictsTheLeastRecentlyUsedFrame)
 {
-    // Every touch pushes a heap entry; dropping the stale ones keeps
-    // the heap within twice the mapped frames. Victims must still
-    // follow a plain LRU list in which a TLB-resident page gets a
-    // second chance (moves to the most recent end) instead of being
-    // evicted.
+    // When every frame is blocked, LRU evicts its least recently used
+    // frame that is not mid-fill, after a shootdown.
+    build(3, ReplPolicy::LRU);
+    miss(1);                              // frame 0
+    const auto f2 = miss(2);              // frame 1
+    cache->access(caAddr(f2.entry.frame, 0), AccessType::Load, 0,
+                  f2.readyTick);
+    miss(3);                              // frame 2; evicts page 1
+    ASSERT_FALSE(m.pt.find(1)->vc);
+    EXPECT_EQ(miss(4).entry.frame, 0u);   // refills frame 0; evicts 2
+    ASSERT_FALSE(m.pt.find(2)->vc);
+
+    // Pages 3 and 4 stay TLB-resident and page 5's fill is mid-flight:
+    // page 3, the least recently used, goes.
+    for (PageNum vpn : {3, 4})
+        cache->onTlbResidence(TlbEntry{makeAsidVpn(0, vpn),
+                                       m.pt.find(vpn)->frame},
+                              0, true);
+    const std::uint64_t forced = cache->shootdowns();
+    miss(5);
+    EXPECT_EQ(cache->shootdowns(), forced + 1);
+    ASSERT_FALSE(shotDown.empty());
+    EXPECT_EQ(vpnOf(shotDown.back()), 3u);
+    EXPECT_FALSE(m.pt.find(3)->vc);
+    EXPECT_TRUE(m.pt.find(4)->vc);
+    EXPECT_TRUE(m.pt.find(5)->vc);
+}
+
+TEST_F(TaglessTest, LruEvictsLikeAnLruList)
+{
+    // Victims must follow a plain LRU list in which a TLB-resident
+    // page gets a second chance (moves to the most recent end) instead
+    // of being evicted, and the cache's victim order must be that list.
     constexpr std::uint64_t frames = 8;
     constexpr PageNum pages = 20;
     build(frames, ReplPolicy::LRU);
@@ -583,7 +678,6 @@ TEST_F(TaglessTest, LruHeapStaysBoundedAndEvictsLikeAnLruList)
 
     Pcg32 rng(11);
     Tick t = 0;
-    std::uint64_t touches = 0;
     std::uint64_t second_chances = 0;
     for (int i = 0; i < 5000; ++i) {
         const PageNum vpn = rng.below(pages);
@@ -597,11 +691,9 @@ TEST_F(TaglessTest, LruHeapStaysBoundedAndEvictsLikeAnLruList)
         } else if (cached && rng.chance(0.7)) {
             cache->access(caAddr(pte->frame, 0), AccessType::Load, 0, t);
             use(vpn);
-            ++touches;
         } else {
             t = miss(vpn, t).readyTick;
             use(vpn);
-            ++touches;
             // One frame stays free (alpha = 1): evict down to 7 pages.
             while (lru.size() > frames - 1) {
                 const PageNum front = lru.front();
@@ -613,8 +705,6 @@ TEST_F(TaglessTest, LruHeapStaysBoundedAndEvictsLikeAnLruList)
                 lru.pop_front();
             }
         }
-        ASSERT_LE(cache->lruHeapSize(), 2 * (frames - cache->freeBlocks()))
-            << "step " << i;
         for (PageNum v = 0; v < pages; ++v) {
             const Pte *p = m.pt.find(v);
             const bool in_cache = p != nullptr && p->vc;
@@ -622,8 +712,16 @@ TEST_F(TaglessTest, LruHeapStaysBoundedAndEvictsLikeAnLruList)
                 std::find(lru.begin(), lru.end(), v) != lru.end();
             ASSERT_EQ(in_cache, in_list) << "step " << i << " vpn " << v;
         }
+        std::list<PageNum> order;
+        for (std::uint64_t f = cache->orderFront(); f != invalidPage;
+             f = cache->orderNext(f)) {
+            ASSERT_TRUE(cache->gipt().at(f).valid()) << "step " << i;
+            order.push_back(cache->gipt().at(f).ptep->vpn);
+        }
+        ASSERT_EQ(order, lru) << "step " << i;
+        ASSERT_EQ(cache->orderSize(), frames - cache->freeBlocks())
+            << "step " << i;
     }
-    EXPECT_GT(touches, 200 * frames) << "stale entries were dropped often";
     EXPECT_GT(second_chances, 0u);
 }
 

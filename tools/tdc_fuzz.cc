@@ -52,6 +52,7 @@
 #include <string>
 #include <vector>
 
+#include "cache/replacement.hh"
 #include "ckpt/checkpoint.hh"
 #include "common/config.hh"
 #include "common/format.hh"
